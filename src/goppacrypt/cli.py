@@ -12,7 +12,7 @@ import csv
 import sys
 from functools import lru_cache
 
-from .goppa import CodeConstructionError
+from .goppa import CapacityError, CodeConstructionError
 from .scheme import (
     Cryptogram, DecryptionError, KeyPair, decrypt, encrypt, keygen,
 )
@@ -290,7 +290,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, CodeConstructionError, DecryptionError,
-            OSError) as exc:
+            CapacityError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

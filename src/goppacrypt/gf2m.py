@@ -1,11 +1,18 @@
 """GF(2^m) arithmetic and the univariate polynomial ring over it.
 
 Field elements are plain m-bit ints in polynomial basis: bit i is the
-coefficient of alpha^i.  Multiplication is shift-and-reduce; no log/antilog
-tables are used here (tests build them as oracles).  Polynomials are
-immutable coefficient tuples, lowest degree first, with the zero polynomial
-carrying degree minus-infinity so that EEA stop conditions need no special
-cases.
+coefficient of x^i in the residue modulo the field's modulus.  Arithmetic
+is table-driven.  Each field holds an antilog table ``exp`` and a ``log``
+table to an explicitly chosen generator, the smallest element of order
+2^m - 1; the modulus itself need not be primitive (for m = 8 the smallest
+one is 0x11b, where x has order 51).  ``exp`` holds two whole periods, so
+``log[a] + log[b]`` indexes it with no modulo, and so does a difference of
+two logs, as a negative index counted from the end.  The tables are built
+by shift-and-add once per (m, modulus), when a field is first constructed.
+The polynomial hot loops look up the logs of their fixed operand once per
+call and index the tables directly.  Polynomials are immutable coefficient
+tuples, lowest degree first, with the zero polynomial carrying degree
+minus-infinity so that EEA stop conditions need no special cases.
 """
 
 import functools
@@ -38,6 +45,46 @@ def _gf2_irreducible(p):
     return True
 
 
+def _gf2_mulmod(a, b, m, modulus):
+    #  shift-and-add product in GF(2)[x]/(modulus); cost grows with b's bits
+    r = 0
+    top = 1 << m
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return r
+
+
+@functools.lru_cache(maxsize=32)
+def _field_tables(m, modulus):
+    """(generator, exp, log) of GF(2)[x]/(modulus).
+
+    The generator is the smallest element of order 2^m - 1: each candidate's
+    powers are walked until they return to 1, and the first walk that
+    covers the whole multiplicative group is the antilog table.  log[0] is
+    None, since zero has no logarithm.
+    """
+    if _gf2_deg(modulus) != m or not _gf2_irreducible(modulus):
+        raise ValueError("modulus must be irreducible of degree m")
+    order = (1 << m) - 1
+    for g in range(2, 1 << m):
+        exp = [1]
+        v = g
+        while v != 1:
+            exp.append(v)
+            v = _gf2_mulmod(v, g, m, modulus)
+        if len(exp) == order:
+            break
+    log = [None] * (1 << m)
+    for i, v in enumerate(exp):
+        log[v] = i
+    return g, tuple(exp + exp), tuple(log)
+
+
 @functools.lru_cache(maxsize=None)
 def make_field(m):
     """Field with the lexicographically smallest irreducible modulus of degree m."""
@@ -53,11 +100,13 @@ def make_field(m):
 class Field:
     """GF(2^m) with a fixed degree-m irreducible modulus over GF(2)."""
 
-    __slots__ = ("m", "modulus", "order")
+    __slots__ = ("m", "modulus", "order", "generator", "exp", "log")
 
     def __init__(self, m, modulus):
-        if _gf2_deg(modulus) != m or not _gf2_irreducible(modulus):
-            raise ValueError("modulus must be irreducible of degree m")
+        #  bound m first: it sizes the trial division and the tables
+        if not 2 <= m <= 16:
+            raise ValueError("extension degree m must be in 2..16")
+        self.generator, self.exp, self.log = _field_tables(m, modulus)
         self.m = m
         self.modulus = modulus
         self.order = 1 << m
@@ -75,33 +124,15 @@ class Field:
         return a ^ b
 
     def mul(self, a, b):
-        r = 0
-        top = 1 << self.m
-        mod = self.modulus
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= mod
-        return r
+        if a and b:
+            log = self.log
+            return self.exp[log[a] + log[b]]
+        return 0
 
     def inv(self, a):
-        """Inverse by the extended Euclidean algorithm on GF(2)[x]."""
         if not 0 < a < self.order:
             raise ZeroDivisionError("inverse of zero (or out-of-range element)")
-        u, v = a, self.modulus
-        g1, g2 = 1, 0
-        while u != 1:
-            j = _gf2_deg(u) - _gf2_deg(v)
-            if j < 0:
-                u, v = v, u
-                g1, g2 = g2, g1
-                j = -j
-            u ^= v << j
-            g1 ^= g2 << j
-        return _gf2_mod(g1, self.modulus)
+        return self.exp[-self.log[a]]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -118,11 +149,13 @@ class Field:
         return r
 
     def sqrt(self, a):
-        #  squaring is the Frobenius automorphism, so its inverse is
-        #  squaring m-1 times: sqrt(a) = a^(2^(m-1))
-        for _ in range(self.m - 1):
-            a = self.mul(a, a)
-        return a
+        #  squaring doubles the log; halve it modulo the odd group order
+        if not a:
+            return 0
+        lg = self.log[a]
+        if lg & 1:
+            lg += self.order - 1
+        return self.exp[lg >> 1]
 
 
 class Poly:
@@ -194,32 +227,35 @@ class Poly:
     def __mul__(self, other):
         if not self.c or not other.c:
             return Poly(self.field)
-        fmul = self.field.mul
+        exp, log = self.field.exp, self.field.log
+        terms = [(j, log[b]) for j, b in enumerate(other.c) if b]
         out = [0] * (len(self.c) + len(other.c) - 1)
         for i, a in enumerate(self.c):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.c):
-                if b:
-                    out[i + j] ^= fmul(a, b)
+            if a:
+                la = log[a]
+                for j, lb in terms:
+                    out[i + j] ^= exp[la + lb]
         return Poly(self.field, out)
 
     def __divmod__(self, other):
         if not other.c:
             raise ZeroDivisionError("polynomial division by zero")
         field = self.field
+        exp, log = field.exp, field.log
         db = len(other.c) - 1
-        inv_lead = field.inv(other.c[-1])
+        llead = log[other.c[-1]]
+        terms = [(j, log[b]) for j, b in enumerate(other.c[:-1]) if b]
         rem = list(self.c)
         quo = [0] * max(len(rem) - db, 0)
         for i in range(len(rem) - 1, db - 1, -1):
-            if rem[i] == 0:
-                continue
-            q = field.mul(rem[i], inv_lead)
-            quo[i - db] = q
-            for j, b in enumerate(other.c):
-                if b:
-                    rem[i - db + j] ^= field.mul(q, b)
+            a = rem[i]
+            if a:
+                lq = log[a] - llead  # may be negative: exp wraps
+                base = i - db
+                quo[base] = exp[lq]
+                for j, lb in terms:
+                    rem[base + j] ^= exp[lq + lb]
+                rem[i] = 0
         return Poly(field, quo), Poly(field, rem)
 
     def __mod__(self, other):
@@ -229,8 +265,11 @@ class Poly:
         return divmod(self, other)[0]
 
     def scale(self, k):
-        fmul = self.field.mul
-        return Poly(self.field, [fmul(k, a) for a in self.c])
+        if not k:
+            return Poly(self.field)
+        exp, log = self.field.exp, self.field.log
+        lk = log[k]
+        return Poly(self.field, [exp[lk + log[a]] if a else 0 for a in self.c])
 
     def monic(self):
         if not self.c:
@@ -238,10 +277,13 @@ class Poly:
         return self.scale(self.field.inv(self.c[-1]))
 
     def eval(self, x0):
+        if not x0:
+            return self.c[0] if self.c else 0
+        exp, log = self.field.exp, self.field.log
+        lx = log[x0]
         r = 0
-        fmul = self.field.mul
         for a in reversed(self.c):
-            r = fmul(r, x0) ^ a
+            r = exp[log[r] + lx] ^ a if r else a
         return r
 
     def deriv(self):
@@ -251,11 +293,9 @@ class Poly:
 
     def square(self):
         #  Frobenius: (sum a_i x^i)^2 = sum a_i^2 x^(2i)
-        fmul = self.field.mul
+        exp, log = self.field.exp, self.field.log
         out = [0] * (2 * len(self.c) - 1 if self.c else 0)
-        for i, a in enumerate(self.c):
-            if a:
-                out[2 * i] = fmul(a, a)
+        out[::2] = [exp[2 * log[a]] if a else 0 for a in self.c]
         return Poly(self.field, out)
 
 

@@ -145,8 +145,12 @@ class KeyPair:
 
     @classmethod
     def from_bytes(cls, blob):
+        if len(blob) < 28:
+            raise ValueError("truncated key file")
         if blob[:4] != b"GPPA" or blob[4] != 1:
             raise ValueError("not a key file")
+        if blob[5] > 1 or blob[6] > 1:
+            raise ValueError("unknown variant or decoder in key file")
         variant = ("generic", "dyadic")[blob[5]]
         decoder = ("ud", "ld")[blob[6]]
         m = blob[7]

@@ -205,3 +205,24 @@ def test_cli_error_paths(tmp_path, capsys):
                                 str(tmp_path / "missing.ct"), "--out",
                                 str(out)])
     assert code == 1 and "error:" in err
+
+
+def test_capacity_error_exits_cleanly(tmp_path, capsys):
+    # a generic LD key at r = 24 is issued, but decrypt needs an
+    # interpolation multiplicity beyond its guard (CapacityError)
+    key = tmp_path / "ld.key"
+    code, _, _ = run(capsys, ["keygen", "--variant", "generic",
+                              "--decoder", "ld", "-m", "8", "-n", "256",
+                              "-r", "24", "--seed", "cafe", "--out",
+                              str(key)])
+    assert code == 0
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"hi")
+    ct = tmp_path / "msg.ct"
+    code, _, _ = run(capsys, ["encrypt", "--key", str(key), "--in",
+                              str(msg), "--seed", "01", "--out", str(ct)])
+    assert code == 0
+    code, _, err = run(capsys, ["decrypt", "--key", str(key), "--in",
+                                str(ct), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err

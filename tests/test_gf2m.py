@@ -19,26 +19,44 @@ def gf2_factor_free(p, test_mod):
                           for q in range(2, 1 << (d // 2 + 1)) if q >= 2)
 
 
-def exp_log_tables(field):
-    """Antilog/log tables by repeated multiplication by x, sans Field.mul.
+def sa_mul(field, a, b):
+    """Shift-and-add product modulo the field's modulus: the reference."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> field.m:
+            a ^= field.modulus
+    return r
 
-    Returns None when x does not generate the multiplicative group for this
-    modulus (then the table oracle does not apply).
-    """
-    mod, m = field.modulus, field.m
-    exp = [1]
-    v = 1
-    for _ in range((1 << m) - 2):
-        v <<= 1
-        if v >> m:
-            v ^= mod
-        if v == 1:
-            break
-        exp.append(v)
-    if len(exp) != (1 << m) - 1:
-        return None
-    log = {e: i for i, e in enumerate(exp)}
-    return exp, log
+
+def sa_pow(field, a, e):
+    r = 1
+    while e:
+        if e & 1:
+            r = sa_mul(field, r, a)
+        a = sa_mul(field, a, a)
+        e >>= 1
+    return r
+
+
+def sa_inv(field, a):
+    return sa_pow(field, a, field.order - 2)
+
+
+def sa_sqrt(field, a):
+    return sa_pow(field, a, field.order // 2)  # a^(2^(m-1))
+
+
+def sa_order(field, a):
+    """Multiplicative order of a nonzero element, by walking its powers."""
+    v, k = a, 1
+    while v != 1:
+        v = sa_mul(field, v, a)
+        k += 1
+    return k
 
 
 def naive_poly_mul(f, g):
@@ -46,8 +64,30 @@ def naive_poly_mul(f, g):
     out = [0] * (len(f.c) + len(g.c))
     for i, a in enumerate(f.c):
         for j, b in enumerate(g.c):
-            out[i + j] ^= field.mul(a, b)
+            out[i + j] ^= sa_mul(field, a, b)
     return Poly(field, out)
+
+
+def naive_divmod(f, g):
+    """Schoolbook long division with the reference arithmetic."""
+    field = f.field
+    inv_lead = sa_inv(field, g.c[-1])
+    rem = list(f.c)
+    db = len(g.c) - 1
+    quo = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        q = sa_mul(field, rem[i], inv_lead)
+        quo[i - db] = q
+        for j, b in enumerate(g.c):
+            rem[i - db + j] ^= sa_mul(field, q, b)
+    return Poly(field, quo), Poly(field, rem)
+
+
+def naive_eval(f, x0):
+    r = 0
+    for a in reversed(f.c):
+        r = sa_mul(f.field, r, x0) ^ a
+    return r
 
 
 # ---------------------------------------------------------------- fields
@@ -69,24 +109,94 @@ def test_modulus_is_minimal_irreducible_for_all_m():
             assert not gf2_factor_free(p, _gf2_mod)
 
 
-def test_mul_against_log_tables():
-    checked = 0
-    for m in range(2, 13):
+def test_generator_is_smallest_primitive_element():
+    for m in range(2, 17):
         field = make_field(m)
-        tables = exp_log_tables(field)
-        if tables is None:
-            continue
-        exp, log = tables
-        checked += 1
+        g = field.generator
+        assert sa_order(field, g) == field.order - 1
+        assert all(sa_order(field, h) < field.order - 1 for h in range(2, g))
+    # the smallest degree-8 modulus 0x11b is not primitive: x has order 51
+    field = make_field(8)
+    assert field.modulus == 0x11b and sa_order(field, 2) == 51
+    assert field.generator == 3
+
+
+def test_mul_against_log_tables():
+    # the field's tables against ones built here by the reference, for
+    # every m, including those (m = 8) whose modulus is not primitive
+    for m in range(2, 17):
+        field = make_field(m)
+        order = field.order - 1
+        exp = [1]
+        for _ in range(order - 1):
+            exp.append(sa_mul(field, exp[-1], field.generator))
+        log = {v: i for i, v in enumerate(exp)}
+        assert list(field.exp) == exp + exp
+        assert all(field.log[v] == i for v, i in log.items())
         rng = random.Random(m)
-        order = (1 << m) - 1
         for _ in range(300):
             a = rng.randrange(1, 1 << m)
             b = rng.randrange(1, 1 << m)
             assert field.mul(a, b) == exp[(log[a] + log[b]) % order]
-            assert field.inv(a) == exp[(order - log[a]) % order]
+            assert field.inv(a) == exp[-log[a] % order]
         assert field.mul(0, a) == 0 and field.mul(a, 0) == 0
-    assert checked >= 3  # the oracle must actually have run
+
+
+def test_field_against_shift_and_add():
+    rng = random.Random(5)
+    for m in range(2, 17):
+        field = make_field(m)
+        if m <= 6:
+            elems = range(field.order)
+            pairs = [(a, b) for a in elems for b in elems]
+        else:
+            elems = [0, 1, field.order - 1] + [rng.randrange(field.order)
+                                               for _ in range(150)]
+            pairs = [(rng.randrange(field.order), rng.randrange(field.order))
+                     for _ in range(300)] + [(0, 5), (5, 0), (1, 1)]
+        for a, b in pairs:
+            assert field.mul(a, b) == sa_mul(field, a, b)
+        for a in elems:
+            assert field.sqrt(a) == sa_sqrt(field, a)
+            if a:
+                assert field.inv(a) == sa_inv(field, a)
+
+
+def test_field_tables_built_once_per_modulus():
+    field = make_field(11)
+    again = Field(11, field.modulus)
+    assert again == field and again.exp is field.exp and again.log is field.log
+
+
+def test_field_rejects_bad_degree_and_modulus():
+    for m, modulus in ((1, 0b11), (0, 1), (17, (1 << 17) | 0b1001),
+                       (20, (1 << 20) | 0b1001)):
+        with pytest.raises(ValueError):
+            Field(m, modulus)
+    with pytest.raises(ValueError):
+        Field(4, 0b10101)  # (x^2 + x + 1)^2
+    with pytest.raises(ValueError):
+        Field(4, 0b1011)  # degree 3
+
+
+def test_poly_ops_against_reference():
+    rng = random.Random(37)
+    for m in (3, 8, 11):
+        field = make_field(m)
+
+        def rand_poly(max_len):
+            return Poly(field, [rng.choice((0, rng.randrange(field.order)))
+                                for _ in range(rng.randrange(max_len))])
+        for _ in range(40):
+            f, g = rand_poly(12), rand_poly(8)
+            assert f * g == naive_poly_mul(f, g)
+            assert f.square() == naive_poly_mul(f, f)
+            x0 = rng.choice((0, 1, rng.randrange(field.order)))
+            assert f.eval(x0) == naive_eval(f, x0)
+            k = rng.choice((0, 1, rng.randrange(field.order)))
+            assert f.scale(k) == Poly(field, [sa_mul(field, k, a) for a in f.c])
+            if not g.is_zero():
+                assert divmod(f, g) == naive_divmod(f, g)
 
 
 def test_known_product_gf16():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -196,3 +197,36 @@ def test_error_draw_collisions():
         collisions += key in seen
         seen[key] = i
     assert collisions <= 1
+
+
+@pytest.fixture(scope="module")
+def small_key_blob():
+    return keygen("generic", 6, 64, 2, "ud", b"hostile").to_bytes()
+
+
+@pytest.mark.parametrize("case", ["variant", "decoder", "short-header"])
+def test_from_bytes_typed_errors(small_key_blob, case):
+    blob = bytearray(small_key_blob)
+    if case == "variant":
+        blob[5] = 2
+    elif case == "decoder":
+        blob[6] = 7
+    if case != "short-header":
+        with pytest.raises(ValueError):
+            KeyPair.from_bytes(bytes(blob))
+        return
+    for cut in range(28):
+        with pytest.raises(ValueError):
+            KeyPair.from_bytes(bytes(blob[:cut]))
+
+
+def test_from_bytes_bounds_m_before_field_work(small_key_blob):
+    # x^20 + x^3 + 1 is irreducible; m = 20 must be refused before any
+    # trial division or table construction
+    blob = bytearray(small_key_blob)
+    blob[7] = 20
+    blob[24:28] = ((1 << 20) | 0b1001).to_bytes(4, "big")
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        KeyPair.from_bytes(bytes(blob))
+    assert time.perf_counter() - t0 < 0.1
