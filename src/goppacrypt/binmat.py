@@ -27,17 +27,6 @@ class BinMatrix:
         self.cols = cols
         self.bits = tuple(b & mask for b in bits)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def from_entries(cls, entries):
-        """Build from an iterable of 0/1 row iterables."""
-        rows = [sum(1 << j for j, e in enumerate(row) if e & 1) for row in entries]
-        cols = max((len(row) for row in entries), default=0)
-        return cls(len(rows), cols, rows)
-
     def get(self, i, j):
         return (self.bits[i] >> j) & 1
 
@@ -61,21 +50,6 @@ class BinMatrix:
             if (r & x).bit_count() & 1:
                 out |= 1 << i
         return out
-
-    def transpose(self):
-        cols = [0] * self.cols
-        for i, r in enumerate(self.bits):
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= 1 << i
-                r ^= low
-        return BinMatrix(self.cols, self.rows, cols)
-
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch")
-        return BinMatrix(self.rows + other.rows, self.cols,
-                         list(self.bits) + list(other.bits))
 
     def permute_cols(self, perm):
         """New matrix with column j taken from column perm[j]."""

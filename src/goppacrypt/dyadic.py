@@ -119,11 +119,14 @@ def dyadic_check(M):
 
 def xor_permute(bits, p, r):
     """Reindex an r-bit signature: output bit j is input bit j xor p."""
-    out = 0
-    for j in range(r):
-        if bits >> (j ^ p) & 1:
-            out |= 1 << j
-    return out
+    b = r >> 1
+    low = (1 << b) - 1  # the low half of every 2b-wide block
+    while b:
+        if p & b:  # swap the two halves
+            bits = (bits & low) << b | (bits >> b) & low
+        b >>= 1
+        low ^= low << b
+    return bits & ((1 << r) - 1)
 
 
 def block_mul(a, b, r):
@@ -147,7 +150,9 @@ def signature_to_code(sig, params, seed):
     and per-block xor offsets drawn from the seed.  The generator is
     [I_k | A] with every r x r block of A dyadic; building it eliminates
     block-wise over the ring of dyadic matrices, which fails (and raises)
-    exactly when the usual parity matrix is rank-deficient.
+    exactly when the usual parity matrix is rank-deficient.  The generator
+    and the identity column order go straight into the code, so no null
+    space is built.
     """
     params.validate()
     field = sig.field
@@ -171,7 +176,7 @@ def signature_to_code(sig, params, seed):
     support = [points[b * r + (s ^ p)]
                for b, p in zip(blocks, offsets) for s in range(r)]
 
-    code = build_code(field, support, gpoly)
+    build_code(field, support, gpoly)  # the support and G checks
 
     # parity in Cauchy view: entry (i, c*r+s) = h[b_c*r + (i^s^p_c)], so
     # bit-plane beta of block c is binary dyadic with this signature:
@@ -192,9 +197,8 @@ def signature_to_code(sig, params, seed):
             for t in range(m):
                 row |= xor_permute(sigs[t], i, r) << (k + t * r)
             gen_rows.append(row)
-    gen = BinMatrix(k, n, gen_rows)
-    return GoppaCode(field, support, gpoly, code.parity_ext, code.parity_bin,
-                     gen, tuple(range(n)))
+    return GoppaCode(field, support, gpoly, BinMatrix(k, n, gen_rows),
+                     range(n))
 
 
 def _block_systemize(grid, mrows, cols, r):

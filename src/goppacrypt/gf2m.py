@@ -17,6 +17,8 @@ minus-infinity so that EEA stop conditions need no special cases.
 
 import functools
 
+from .binmat import BinMatrix, rref
+
 NEG_INF = float("-inf")
 
 
@@ -120,9 +122,6 @@ class Field:
     def __repr__(self):
         return "Field(m=%d, modulus=0x%x)" % (self.m, self.modulus)
 
-    def add(self, a, b):
-        return a ^ b
-
     def mul(self, a, b):
         if a and b:
             log = self.log
@@ -133,20 +132,6 @@ class Field:
         if not 0 < a < self.order:
             raise ZeroDivisionError("inverse of zero (or out-of-range element)")
         return self.exp[-self.log[a]]
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, e):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
 
     def sqrt(self, a):
         #  squaring doubles the log; halve it modulo the odd group order
@@ -195,10 +180,6 @@ class Poly:
 
     def is_zero(self):
         return not self.c
-
-    def lc(self):
-        """Leading coefficient (of the zero polynomial: 0)."""
-        return self.c[-1] if self.c else 0
 
     def __getitem__(self, i):
         return self.c[i] if 0 <= i < len(self.c) else 0
@@ -260,9 +241,6 @@ class Poly:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def scale(self, k):
         if not k:
@@ -370,29 +348,15 @@ def _sqrt_x_mod(G):
                 for bb in range(m):
                     if (a >> bb) & 1:
                         rows[ii * m + bb] |= 1 << c
-    #  solve M v = e_x by Gaussian elimination on [M | e_x]
+    #  solve M v = e_x: rref of [M | e_x], right-hand side in the last column
     target = 1 * m  # coordinate of the polynomial x (i=1, beta=0)
-    aug = [(rows[j] << 1) | (1 if j == target else 0) for j in range(dim)]
-    piv_of_col = {}
-    rank = 0
-    for col in range(dim):
-        bit = 1 << (col + 1)
-        sel = None
-        for j in range(rank, dim):
-            if aug[j] & bit:
-                sel = j
-                break
-        if sel is None:
-            continue
-        aug[rank], aug[sel] = aug[sel], aug[rank]
-        for j in range(dim):
-            if j != rank and aug[j] & bit:
-                aug[j] ^= aug[rank]
-        piv_of_col[col] = rank
-        rank += 1
+    aug, _, pivots = rref(BinMatrix(dim, dim + 1, [
+        rows[j] | (j == target) << dim for j in range(dim)]))
+    if pivots and pivots[-1] == dim:
+        raise ArithmeticError("square root of x failed; is G square-free?")
     coeffs = [0] * r
-    for col, j in piv_of_col.items():
-        if aug[j] & 1:
+    for j, col in enumerate(pivots):
+        if aug.bits[j] >> dim & 1:
             coeffs[col // m] |= 1 << (col % m)
     R = Poly(field, coeffs)
     if _square_mod(R, G) != Poly.x(field) % G:
@@ -414,17 +378,6 @@ def poly_sqrt_mod(t, G):
     if _square_mod(out, G) != t:
         raise ArithmeticError("modular square root inconsistency")
     return out
-
-
-def poly_powmod(f, e, G):
-    r = Poly.one(f.field)
-    f = f % G
-    while e:
-        if e & 1:
-            r = (r * f) % G
-        f = (f * f) % G
-        e >>= 1
-    return r
 
 
 def _prime_factors(n):

@@ -1,13 +1,15 @@
 """Binary Goppa code construction and encoding.
 
 A code Gamma(L, G) over GF(2^m) is the set of binary words c with
-sum_j c_j/(x - L_j) = 0 mod G.  The parity check is built in alternant
-form H[i][j] = L_j^i / G(L_j) and expanded over GF(2); the generator is
-a systematic basis of its right null space.
+sum_j c_j/(x - L_j) = 0 mod G.  A code object holds the support, G and
+the syndrome caches that decoding needs; build_code validates them and
+does no matrix work.  The parity check, in alternant form
+H[i][j] = L_j^i / G(L_j) expanded over GF(2), and the generator, a
+systematic basis of its right null space, are built on first use.
 """
 
 from .gf2m import Poly, is_squarefree
-from .binmat import BinMatrix, rref, null_space
+from .binmat import BinMatrix, null_space
 
 
 class CodeConstructionError(ValueError):
@@ -19,24 +21,60 @@ class CapacityError(RuntimeError):
 
 
 class GoppaCode:
-    """Immutable code object; see build_code for the canonical constructor."""
+    """Immutable code object; see build_code for the canonical constructor.
 
-    __slots__ = ("field", "support", "gpoly", "n", "r", "k",
-                 "parity_ext", "parity_bin", "gen", "colperm", "_syn_cache")
+    A caller that already holds a generator passes it with its column
+    order; otherwise one elimination of parity_bin builds both.
+    """
 
-    def __init__(self, field, support, gpoly, parity_ext, parity_bin,
-                 gen, colperm):
+    __slots__ = ("field", "support", "gpoly", "n", "r",
+                 "_parity_bin", "_gen", "_colperm", "_syn_cache")
+
+    def __init__(self, field, support, gpoly, gen=None, colperm=None):
         self.field = field
         self.support = tuple(support)
         self.gpoly = gpoly
         self.n = len(self.support)
         self.r = gpoly.degree
-        self.k = gen.rows
-        self.parity_ext = parity_ext
-        self.parity_bin = parity_bin
-        self.gen = gen
-        self.colperm = tuple(colperm)
+        self._parity_bin = None
+        self._gen = gen
+        self._colperm = None if colperm is None else tuple(colperm)
         self._syn_cache = {}
+
+    @property
+    def parity_bin(self):
+        """GF(2) expansion: entry row i becomes m rows, alpha^0 first."""
+        if self._parity_bin is None:
+            field, support = self.field, self.support
+            row = [field.inv(self.gpoly.eval(a)) for a in support]
+            bits = []
+            for _ in range(self.r):
+                for beta in range(field.m):
+                    bits.append(sum((v >> beta & 1) << j
+                                    for j, v in enumerate(row)))
+                row = [field.mul(v, a) for v, a in zip(row, support)]
+            self._parity_bin = BinMatrix(len(bits), self.n, bits)
+        return self._parity_bin
+
+    @property
+    def gen(self):
+        if self._gen is None:
+            self._gen = null_space(self.parity_bin)
+            # the free columns, then the pivots: a basis row's top set bit
+            # is its free column, as every pivot it touches lies left of it
+            free = [v.bit_length() - 1 for v in self._gen.bits]
+            self._colperm = tuple(free) + tuple(sorted(
+                set(range(self.n)).difference(free)))
+        return self._gen
+
+    @property
+    def colperm(self):
+        self.gen  # a generator built here brings its column order along
+        return self._colperm
+
+    @property
+    def k(self):
+        return self.gen.rows
 
     def __repr__(self):
         return "GoppaCode(m=%d, n=%d, k=%d, r=%d)" % (
@@ -64,38 +102,9 @@ def build_code(field, support, gpoly, require_squarefree=True):
         raise CodeConstructionError("repeated support element")
     if require_squarefree and not is_squarefree(gpoly):
         raise CodeConstructionError("Goppa polynomial is not square-free")
-    gvals = [gpoly.eval(a) for a in support]
-    if any(v == 0 for v in gvals):
+    if any(gpoly.eval(a) == 0 for a in support):
         raise CodeConstructionError("support element is a root of G")
-
-    # alternant parity over GF(2^m): H[i][j] = L_j^i / G(L_j)
-    inv_g = [field.inv(v) for v in gvals]
-    parity_ext = [tuple(inv_g)]
-    for _ in range(r - 1):
-        prev = parity_ext[-1]
-        parity_ext.append(tuple(field.mul(prev[j], support[j])
-                                for j in range(n)))
-    parity_ext = tuple(parity_ext)
-
-    # GF(2) expansion: entry row i becomes m rows, alpha^0 coefficient first
-    m = field.m
-    rows = []
-    for i in range(r):
-        ext = parity_ext[i]
-        for beta in range(m):
-            bits = 0
-            for j in range(n):
-                bits |= (ext[j] >> beta & 1) << j
-            rows.append(bits)
-    parity_bin = BinMatrix(r * m, n, rows)
-
-    gen = null_space(parity_bin)
-    _, rank, pivots = rref(parity_bin)
-    pivset = set(pivots)
-    free = [j for j in range(n) if j not in pivset]
-    colperm = tuple(free) + tuple(pivots)
-    return GoppaCode(field, support, gpoly, parity_ext, parity_bin,
-                     gen, colperm)
+    return GoppaCode(field, support, gpoly)
 
 
 def encode(code, msg):
@@ -171,19 +180,3 @@ def verify_prop1(field, support, gpoly):
             return False
     return True
 
-
-def min_distance_exhaustive(code):
-    """Exact minimum distance by walking all 2^k codewords (tiny codes)."""
-    if code.k > 20:
-        raise CapacityError("2^%d codewords is beyond the exhaustive bound"
-                            % code.k)
-    if code.k == 0:
-        raise ValueError("zero-dimensional code has no nonzero codewords")
-    best = code.n + 1
-    word = 0
-    for i in range(1, 1 << code.k):
-        word ^= code.gen.row((i & -i).bit_length() - 1)
-        w = word.bit_count()
-        if w < best:
-            best = w
-    return best

@@ -109,6 +109,7 @@ class KeyPair:
         self._pub_matrix = None
 
     def code(self):
+        """The decoding view: validated support and G, no matrix work."""
         if self._code is None:
             self._code = build_code(self.field, self.support, self.gpoly)
         return self._code
@@ -158,26 +159,34 @@ class KeyPair:
                           for i in range(4))
         modulus = int.from_bytes(blob[24:28], "big")
         field = Field(m, modulus)
-        pos = 28
-        support, pos = _unpack_values(blob, pos, m, n)
+        #  the header sizes everything below: check it before any work
+        if (r < 1 or n > field.order or k < 1 or k != n - m * r
+                or variant == "dyadic" and k % r):
+            raise ValueError("inconsistent key dimensions")
+        span = (9 + k // r * m * ((r + 7) // 8) if variant == "dyadic"
+                else (k * (n - k) + 7) // 8)
+        pos = 28 + (n * m + 7) // 8 + ((r + 1) * m + 7) // 8 + 2 * n
+        if len(blob) != pos + span:
+            raise ValueError("key file length does not match its header")
+        support, pos = _unpack_values(blob, 28, m, n)
         coeffs, pos = _unpack_values(blob, pos, m, r + 1)
-        colperm = []
-        for _ in range(n):
-            colperm.append(int.from_bytes(blob[pos:pos + 2], "big"))
-            pos += 2
-        body = blob[pos:]
+        colperm = [int.from_bytes(blob[pos + 2 * j:pos + 2 * j + 2], "big")
+                   for j in range(n)]
+        if sorted(colperm) != list(range(n)):
+            raise ValueError("column order is not a permutation")
+        body = blob[pos + 2 * n:]
         if variant == "dyadic":
             public = bytes(body)
-            expand_pubkey(public)  # structural validation
+            pm, pr, pub_matrix = expand_pubkey(public)  # validates structure
+            if (pm, pr, pub_matrix.rows) != (m, r, k):
+                raise ValueError("compact key does not match the key header")
         else:
-            span = (k * (n - k) + 7) // 8
-            if len(body) != span:
-                raise ValueError("truncated key file")
-            public = BinMatrix.from_bytes(k, n - k, body)
+            public = pub_matrix = BinMatrix.from_bytes(k, n - k, body)
         kp = cls(variant, decoder, w_enc, field, support,
                  Poly(field, coeffs), colperm, public)
-        if (kp.n, kp.k, kp.r) != (n, k, r):
+        if kp.r != r:
             raise ValueError("inconsistent key dimensions")
+        kp._pub_matrix = pub_matrix
         return kp
 
     def save(self, path):
@@ -363,10 +372,7 @@ def decrypt(sk, ct):
         pairs = list(list_decode(code, y, sk.w_enc).candidates)
     valid = []
     for c, _ in pairs:
-        block = 0
-        for j in range(sk.k):
-            block |= (c >> sk.colperm[j] & 1) << j
-        msg = _unwrap(block, sk.k)
+        msg = _unwrap(_project(c, sk.colperm[:sk.k]), sk.k)
         if msg is not None:
             valid.append(msg)
     if not valid:

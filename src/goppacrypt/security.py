@@ -20,13 +20,6 @@ class RadiusReport:
 
 
 @dataclass(frozen=True)
-class SecurityEstimate:
-    wf_log2: float
-    keysize_bits: int
-    params: tuple
-
-
-@dataclass(frozen=True)
 class Countermeasures:
     cm1: bool
     cm2: bool

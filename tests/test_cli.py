@@ -4,6 +4,7 @@ import io
 import pytest
 
 from goppacrypt.cli import main, search_params
+from goppacrypt.scheme import KeyPair
 
 TABLE_HEADER = "method,m,n,k,r,tau2,wf,keysize,gain,status"
 
@@ -226,3 +227,40 @@ def test_capacity_error_exits_cleanly(tmp_path, capsys):
                                 str(ct), "--out", str(tmp_path / "out")])
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_hostile_key_files_exit_cleanly(tmp_path, capsys):
+    key = tmp_path / "k"
+    run(capsys, ["keygen", "--variant", "dyadic", "--decoder", "ud",
+                 "-m", "10", "-n", "256", "-r", "16", "--seed", "bad5",
+                 "--out", str(key)])
+    kp = KeyPair.load(str(key))
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"hi")
+    ct = tmp_path / "msg.ct"
+    code, _, _ = run(capsys, ["encrypt", "--key", str(key), "--in",
+                              str(msg), "--seed", "01", "--out", str(ct)])
+    assert code == 0
+
+    # a column-order entry past n is refused at load, before encrypt uses it
+    pos = 28 + (kp.n * kp.m + 7) // 8 + ((kp.r + 1) * kp.m + 7) // 8
+    blob = bytearray(key.read_bytes())
+    blob[pos:pos + 2] = (60000).to_bytes(2, "big")
+    wild = tmp_path / "wild.key"
+    wild.write_bytes(bytes(blob))
+    code, _, err = run(capsys, ["encrypt", "--key", str(wild), "--in",
+                                str(msg), "--seed", "01", "--out",
+                                str(tmp_path / "wild.ct")])
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+    # a support that holds a root of G is refused when decrypt builds the code
+    root = next(a for a in range(kp.field.order) if kp.gpoly.eval(a) == 0)
+    rooted = tmp_path / "rooted.key"
+    KeyPair(kp.variant, kp.decoder, kp.w_enc, kp.field,
+            (root,) + kp.support[1:], kp.gpoly, kp.colperm,
+            kp.public).save(str(rooted))
+    code, _, err = run(capsys, ["decrypt", "--key", str(rooted), "--in",
+                                str(ct), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err.startswith("error: ") and "root of G" in err

@@ -12,6 +12,7 @@ from goppacrypt.dyadic import (
     compact_pubkey, expand_pubkey,
 )
 from goppacrypt.prng import SeededStream
+from testlib import xor_permute_bitloop
 
 
 def make_dyadic(m, n, r, N, tag, attempts=64):
@@ -98,6 +99,19 @@ def test_dyadic_check():
         dyadic_check([[1, 0], [0]])
     with pytest.raises(ValueError):
         dyadic_check([])
+
+
+def test_xor_permute_matches_bit_loop():
+    rng = random.Random(31)
+    r = 1
+    while r <= 256:
+        inputs = [0, (1 << r) - 1] + [rng.getrandbits(r) for _ in range(3)]
+        inputs.append(rng.getrandbits(r + 8))  # bits past r are ignored
+        for p in range(r):
+            for bits in inputs:
+                assert xor_permute(bits, p, r) == \
+                    xor_permute_bitloop(bits, p, r)
+        r *= 2
 
 
 def test_block_algebra():
@@ -201,15 +215,14 @@ def test_compact_rejects_non_dyadic():
     broken = BinMatrix(code.k, code.n,
                        [code.gen.row(i) ^ ((1 << code.k) if i == 1 else 0)
                         for i in range(code.k)])
-    bad = GoppaCode(code.field, code.support, code.gpoly, code.parity_ext,
-                    code.parity_bin, broken, code.colperm)
+    bad = GoppaCode(code.field, code.support, code.gpoly, broken, code.colperm)
     with pytest.raises(ValueError):
         compact_pubkey(bad, code.r)
     # and a broken identity part is caught before the block scan
     shifted = BinMatrix(code.k, code.n,
                         [code.gen.row(i) ^ 3 for i in range(code.k)])
-    bad2 = GoppaCode(code.field, code.support, code.gpoly, code.parity_ext,
-                     code.parity_bin, shifted, code.colperm)
+    bad2 = GoppaCode(code.field, code.support, code.gpoly, shifted,
+                     code.colperm)
     with pytest.raises(ValueError):
         compact_pubkey(bad2, code.r)
 

@@ -4,10 +4,11 @@ import pytest
 
 from goppacrypt.gf2m import (
     NEG_INF, Field, Poly, make_field, poly_gcd, is_squarefree, poly_invmod,
-    eea_stop, poly_sqrt_mod, poly_powmod, is_irreducible,
-    random_monic_irreducible, _gf2_mod,
+    eea_stop, poly_sqrt_mod, is_irreducible,
+    random_monic_irreducible, _gf2_mod, _sqrt_x_mod,
 )
 from goppacrypt.prng import SeededStream
+from testlib import field_pow, poly_powmod
 
 
 # ---------------------------------------------------------------- oracles
@@ -214,13 +215,12 @@ def test_field_axioms_random():
             c = rng.randrange(1 << m)
             assert field.mul(a, field.mul(b, c)) == field.mul(field.mul(a, b), c)
             assert field.mul(a, b ^ c) == field.mul(a, b) ^ field.mul(a, c)
-            assert field.add(a, a) == 0
             s = field.mul(a ^ b, a ^ b)
             assert s == field.mul(a, a) ^ field.mul(b, b)
             assert field.sqrt(s) == a ^ b
             if a:
                 assert field.mul(a, field.inv(a)) == 1
-                assert field.pow(a, field.order - 1) == 1
+                assert field_pow(field, a, field.order - 1) == 1
         assert field.inv(1) == 1
         with pytest.raises(ZeroDivisionError):
             field.inv(0)
@@ -235,8 +235,8 @@ def test_pow_matches_repeated_mul():
         acc = 1
         for _ in range(e):
             acc = field.mul(acc, a)
-        assert field.pow(a, e) == acc
-    assert field.pow(0, 0) == 1
+        assert field_pow(field, a, e) == acc
+    assert field_pow(field, 0, 0) == 1
 
 
 # ---------------------------------------------------------------- polynomials
@@ -288,7 +288,7 @@ def test_gcd_divides_and_is_monic():
             continue
         d = poly_gcd(f, g)
         assert (f % d).is_zero() and (g % d).is_zero()
-        assert d.lc() == 1
+        assert d.c[-1] == 1
 
 
 def test_eval_and_deriv():
@@ -439,7 +439,7 @@ def test_random_monic_irreducible_is_deterministic():
     field = make_field(6)
     g1 = random_monic_irreducible(field, 6, SeededStream(b"g"))
     g2 = random_monic_irreducible(field, 6, SeededStream(b"g"))
-    assert g1 == g2 and g1.degree == 6 and g1.lc() == 1 and is_irreducible(g1)
+    assert g1 == g2 and g1.degree == 6 and g1.c[-1] == 1 and is_irreducible(g1)
 
 
 def test_poly_powmod():
@@ -450,3 +450,9 @@ def test_poly_powmod():
     for _ in range(13):
         acc = (acc * f) % G
     assert poly_powmod(f, 13, G) == acc
+
+
+def test_sqrt_x_mod_refuses_non_squarefree():
+    # squaring is singular modulo (x + 3)^2, and x has no square root there
+    with pytest.raises(ArithmeticError):
+        _sqrt_x_mod(Poly.from_roots(make_field(4), [3, 3]))

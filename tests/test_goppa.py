@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from goppacrypt import binmat
 from goppacrypt.gf2m import Poly, make_field, is_squarefree, random_monic_irreducible
 from goppacrypt.goppa import (
     CodeConstructionError, CapacityError, build_code, encode, syndrome_poly,
-    verify_prop1, min_distance_exhaustive,
+    verify_prop1,
 )
 from goppacrypt.prng import SeededStream
+from testlib import field_div, field_pow, min_distance_exhaustive
 
 
 def full_support(field):
@@ -38,11 +40,32 @@ def test_parity_entries_are_alternant():
     code = build_code(field, support, g)
     for i in range(code.r):
         for j in range(code.n):
-            want = field.div(field.pow(support[j], i), g.eval(support[j]))
-            assert code.parity_ext[i][j] == want
+            want = field_div(field, field_pow(field, support[j], i),
+                             g.eval(support[j]))
             # binary expansion: alpha^0 coefficient first
             for beta in range(5):
                 assert code.parity_bin.get(i * 5 + beta, j) == (want >> beta & 1)
+
+
+def test_generator_is_one_elimination_on_first_read(monkeypatch):
+    field = make_field(5)
+    rng = random.Random(7)
+    support = tuple(rng.sample(range(32), 28))
+    g = random_squarefree_avoiding(field, 3, support, rng)
+    calls = []
+    real_rref = binmat.rref
+    monkeypatch.setattr(binmat, "rref",
+                        lambda M: calls.append(M) or real_rref(M))
+    code = build_code(field, support, g)
+    assert calls == []  # validation only
+    gen = code.gen
+    assert len(calls) == 1
+    assert code.k == gen.rows and sorted(code.colperm) == list(range(28))
+    assert code.gen is gen and len(calls) == 1
+    # the column order is the free columns, then the pivots, of that RREF
+    _, _, pivots = real_rref(code.parity_bin)
+    free = [j for j in range(code.n) if j not in pivots]
+    assert code.colperm == tuple(free) + tuple(pivots)
 
 
 def test_generator_orthogonal_to_parity():

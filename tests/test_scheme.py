@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from goppacrypt import goppa
 from goppacrypt.goppa import CodeConstructionError
 from goppacrypt.decode import patterson_decode
 from goppacrypt.prng import SeededStream
@@ -230,3 +231,70 @@ def test_from_bytes_bounds_m_before_field_work(small_key_blob):
     with pytest.raises(ValueError):
         KeyPair.from_bytes(bytes(blob))
     assert time.perf_counter() - t0 < 0.1
+
+
+def _colperm_offset(kp):
+    return 28 + (kp.n * kp.m + 7) // 8 + ((kp.r + 1) * kp.m + 7) // 8
+
+
+def test_from_bytes_checks_header_before_work(small_key_blob):
+    # n = 3,000,000 in a 285-byte file: refused from the header alone,
+    # before anything is sized from it
+    blob = bytearray(small_key_blob)
+    blob[8:12] = (3000000).to_bytes(4, "big")
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        KeyPair.from_bytes(bytes(blob))
+    assert time.perf_counter() - t0 < 0.1
+    for start, value in ((16, 0),   # r = 0
+                         (12, 51)):  # k != n - m*r
+        blob = bytearray(small_key_blob)
+        blob[start:start + 4] = value.to_bytes(4, "big")
+        with pytest.raises(ValueError):
+            KeyPair.from_bytes(bytes(blob))
+    with pytest.raises(ValueError):
+        KeyPair.from_bytes(small_key_blob + b"\0")
+
+
+@pytest.mark.parametrize("case", ["out-of-range", "duplicate"])
+def test_from_bytes_refuses_bad_column_order(small_key_blob, case):
+    kp = KeyPair.from_bytes(small_key_blob)
+    pos = _colperm_offset(kp)
+    blob = bytearray(small_key_blob)
+    if case == "out-of-range":
+        blob[pos:pos + 2] = (60000).to_bytes(2, "big")
+    else:
+        blob[pos:pos + 2] = blob[pos + 2:pos + 4]
+    with pytest.raises(ValueError):
+        KeyPair.from_bytes(bytes(blob))
+
+
+def _with_support(kp, support):
+    return KeyPair(kp.variant, kp.decoder, kp.w_enc, kp.field, support,
+                   kp.gpoly, kp.colperm, kp.public).to_bytes()
+
+
+def test_decrypt_refuses_invalid_support():
+    # a dyadic G splits, so a root of G can be planted in the support
+    kp = keygen("dyadic", 10, 256, 16, "ud", b"badsup")
+    ct = encrypt(kp, b"x", b"badsup")
+    root = next(a for a in range(kp.field.order) if kp.gpoly.eval(a) == 0)
+    for support in ((kp.support[1],) + kp.support[1:],
+                    (root,) + kp.support[1:]):
+        bad = KeyPair.from_bytes(_with_support(kp, support))
+        with pytest.raises(CodeConstructionError):
+            decrypt(bad, ct)
+
+
+def test_load_and_decrypt_never_compute_a_null_space(monkeypatch):
+    keys = [keygen("generic", 8, 200, 12, "ud", b"lean"),
+            keygen("dyadic", 10, 256, 16, "ud", b"lean")]
+    cts = [encrypt(kp, b"lean", b"lean") for kp in keys]
+
+    def refuse(M):
+        raise AssertionError("null space computed")
+    monkeypatch.setattr(goppa, "null_space", refuse)
+    for kp, ct in zip(keys, cts):
+        assert decrypt(KeyPair.from_bytes(kp.to_bytes()), ct) == b"lean"
+    again = keygen("dyadic", 10, 256, 16, "ud", b"lean")
+    assert again.to_bytes() == keys[1].to_bytes()
