@@ -5,6 +5,13 @@ degree-2r view (Gamma(L,G) = Gamma(L,G^2)) that serves both as fallback
 and as the engine behind small list radii, and bivariate-interpolation
 list decoding for radii beyond r+2.  A brute-force sphere oracle is the
 ground truth the list decoders are validated against.
+
+Syndromes and error-locator roots both come from the code's bit-sliced
+alternant table for the decoding modulus (GoppaCode.alternant): the
+roots of a locator over the whole support are one n-bit mask, built from
+XORs of table rows, with no evaluation per support point.  Only the flip
+engine keeps the per-position syndrome inverses, for its one-flip
+syndrome updates.
 """
 
 import itertools
@@ -33,17 +40,55 @@ def _sorted_result(n, pairs):
     return DecodeResult(tuple(sorted(pairs, key=key)))
 
 
+# the set bits of each byte value, lowest first
+_BIT_POSITIONS = tuple(tuple(b for b in range(8) if v >> b & 1)
+                       for v in range(256))
+
+
+def _locator_roots(code, sigma, modulus):
+    """Support positions where sigma vanishes, as an n-bit mask.
+
+    Needs deg sigma <= deg M, M = modulus.  Then sigma = q*M + rho with a
+    constant q, and sigma(L_j)/M(L_j) = sum_i rho_i H[i][j] + q on the
+    alternant table: each output bit slice is an XOR of table rows picked
+    by the bits of rho_i * alpha^beta.  L_j is a root iff all m output
+    slices are clear at j, since M(L_j) != 0.
+    """
+    q, rho = divmod(sigma, modulus)
+    if q.degree > 0:
+        raise ValueError("locator degree exceeds the modulus degree")
+    field = code.field
+    exp, log = field.exp, field.log
+    m = field.m
+    table = code.alternant(modulus).bits
+    full = (1 << code.n) - 1
+    out = [full if q[0] >> g & 1 else 0 for g in range(m)]
+    unit = [log[1 << beta] for beta in range(m)]
+    for i, c in enumerate(rho.c):
+        if c:
+            lc = log[c]
+            for row, lu in zip(table[i * m:(i + 1) * m], unit):
+                v = exp[lc + lu]  # c * alpha^beta
+                for g in _BIT_POSITIONS[v & 255]:
+                    out[g] ^= row
+                if v > 255:
+                    for g in _BIT_POSITIONS[v >> 8]:
+                        out[g + 8] ^= row
+    nonroots = 0
+    for sl in out:
+        nonroots |= sl
+    return full ^ nonroots
+
+
 def _apply_locator(code, y, sigma, modulus):
     """Flip the locator's roots in y; empty result on any inconsistency."""
-    positions = [j for j, a in enumerate(code.support) if sigma.eval(a) == 0]
-    if len(positions) != sigma.degree:
+    roots = _locator_roots(code, sigma, modulus)
+    if roots.bit_count() != sigma.degree:
         return DecodeResult(())
-    word = y
-    for j in positions:
-        word ^= 1 << j
+    word = y ^ roots
     if not syndrome_poly(code, word, code.gpoly).is_zero():
         return DecodeResult(())
-    return DecodeResult(((word, len(positions)),))
+    return DecodeResult(((word, sigma.degree),))
 
 
 def patterson_decode(code, y):

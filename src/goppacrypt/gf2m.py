@@ -13,11 +13,11 @@ The polynomial hot loops look up the logs of their fixed operand once per
 call and index the tables directly.  Polynomials are immutable coefficient
 tuples, lowest degree first, with the zero polynomial carrying degree
 minus-infinity so that EEA stop conditions need no special cases.
+Modular square roots, for Patterson decoding, use no linear algebra: the
+square root of x mod G is G0/G1, where G = G0^2 + x*G1^2.
 """
 
 import functools
-
-from .binmat import BinMatrix, rref
 
 NEG_INF = float("-inf")
 
@@ -330,38 +330,22 @@ def _square_mod(f, G):
 
 @functools.lru_cache(maxsize=64)
 def _sqrt_x_mod(G):
-    """Square root of x in GF(2^m)[x]/(G), by GF(2)-linear algebra.
+    """Square root of x in GF(2^m)[x]/(G), for square-free G.
 
-    Squaring is a GF(2)-linear bijection of the quotient ring when G is
-    square-free (G | f^2 forces G | f), so the system always has a unique
-    solution.  Basis vectors are alpha^beta * x^i with index i*m + beta.
+    Split G = G0^2 + x*G1^2 by coefficient-wise field square roots of its
+    even and odd parts.  Then G0^2 = x*G1^2 (mod G), so sqrt(x) = G0/G1.
+    G1 is invertible mod G exactly when G is square-free: its derivative
+    is G1^2, so a repeated factor of G divides G1, and a common factor of
+    G and G1 divides G0 too, hence appears squared in G.  The root is
+    unique, since squaring is a bijection of the quotient ring.
     """
     field = G.field
-    m, r = field.m, G.degree
-    dim = m * r
-    rows = [0] * dim  # rows[out_bit] has bit c set iff Sq(basis_c) hits out_bit
-    for i in range(r):
-        for beta in range(m):
-            c = i * m + beta
-            img = _square_mod(Poly(field, [0] * i + [1 << beta]), G)
-            for ii, a in enumerate(img.c):
-                for bb in range(m):
-                    if (a >> bb) & 1:
-                        rows[ii * m + bb] |= 1 << c
-    #  solve M v = e_x: rref of [M | e_x], right-hand side in the last column
-    target = 1 * m  # coordinate of the polynomial x (i=1, beta=0)
-    aug, _, pivots = rref(BinMatrix(dim, dim + 1, [
-        rows[j] | (j == target) << dim for j in range(dim)]))
-    if pivots and pivots[-1] == dim:
+    g0 = Poly(field, [field.sqrt(a) for a in G.c[0::2]])
+    g1 = Poly(field, [field.sqrt(a) for a in G.c[1::2]])
+    inv = poly_invmod(g1, G)
+    if inv is None:
         raise ArithmeticError("square root of x failed; is G square-free?")
-    coeffs = [0] * r
-    for j, col in enumerate(pivots):
-        if aug.bits[j] >> dim & 1:
-            coeffs[col // m] |= 1 << (col % m)
-    R = Poly(field, coeffs)
-    if _square_mod(R, G) != Poly.x(field) % G:
-        raise ArithmeticError("square root of x failed; is G square-free?")
-    return R
+    return (g0 * inv) % G
 
 
 def poly_sqrt_mod(t, G):

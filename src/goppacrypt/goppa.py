@@ -1,12 +1,17 @@
-"""Binary Goppa code construction and encoding.
+"""Binary Goppa code construction, encoding and syndromes.
 
 A code Gamma(L, G) over GF(2^m) is the set of binary words c with
 sum_j c_j/(x - L_j) = 0 mod G.  A code object holds the support, G and
-the syndrome caches that decoding needs; build_code validates them and
-does no matrix work.  The parity check, in alternant form
-H[i][j] = L_j^i / G(L_j) expanded over GF(2), and the generator, a
-systematic basis of its right null space, are built on first use.
+the per-modulus tables that decoding needs; build_code validates them and
+does no matrix work.  Decoding works on one bit-sliced table per modulus
+M: the alternant matrix H[t][j] = L_j^t / M(L_j), t < deg M, expanded
+over GF(2), one n-bit int per row.  Syndromes are parities of its rows
+against the received word, and for M = G it is the GF(2) parity check.
+The generator, a systematic basis of its right null space, is built on
+first use.
 """
+
+import struct
 
 from .gf2m import Poly, is_squarefree
 from .binmat import BinMatrix, null_space
@@ -20,6 +25,21 @@ class CapacityError(RuntimeError):
     """An exhaustive computation would exceed its tractability guard."""
 
 
+# byte -> ASCII "0"/"1" of its bit b: translate() turns a byte lane into
+# the base-2 digits of one bit slice
+_BIT_DIGITS = tuple(bytes(0x30 | v >> b & 1 for v in range(256))
+                    for b in range(8))
+
+
+def _bit_slices(values, m):
+    """m ints; bit j of the b-th is bit b of values[j]."""
+    # two little-endian bytes per value, the highest position first, as
+    # int(..., 2) reads it; byte lane 0 holds bits 0-7, lane 1 bits 8-15
+    raw = struct.pack("<%dH" % len(values), *reversed(values))
+    return [int(raw[b >> 3::2].translate(_BIT_DIGITS[b & 7]), 2)
+            for b in range(m)]
+
+
 class GoppaCode:
     """Immutable code object; see build_code for the canonical constructor.
 
@@ -28,7 +48,7 @@ class GoppaCode:
     """
 
     __slots__ = ("field", "support", "gpoly", "n", "r",
-                 "_parity_bin", "_gen", "_colperm", "_syn_cache")
+                 "_gen", "_colperm", "_cache")
 
     def __init__(self, field, support, gpoly, gen=None, colperm=None):
         self.field = field
@@ -36,25 +56,35 @@ class GoppaCode:
         self.gpoly = gpoly
         self.n = len(self.support)
         self.r = gpoly.degree
-        self._parity_bin = None
         self._gen = gen
         self._colperm = None if colperm is None else tuple(colperm)
-        self._syn_cache = {}
+        self._cache = {}
+
+    def alternant(self, modulus):
+        """Bit slices of H[t][j] = L_j^t / M(L_j) for t < deg M, M = modulus.
+
+        A BinMatrix whose row t*m + beta is bit beta of row t of H (alpha^0
+        first).  Built once per modulus and kept with the code.
+        """
+        key = ("alternant", modulus.c)  # over self.field, c names M
+        table = self._cache.get(key)
+        if table is None:
+            field = self.field
+            exp, log = field.exp, field.log
+            logs = [log[a] for a in self.support]  # None at a = 0
+            row = [field.inv(modulus.eval(a)) for a in self.support]
+            bits = []
+            for _ in range(modulus.degree):
+                bits += _bit_slices(row, field.m)
+                row = [0 if la is None else exp[log[v] + la]
+                       for v, la in zip(row, logs)]
+            table = self._cache[key] = BinMatrix(len(bits), self.n, bits)
+        return table
 
     @property
     def parity_bin(self):
-        """GF(2) expansion: entry row i becomes m rows, alpha^0 first."""
-        if self._parity_bin is None:
-            field, support = self.field, self.support
-            row = [field.inv(self.gpoly.eval(a)) for a in support]
-            bits = []
-            for _ in range(self.r):
-                for beta in range(field.m):
-                    bits.append(sum((v >> beta & 1) << j
-                                    for j, v in enumerate(row)))
-                row = [field.mul(v, a) for v, a in zip(row, support)]
-            self._parity_bin = BinMatrix(len(bits), self.n, bits)
-        return self._parity_bin
+        """GF(2) parity check: the alternant table of G."""
+        return self.alternant(self.gpoly)
 
     @property
     def gen(self):
@@ -137,27 +167,42 @@ def _inv_x_minus(modulus, a):
 
 def syndrome_inverses(code, modulus):
     """Cached per-position inverses 1/(x - L_j) mod modulus."""
-    cache = code._syn_cache.get(modulus)
+    key = ("inverses", modulus.c)
+    cache = code._cache.get(key)
     if cache is None:
         cache = tuple(_inv_x_minus(modulus, a) for a in code.support)
-        code._syn_cache[modulus] = cache
+        code._cache[key] = cache
     return cache
 
 
 def syndrome_poly(code, y, modulus):
-    """s(x) = sum over set bits j of y of 1/(x - L_j), mod modulus."""
+    """s(x) = sum over set bits j of y of 1/(x - L_j), mod modulus.
+
+    The alternant syndromes S_t = sum_j y_j L_j^t / M(L_j) are parities
+    of the rows of code.alternant(M) against y, and
+    1/(x - a) = (M(x) - M(a)) / ((x - a) M(a)) mod M turns them into
+    s_i = sum over k > i of M_k S_(k-1-i).
+    """
     if y < 0 or y >> code.n:
         raise ValueError("received word does not fit in %d bits" % code.n)
-    inv = syndrome_inverses(code, modulus)
-    acc = [0] * modulus.degree
-    j = 0
-    while y:
-        if y & 1:
-            for i, c in enumerate(inv[j].c):
-                acc[i] ^= c
-        y >>= 1
-        j += 1
-    return Poly(code.field, acc)
+    field = code.field
+    exp, log = field.exp, field.log
+    m, d = field.m, modulus.degree
+    table = code.alternant(modulus).bits
+    # bit t*m + beta of the parities is bit beta of S_t
+    par = int(bytes(0x30 | (row & y).bit_count() & 1
+                    for row in reversed(table)), 2)
+    lead = [log[c] for c in modulus.c[1:]]  # log M_k at k - 1; None at 0
+    mask = (1 << m) - 1
+    acc = [0] * d
+    for t in range(d):
+        st = par >> (t * m) & mask
+        if st:
+            ls = log[st]
+            for i, lm in enumerate(lead[t:]):
+                if lm is not None:
+                    acc[i] ^= exp[ls + lm]
+    return Poly(field, acc)
 
 
 def verify_prop1(field, support, gpoly):

@@ -357,10 +357,14 @@ def decrypt(sk, ct):
     (split Goppa polynomials can make the syndrome non-invertible);
     list decoding collects every candidate within w_enc.  Zero verified
     candidates raise NoCandidateError; two or more raise AmbiguityError
-    rather than guessing.
+    rather than guessing.  A ciphertext whose length or recorded error
+    weight differs from the key's raises ValueError before any decoding.
     """
     if ct.n != sk.n:
         raise ValueError("ciphertext length does not match the key")
+    if ct.weight != sk.w_enc:
+        raise ValueError("ciphertext weight %d does not match the key's %d"
+                         % (ct.weight, sk.w_enc))
     code = sk.code()
     y = ct.vector
     if sk.decoder == "ud":

@@ -208,6 +208,27 @@ def test_cli_error_paths(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
 
+def test_wrong_ciphertext_weight_exits_cleanly(tmp_path, capsys):
+    key = tmp_path / "k"
+    run(capsys, ["keygen", "--variant", "generic", "--decoder", "ud",
+                 "-m", "8", "-n", "144", "-r", "8", "--seed", "77",
+                 "--out", str(key)])
+    msg = tmp_path / "msg.bin"
+    msg.write_bytes(b"hi")
+    ct = tmp_path / "msg.ct"
+    code, _, _ = run(capsys, ["encrypt", "--key", str(key), "--in",
+                              str(msg), "--seed", "01", "--out", str(ct)])
+    assert code == 0
+    blob = bytearray(ct.read_bytes())
+    blob[8:12] = (9).to_bytes(4, "big")  # the recorded weight; r = 8
+    ct.write_bytes(bytes(blob))
+    code, _, err = run(capsys, ["decrypt", "--key", str(key), "--in",
+                                str(ct), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert err.startswith("error: ") and "weight" in err
+    assert "Traceback" not in err
+
+
 def test_capacity_error_exits_cleanly(tmp_path, capsys):
     # a generic LD key at r = 24 is issued, but decrypt needs an
     # interpolation multiplicity beyond its guard (CapacityError)

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+from goppacrypt import goppa
 from goppacrypt.gf2m import Poly, make_field, random_monic_irreducible
 from goppacrypt.goppa import CapacityError, build_code, encode
 from goppacrypt.decode import (
     RadiusError, patterson_decode, g2_decode, list_decode, sphere_oracle,
+    _locator_roots,
 )
 from goppacrypt.prng import SeededStream
+from testlib import locator_roots_horner, random_goppa_code
 
 
 def make_code(m, n, r, tag, split=False):
@@ -177,3 +180,44 @@ def test_sphere_oracle_capacity_guard():
     assert code.k > 20
     with pytest.raises(CapacityError):
         sphere_oracle(code, 0, 8)
+
+
+@pytest.mark.parametrize("m,n,r", ((4, 12, 2), (6, 50, 4), (8, 200, 5),
+                                   (11, 300, 4), (16, 64, 3)))
+def test_locator_roots_match_horner_scan(m, n, r):
+    # every degree 0..deg M, for M = G and M = G^2, with a planted share
+    # of support roots; the support holds 0
+    rng = random.Random(m * 100 + r)
+    code = random_goppa_code(m, n, r, rng)
+    field = code.field
+    for modulus in (code.gpoly, code.gpoly.square()):
+        zero = Poly.zero(field)
+        assert _locator_roots(code, zero, modulus) == (1 << n) - 1
+        for d in range(modulus.degree + 1):
+            for _ in range(3):
+                roots = rng.sample(code.support, rng.randrange(d + 1))
+                rest = Poly(field, [rng.randrange(field.order)
+                                    for _ in range(d - len(roots))]
+                            + [rng.randrange(1, field.order)])
+                sigma = Poly.from_roots(field, roots) * rest
+                assert sigma.degree == d
+                assert _locator_roots(code, sigma, modulus) == \
+                    locator_roots_horner(code, sigma)
+        with pytest.raises(ValueError):
+            _locator_roots(code, modulus * Poly.x(field), modulus)
+
+
+def test_unique_decoding_builds_no_syndrome_inverses(monkeypatch):
+    # Patterson and the degree-2r decoder work from the alternant tables
+    def refuse(modulus, a):
+        raise AssertionError("syndrome inverse built")
+    monkeypatch.setattr(goppa, "_inv_x_minus", refuse)
+    rng = random.Random(12)
+    for split in (False, True):
+        code = make_code(7, 100, 5, b"noinv", split=split)
+        for w in range(code.r + 1):
+            c = encode(code, rng.randrange(1 << code.k))
+            y = corrupt(rng, c, code.n, w)
+            assert g2_decode(code, y).candidates == ((c, w),)
+            if not split:
+                assert patterson_decode(code, y).candidates == ((c, w),)

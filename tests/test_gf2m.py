@@ -8,7 +8,7 @@ from goppacrypt.gf2m import (
     random_monic_irreducible, _gf2_mod, _sqrt_x_mod,
 )
 from goppacrypt.prng import SeededStream
-from testlib import field_pow, poly_powmod
+from testlib import field_pow, poly_powmod, sqrt_x_mod_solve
 
 
 # ---------------------------------------------------------------- oracles
@@ -456,3 +456,25 @@ def test_sqrt_x_mod_refuses_non_squarefree():
     # squaring is singular modulo (x + 3)^2, and x has no square root there
     with pytest.raises(ArithmeticError):
         _sqrt_x_mod(Poly.from_roots(make_field(4), [3, 3]))
+
+
+@pytest.mark.parametrize("m", (2, 4, 8, 11, 16))
+def test_sqrt_x_mod_matches_linear_solve(m):
+    # random square-free G, reducible ones included, against the GF(2)
+    # solve of the squaring map
+    field = make_field(m)
+    rng = random.Random(m)
+    seen_reducible = False
+    tried = 0
+    while tried < 12:
+        r = rng.randrange(2, 7)  # the solve needs x reduced mod G to be x
+        g = Poly(field, [rng.randrange(field.order) for _ in range(r)]
+                 + [rng.randrange(1, field.order)])
+        if not is_squarefree(g):
+            continue
+        tried += 1
+        seen_reducible |= not is_irreducible(g)
+        R = _sqrt_x_mod(g)
+        assert R == sqrt_x_mod_solve(g)
+        assert (R * R) % g == Poly.x(field) % g
+    assert seen_reducible

@@ -9,7 +9,14 @@ from goppacrypt.goppa import (
     verify_prop1,
 )
 from goppacrypt.prng import SeededStream
-from testlib import field_div, field_pow, min_distance_exhaustive
+from testlib import (
+    field_div, field_pow, min_distance_exhaustive, parity_bin_loop,
+    random_goppa_code, syndrome_poly_bitloop,
+)
+
+# (m, n, r): one byte lane (m <= 8), two lanes (m > 8) and m = 16
+KERNEL_SHAPES = ((4, 12, 2), (5, 26, 3), (8, 200, 6), (11, 300, 5),
+                 (16, 64, 4))
 
 
 def full_support(field):
@@ -164,3 +171,30 @@ def test_min_distance_capacity_guard():
     assert code.k > 20
     with pytest.raises(CapacityError):
         min_distance_exhaustive(code)
+
+
+@pytest.mark.parametrize("m,n,r", KERNEL_SHAPES)
+def test_parity_bin_matches_loop(m, n, r):
+    rng = random.Random(m * 1000 + n)
+    for monic in (True, False):
+        code = random_goppa_code(m, n, r, rng, monic)
+        assert 0 in code.support
+        assert code.parity_bin == parity_bin_loop(code)
+        assert code.parity_bin is code.alternant(code.gpoly)
+
+
+@pytest.mark.parametrize("m,n,r", KERNEL_SHAPES)
+def test_syndrome_poly_matches_bit_loop(m, n, r):
+    # M = G and M = G^2, monic and non-monic G, words of every density
+    rng = random.Random(m * 1000 + n + 1)
+    for monic in (True, False):
+        code = random_goppa_code(m, n, r, rng, monic)
+        g = code.gpoly
+        words = [0, (1 << n) - 1, 1 << code.support.index(0)]
+        words += [rng.getrandbits(n) for _ in range(4)]
+        words += [sum(1 << j for j in rng.sample(range(n), w))
+                  for w in (1, r, 2 * r)]
+        for modulus in (g, g.square()):
+            for y in words:
+                assert syndrome_poly(code, y, modulus) == \
+                    syndrome_poly_bitloop(code, y, modulus)

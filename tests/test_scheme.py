@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from goppacrypt import goppa
+from goppacrypt import goppa, scheme
 from goppacrypt.goppa import CodeConstructionError
 from goppacrypt.decode import patterson_decode
 from goppacrypt.prng import SeededStream
@@ -127,6 +127,22 @@ def test_tamper_yields_no_candidate():
         decrypt(kp, Cryptogram(kp.n, ct.weight, y))
     with pytest.raises(ValueError):
         decrypt(kp, Cryptogram(kp.n + 8, ct.weight, y))
+
+
+def test_decrypt_refuses_wrong_weight(monkeypatch):
+    keys = [keygen("generic", 8, 144, 8, d, b"wt") for d in ("ud", "ld")]
+    cts = [encrypt(kp, b"w", b"wt") for kp in keys]
+    for kp, ct in zip(keys, cts):
+        assert decrypt(kp, ct) == b"w"
+
+    def refuse(*args):
+        raise AssertionError("decoding ran")
+    for name in ("patterson_decode", "g2_decode", "list_decode"):
+        monkeypatch.setattr(scheme, name, refuse)
+    for kp, ct in zip(keys, cts):
+        for weight in (0, kp.w_enc - 1, kp.w_enc + 1):
+            with pytest.raises(ValueError, match="weight"):
+                decrypt(kp, Cryptogram(kp.n, weight, ct.vector))
 
 
 def test_encrypt_input_errors():
