@@ -28,6 +28,16 @@ GOLDEN = {
         ("dyadic", 10, 256, 16, "ud"),
         "e80be687bd59ad499a2e8a1e387f5d25c52e169e5f4a70552b4cfe8097a9d17d",
         "f9131879bbc7c3bee84672ed0139499d1daf5c9b43696cea81afd25b1c9ea754"),
+    # the m = 16 shape: many short blocks
+    "dyadic-m16": (
+        ("dyadic", 16, 256, 4, "ud"),
+        "d7fe803545febec2bbc25834b695dd7943ac5f7bd8ee164b9acf971e51b8eaf5",
+        "a32288a9f9b87a4e35f03489288b6eb7fd8a5c69a9488f96774a591143869c39"),
+    # w_enc = 17, decrypted by the flip engine
+    "dyadic-ld": (
+        ("dyadic", 10, 256, 16, "ld"),
+        "ea33433d5cca61c36c95d916af2a1272ef92b31df4e52a8bc85ad998d91e7cbb",
+        "62c59296cf0dc0c8186ebe7590a2fada3b38c0e1ae3903b771033908a81020a3"),
 }
 
 TABLE1_CSV = "40ff4a5ebb036ec22b1e47a79ba4b75d7494e66d2581f283d5ecbaaf51a6733a"
