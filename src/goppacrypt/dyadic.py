@@ -4,13 +4,15 @@ A dyadic matrix Delta(h) has entries h_{i xor j}, so its first row (the
 signature) determines it.  Signatures built to satisfy
 1/h_{i xor j} = 1/h_i + 1/h_j + 1/h_0 make Delta(h) a Cauchy matrix
 1/(z_i + u_j), which yields a Goppa parity check made of r x r dyadic
-blocks and, after block-wise elimination, an m*k-bit public key.
+blocks.  Invertible dyadic matrices have dyadic inverses, so the code's
+systematic generator [I_k | A] is made of dyadic blocks too, and A packs
+into an m*k-bit public key.
 """
 
 from dataclasses import dataclass
 
 from .gf2m import Poly
-from .binmat import BinMatrix
+from .binmat import BinMatrix, rref
 from .goppa import GoppaCode, CodeConstructionError, build_code
 from .prng import SeededStream
 
@@ -129,28 +131,17 @@ def xor_permute(bits, p, r):
     return bits & ((1 << r) - 1)
 
 
-def block_mul(a, b, r):
-    """Signature of Delta(a) Delta(b): xor-convolution of signatures."""
-    out = 0
-    for i in range(r):
-        if a >> i & 1:
-            out ^= xor_permute(b, i, r)
-    return out
-
-
-def block_invertible(a):
-    # Delta(a)^2 = parity(a) * I, so odd parity means Delta(a)^-1 = Delta(a)
-    return a.bit_count() & 1 == 1
-
-
 def signature_to_code(sig, params, seed):
     """Goppa code with dyadic Cauchy parity and block-systematic generator.
 
     The support is n/r whole dyadic blocks of the u_j pool, block choice
     and per-block xor offsets drawn from the seed.  The generator is
-    [I_k | A] with every r x r block of A dyadic; building it eliminates
-    block-wise over the ring of dyadic matrices, which fails (and raises)
-    exactly when the usual parity matrix is rank-deficient.  The generator
+    [I_k | A] with every r x r block of A dyadic.  Every binary parity
+    check of Gamma(L, G) has the code as its null space, so all share one
+    row space, and [I_k | A] on the identity column order is unique when
+    it exists.  It comes from one elimination of parity_bin with its last
+    m*r columns moved first; if those columns are singular, no systematic
+    generator exists and CodeConstructionError is raised.  The generator
     and the identity column order go straight into the code, so no null
     space is built.
     """
@@ -176,55 +167,20 @@ def signature_to_code(sig, params, seed):
     support = [points[b * r + (s ^ p)]
                for b, p in zip(blocks, offsets) for s in range(r)]
 
-    build_code(field, support, gpoly)  # the support and G checks
-
-    # parity in Cauchy view: entry (i, c*r+s) = h[b_c*r + (i^s^p_c)], so
-    # bit-plane beta of block c is binary dyadic with this signature:
-    grid = [[0] * (n // r) for _ in range(m)]
-    for c, (b, p) in enumerate(zip(blocks, offsets)):
-        for beta in range(m):
-            bits = 0
-            for s in range(r):
-                bits |= (sig.h[b * r + (s ^ p)] >> beta & 1) << s
-            grid[beta][c] = bits
-    left = _block_systemize(grid, m, n // r, r)
-
-    gen_rows = []
-    for ublk in range(k // r):
-        sigs = [left[t][ublk] for t in range(m)]
-        for i in range(r):
-            row = 1 << (ublk * r + i)
-            for t in range(m):
-                row |= xor_permute(sigs[t], i, r) << (k + t * r)
-            gen_rows.append(row)
-    return GoppaCode(field, support, gpoly, BinMatrix(k, n, gen_rows),
-                     range(n))
-
-
-def _block_systemize(grid, mrows, cols, r):
-    """Reduce a block matrix to [M | I] using the last mrows block columns.
-
-    Entries are dyadic-block signatures; the ring is local (parity is the
-    residue map), so a pivot works iff its parity is odd.  Row-block swaps
-    are free; running out of odd-parity pivots raises.
-    """
-    grid = [list(row) for row in grid]
-    base = cols - mrows
-    for step in range(mrows):
-        col = base + step
-        piv = next((i for i in range(step, mrows)
-                    if block_invertible(grid[i][col])), None)
-        if piv is None:
-            raise CodeConstructionError("dyadic elimination has no pivot")
-        grid[step], grid[piv] = grid[piv], grid[step]
-        inv = grid[step][col]  # self-inverse up to the odd parity
-        grid[step] = [block_mul(inv, v, r) for v in grid[step]]
-        for i in range(mrows):
-            if i != step and grid[i][col]:
-                factor = grid[i][col]
-                grid[i] = [v ^ block_mul(factor, w, r)
-                           for v, w in zip(grid[i], grid[step])]
-    return [row[:base] for row in grid]
+    parity = build_code(field, support, gpoly).parity_bin
+    mr = n - k
+    low = (1 << k) - 1
+    # rotate each row so the last m*r columns come first and hold the pivots
+    R, _, pivots = rref(BinMatrix(mr, n, [
+        v >> k | (v & low) << mr for v in parity.bits]))
+    if pivots != list(range(mr)):
+        raise CodeConstructionError("the last m*r parity columns are singular")
+    # R = [I_mr | B] with B over the first k columns, and A is B transposed
+    digits = [format(v >> mr, "0%db" % k) for v in reversed(R.bits)]
+    cols = [int("".join(c), 2) for c in zip(*digits)]  # column k-1 first
+    gen = BinMatrix(k, n, [1 << j | c << k
+                           for j, c in enumerate(reversed(cols))])
+    return GoppaCode(field, support, gpoly, gen, range(n))
 
 
 def compact_pubkey(code, r):

@@ -72,7 +72,7 @@ class GoppaCode:
             field = self.field
             exp, log = field.exp, field.log
             logs = [log[a] for a in self.support]  # None at a = 0
-            row = [field.inv(modulus.eval(a)) for a in self.support]
+            row = [field.inv(v) for v in self._values(modulus)]
             bits = []
             for _ in range(modulus.degree):
                 bits += _bit_slices(row, field.m)
@@ -80,6 +80,15 @@ class GoppaCode:
                        for v, la in zip(row, logs)]
             table = self._cache[key] = BinMatrix(len(bits), self.n, bits)
         return table
+
+    def _values(self, modulus):
+        """M(L_j) for every support point j, evaluated once per modulus."""
+        key = ("values", modulus.c)
+        values = self._cache.get(key)
+        if values is None:
+            values = self._cache[key] = [modulus.eval(a)
+                                         for a in self.support]
+        return values
 
     @property
     def parity_bin(self):
@@ -132,9 +141,10 @@ def build_code(field, support, gpoly, require_squarefree=True):
         raise CodeConstructionError("repeated support element")
     if require_squarefree and not is_squarefree(gpoly):
         raise CodeConstructionError("Goppa polynomial is not square-free")
-    if any(gpoly.eval(a) == 0 for a in support):
+    code = GoppaCode(field, support, gpoly)
+    if 0 in code._values(gpoly):  # alternant(G) reuses these values
         raise CodeConstructionError("support element is a root of G")
-    return GoppaCode(field, support, gpoly)
+    return code
 
 
 def encode(code, msg):

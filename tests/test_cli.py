@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 
 import pytest
 
@@ -7,6 +8,7 @@ from goppacrypt.cli import main, search_params
 from goppacrypt.scheme import KeyPair
 
 TABLE_HEADER = "method,m,n,k,r,tau2,wf,keysize,gain,status"
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(capsys, argv):
@@ -176,6 +178,24 @@ def test_file_roundtrip(tmp_path, capsys):
     run(capsys, ["encrypt", "--key", str(key), "--in", str(msg),
                  "--seed", "aa01", "--out", str(ct2)])
     assert ct2.read_bytes() == ct.read_bytes()
+
+
+def test_readme_dyadic_walkthrough(tmp_path, monkeypatch, capsys):
+    # the README's keygen / encrypt / decrypt walkthrough, run as written
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, ["keygen", "--variant", "dyadic",
+                                "--decoder", "ld", "-m", "10", "-n", "256",
+                                "-r", "16", "--seed", "00ff12",
+                                "--out", "demo.key"])
+    assert code == 0
+    with open(README, encoding="utf-8") as fh:
+        assert out.strip() in fh.read().splitlines()
+    (tmp_path / "demo.msg").write_bytes(b"at dawn")
+    assert main(["encrypt", "--key", "demo.key", "--in", "demo.msg",
+                 "--seed", "abcdef", "--out", "demo.ct"]) == 0
+    assert main(["decrypt", "--key", "demo.key", "--in", "demo.ct",
+                 "--out", "demo.out"]) == 0
+    assert (tmp_path / "demo.out").read_bytes() == b"at dawn"
 
 
 def test_cli_error_paths(tmp_path, capsys):

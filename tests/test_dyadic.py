@@ -2,22 +2,26 @@ import random
 
 import pytest
 
+from goppacrypt import binmat, dyadic
 from goppacrypt.gf2m import make_field
 from goppacrypt.binmat import BinMatrix, rref
 from goppacrypt.goppa import CodeConstructionError, GoppaCode, encode
 from goppacrypt.decode import patterson_decode, g2_decode
 from goppacrypt.dyadic import (
     DyadicParams, SignatureExhaustionError, gen_signature, dyadic_check,
-    xor_permute, block_mul, block_invertible, signature_to_code,
-    compact_pubkey, expand_pubkey,
+    xor_permute, signature_to_code, compact_pubkey, expand_pubkey,
 )
 from goppacrypt.prng import SeededStream
-from testlib import xor_permute_bitloop
+from goppacrypt.scheme import KEYGEN_ATTEMPTS
+from testlib import (
+    block_invertible, block_mul, block_systemized_generator,
+    xor_permute_bitloop,
+)
 
 
 def make_dyadic(m, n, r, N, tag, attempts=64):
-    # elimination needs an odd-parity pivot chain, so scan attempt seeds
-    # the same way key generation does
+    # a draw whose last m*r parity columns are singular has no systematic
+    # generator, so scan attempt seeds the same way key generation does
     field = make_field(m)
     params = DyadicParams(m, N, n, n - m * r, r)
     for t in range(attempts):
@@ -138,6 +142,55 @@ def test_block_invertible_matches_rank():
         assert block_invertible(a) == (rank == r)
         if block_invertible(a):
             assert block_mul(a, a, r) == 1
+
+
+@pytest.mark.parametrize("m, N, n, r", [
+    (7, 64, 64, 8), (10, 512, 256, 16), (16, 256, 128, 4)])
+def test_generator_matches_block_elimination(monkeypatch, m, N, n, r):
+    # every attempt of keygen's schedule for a few seeds: the same accept
+    # or reject decision and the same generator as elimination over the
+    # ring of dyadic blocks, from exactly one rref per attempt
+    rrefs, built = [], []
+
+    def counted_rref(M):
+        rrefs.append(M.rows)
+        return rref(M)
+
+    def captured_build_code(*args):
+        built.append(real_build_code(*args))
+        return built[-1]
+
+    real_build_code = dyadic.build_code
+    monkeypatch.setattr(binmat, "rref", counted_rref)
+    monkeypatch.setattr(dyadic, "rref", counted_rref)
+    monkeypatch.setattr(dyadic, "build_code", captured_build_code)
+    field = make_field(m)
+    params = DyadicParams(m, N, n, n - m * r, r)
+    rejected = 0
+    for seed in (b"ref-a", b"ref-b", b"ref-c"):
+        for t in range(KEYGEN_ATTEMPTS):
+            sig = gen_signature(field, N, seed + b"/sig/" + bytes([t]))
+            rrefs.clear()
+            built.clear()
+            try:
+                code = signature_to_code(sig, params,
+                                         seed + b"/blocks/" + bytes([t]))
+            except CodeConstructionError:
+                code = None
+            assert len(rrefs) == 1 and len(built) == 1
+            try:
+                want = block_systemized_generator(built[0], sig)
+            except CodeConstructionError:
+                want = None
+            assert (code is None) == (want is None)
+            if code is None:
+                rejected += 1
+                continue
+            assert code.gen.bits == want.bits
+            ref = GoppaCode(field, code.support, code.gpoly, want, range(n))
+            assert compact_pubkey(code, r) == compact_pubkey(ref, r)
+            break
+    assert rejected
 
 
 def test_signature_to_code_shape():

@@ -75,6 +75,26 @@ def test_generator_is_one_elimination_on_first_read(monkeypatch):
     assert code.colperm == tuple(free) + tuple(pivots)
 
 
+def test_g_evaluated_once_per_support_point(monkeypatch):
+    # the root-of-G check in build_code and row 0 of the alternant table
+    # of G share one evaluation of G per support point
+    field = make_field(8)
+    g = random_monic_irreducible(field, 12, SeededStream(b"evals"))
+    calls = []
+    real_eval = Poly.eval
+    monkeypatch.setattr(Poly, "eval",
+                        lambda self, a: calls.append(a) or real_eval(self, a))
+    code = build_code(field, full_support(field), g)
+    assert code.parity_bin.rows == 8 * 12
+    assert sorted(calls) == list(range(256))
+    # a root of G, last in the support, is still refused by build_code
+    split = Poly.from_roots(field, [7, 200])
+    support = [a for a in range(256) if a not in (7, 200)] + [200]
+    with pytest.raises(CodeConstructionError,
+                       match="support element is a root of G"):
+        build_code(field, support, split)
+
+
 def test_generator_orthogonal_to_parity():
     rng = random.Random(2)
     for m in (4, 5, 6):

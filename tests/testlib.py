@@ -4,11 +4,15 @@ Field division and powers, polynomial powers mod G, exhaustive minimum
 distance, a few BinMatrix constructors and reshapes, and the loop
 references that the package's table-driven kernels are checked against:
 ``dyadic.xor_permute``, the GF(2) parity check, the syndrome, the locator
-root search and the square root of x mod G.
+root search and the square root of x mod G.  The dyadic generator is
+checked against elimination over the ring of dyadic blocks.
 """
 
 from goppacrypt.binmat import BinMatrix, rref
-from goppacrypt.goppa import CapacityError, syndrome_inverses
+from goppacrypt.dyadic import xor_permute
+from goppacrypt.goppa import (
+    CapacityError, CodeConstructionError, syndrome_inverses,
+)
 from goppacrypt.gf2m import Poly
 
 
@@ -90,6 +94,63 @@ def xor_permute_bitloop(bits, p, r):
         if bits >> (j ^ p) & 1:
             out |= 1 << j
     return out
+
+
+def block_mul(a, b, r):
+    """Signature of Delta(a) Delta(b): xor-convolution of signatures."""
+    out = 0
+    for i in range(r):
+        if a >> i & 1:
+            out ^= xor_permute(b, i, r)
+    return out
+
+
+def block_invertible(a):
+    # Delta(a)^2 = parity(a) * I, so odd parity means Delta(a)^-1 = Delta(a)
+    return a.bit_count() & 1 == 1
+
+
+def block_systemized_generator(code, sig):
+    """[I_k | A] of a quasi-dyadic code by block-wise elimination.
+
+    code comes from sig through dyadic.signature_to_code's support choice.
+    Entry (i, j) of the Cauchy parity check is 1/(z_i + L_j), and row 0 of
+    each r x r block, split into bit planes, is that block's binary dyadic
+    signature.  Eliminating over the ring of dyadic blocks, which is local
+    (parity is the residue map, so a pivot works iff its parity is odd),
+    reduces the block matrix to [M | I] on its last m block columns;
+    running out of odd-parity pivots raises CodeConstructionError.
+    """
+    field, n, r = code.field, code.n, code.r
+    m = field.m
+    k, cols = n - m * r, n // r
+    z0 = sig.roots(1)[0]
+    h = [field.inv(z0 ^ a) for a in code.support]
+    grid = [[sum((h[c * r + s] >> beta & 1) << s for s in range(r))
+             for c in range(cols)] for beta in range(m)]
+    base = cols - m
+    for step in range(m):
+        col = base + step
+        piv = next((i for i in range(step, m)
+                    if block_invertible(grid[i][col])), None)
+        if piv is None:
+            raise CodeConstructionError("dyadic elimination has no pivot")
+        grid[step], grid[piv] = grid[piv], grid[step]
+        inv = grid[step][col]  # self-inverse up to the odd parity
+        grid[step] = [block_mul(inv, v, r) for v in grid[step]]
+        for i in range(m):
+            if i != step and grid[i][col]:
+                factor = grid[i][col]
+                grid[i] = [v ^ block_mul(factor, w, r)
+                           for v, w in zip(grid[i], grid[step])]
+    rows = []
+    for ublk in range(k // r):
+        for i in range(r):
+            row = 1 << (ublk * r + i)
+            for t in range(m):
+                row |= xor_permute(grid[t][ublk], i, r) << (k + t * r)
+            rows.append(row)
+    return BinMatrix(k, n, rows)
 
 
 def parity_bin_loop(code):
