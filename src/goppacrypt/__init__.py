@@ -6,7 +6,7 @@ encryption, and keysize/security estimation utilities.
 """
 
 from .gf2m import Field, Poly, make_field, eea_stop, poly_sqrt_mod
-from .binmat import BinMatrix, RankDeficiencyError
+from .binmat import BinMatrix
 from .goppa import (
     CapacityError, CodeConstructionError, GoppaCode, build_code, encode,
     syndrome_poly, verify_prop1,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field", "Poly", "make_field", "eea_stop", "poly_sqrt_mod",
-    "BinMatrix", "RankDeficiencyError",
+    "BinMatrix",
     "GoppaCode", "build_code", "encode", "syndrome_poly", "verify_prop1",
     "CodeConstructionError", "CapacityError",
     "DecodeResult", "RadiusError", "patterson_decode", "g2_decode",

@@ -6,14 +6,6 @@ new matrices and never mutate inputs.
 """
 
 
-class RankDeficiencyError(ValueError):
-    """Systematic form requested from a matrix whose rank < rows."""
-
-    def __init__(self, rank):
-        super().__init__("matrix is rank-deficient (rank %d)" % rank)
-        self.rank = rank
-
-
 class BinMatrix:
     __slots__ = ("rows", "cols", "bits")
 
@@ -50,18 +42,6 @@ class BinMatrix:
             if (r & x).bit_count() & 1:
                 out |= 1 << i
         return out
-
-    def permute_cols(self, perm):
-        """New matrix with column j taken from column perm[j]."""
-        if sorted(perm) != list(range(self.cols)):
-            raise ValueError("not a permutation of the columns")
-        out = []
-        for r in self.bits:
-            v = 0
-            for j, src in enumerate(perm):
-                v |= ((r >> src) & 1) << j
-            out.append(v)
-        return BinMatrix(self.rows, self.cols, out)
 
     def to_bytes(self):
         """Row-major contiguous bit stream, LSB first within each byte."""
@@ -101,20 +81,6 @@ def rref(M):
         if rank == M.rows:
             break
     return BinMatrix(M.rows, M.cols, work), rank, pivots
-
-
-def systematic_form(M):
-    """Column-permute a full-row-rank matrix into [I | A].
-
-    Returns (S, colperm) where S has column j equal to M's column colperm[j];
-    pivot columns are chosen greedily left to right and moved to the front.
-    """
-    R, rank, pivots = rref(M)
-    if rank < M.rows:
-        raise RankDeficiencyError(rank)
-    pivset = set(pivots)
-    colperm = pivots + [c for c in range(M.cols) if c not in pivset]
-    return R.permute_cols(colperm), colperm
 
 
 def null_space(M):

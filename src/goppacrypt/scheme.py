@@ -292,6 +292,8 @@ def keygen(variant, m, n, r, decoder, seed):
 
 
 def _project(row, positions):
+    if positions == tuple(range(len(positions))):  # dyadic keys: a mask
+        return row & ((1 << len(positions)) - 1)
     out = 0
     for j, p in enumerate(positions):
         out |= (row >> p & 1) << j

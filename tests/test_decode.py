@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from goppacrypt import goppa
+import testlib
+from goppacrypt import decode
 from goppacrypt.gf2m import Poly, make_field, random_monic_irreducible
 from goppacrypt.goppa import CapacityError, build_code, encode
 from goppacrypt.decode import (
@@ -10,7 +11,8 @@ from goppacrypt.decode import (
     _locator_roots,
 )
 from goppacrypt.prng import SeededStream
-from testlib import locator_roots_horner, random_goppa_code
+from goppacrypt.security import radii
+from testlib import flip_engine, locator_roots_horner, random_goppa_code
 
 
 def make_code(m, n, r, tag, split=False):
@@ -156,8 +158,93 @@ def test_flip_engine_explicit():
     rng = random.Random(20)
     c = encode(code, rng.randrange(1 << code.k))
     y = corrupt(rng, c, code.n, 5)
-    got = list_decode(code, y, 5, engine="flip")
+    got = flip_engine(code, y, 5)
     assert any(cand == c for cand, _ in got.candidates)
+    assert list_decode(code, y, 5, engine="linear") == got
+    with pytest.raises(RadiusError):
+        list_decode(code, y, code.r, engine="linear")
+    with pytest.raises(ValueError):
+        list_decode(code, y, 5, engine="flip")
+
+
+def linear_decode(code, y, tau):
+    # list_decode refuses radii past the Johnson limit; its engine does not
+    if tau <= radii(code.n, code.r).ld_errors:
+        return list_decode(code, y, tau)
+    return decode._linear_engine(code, y, tau)
+
+
+# (m, n, r, words at tau = r+1, words at tau = r+2); the flip oracle costs
+# C(n, 2) decodes per word at r+2
+LINEAR_GRID = ((5, 32, 3, 24, 12), (5, 32, 5, 24, 12), (6, 64, 6, 12, 3),
+               (7, 100, 6, 12, 2), (8, 144, 8, 12, 1))
+
+
+def test_linear_engine_matches_flip_oracle(monkeypatch):
+    kernel = decode._key_equation_kernel
+    kernels = []  # the calls made while decoding the current word
+
+    def counted(*args):
+        kernels.append(args)
+        return kernel(*args)
+    monkeypatch.setattr(decode, "_key_equation_kernel", counted)
+    seen = {"several": 0, "only_r+1": 0, "shortcut": 0}
+    for m, n, r, count1, count2 in LINEAR_GRID:
+        code = make_code(m, n, r, b"linear/%d/%d" % (n, r))
+        rng = random.Random(n + r)
+        for tau, count in ((r + 1, count1), (r + 2, count2)):
+            for i in range(count):
+                if i % 6 == 5:
+                    y = rng.randrange(1 << n)
+                else:  # distances r+2, r+1, r, r-1, r-2
+                    c = encode(code, rng.randrange(1 << code.k))
+                    y = corrupt(rng, c, n, r + 2 - i % 6)
+                del kernels[:]
+                got = linear_decode(code, y, tau)
+                assert got == flip_engine(code, y, tau)
+                dists = [d for _, d in got.candidates]
+                seen["several"] += len(dists) > 1
+                seen["only_r+1"] += tau == r + 2 and dists == [r + 1]
+                if dists and dists[0] <= 2 * r - tau:
+                    assert dists == dists[:1] and not kernels
+                    seen["shortcut"] += 1
+    assert all(seen.values()), seen
+
+
+def test_linear_engine_anchors_reach_the_last_points():
+    # r + 1 roots always meet the first n - r points; planted on the last
+    # r + 1 points they meet only the last anchor
+    for m, n, r, _, _ in LINEAR_GRID:
+        code = make_code(m, n, r, b"linear/%d/%d" % (n, r))
+        rng = random.Random(n - r)
+        for w in (r + 1, r + 2):
+            c = encode(code, rng.randrange(1 << code.k))
+            y = c ^ ((1 << w) - 1) << (n - w)
+            assert (c, w) in linear_decode(code, y, r + 2).candidates
+
+
+def test_linear_engine_builds_no_syndrome_inverses(monkeypatch):
+    def refuse(modulus, a):
+        raise AssertionError("syndrome inverse built")
+    monkeypatch.setattr(testlib, "inv_x_minus", refuse)
+    code = make_code(5, 32, 5, b"linear/noinv")
+    rng = random.Random(22)
+    for tau in (6, 7):
+        for w in (tau - 1, tau):
+            c = encode(code, rng.randrange(1 << code.k))
+            got = list_decode(code, corrupt(rng, c, code.n, w), tau)
+            assert (c, w) in got.candidates
+
+
+def test_linear_engine_refuses_an_unexpected_kernel(monkeypatch):
+    code = make_code(5, 32, 4, b"linear/dim")
+    rng = random.Random(23)
+    y = corrupt(rng, encode(code, rng.randrange(1 << code.k)), code.n, 5)
+    kernel = decode._key_equation_kernel
+    monkeypatch.setattr(decode, "_key_equation_kernel",
+                        lambda *args: kernel(*args)[:1])
+    with pytest.raises(CapacityError, match="dimension 1"):
+        list_decode(code, y, 5)
 
 
 def test_sphere_oracle_basics():
@@ -211,7 +298,7 @@ def test_unique_decoding_builds_no_syndrome_inverses(monkeypatch):
     # Patterson and the degree-2r decoder work from the alternant tables
     def refuse(modulus, a):
         raise AssertionError("syndrome inverse built")
-    monkeypatch.setattr(goppa, "_inv_x_minus", refuse)
+    monkeypatch.setattr(testlib, "inv_x_minus", refuse)
     rng = random.Random(12)
     for split in (False, True):
         code = make_code(7, 100, 5, b"noinv", split=split)

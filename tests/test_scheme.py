@@ -9,8 +9,9 @@ from goppacrypt.decode import patterson_decode
 from goppacrypt.prng import SeededStream
 from goppacrypt.scheme import (
     AmbiguityError, Cryptogram, KeyPair, NoCandidateError,
-    _unwrap, _wrap, decrypt, encrypt, keygen, validate_params,
+    _project, _unwrap, _wrap, decrypt, encrypt, keygen, validate_params,
 )
+from testlib import project_bitloop
 
 
 def roundtrip(kp, trials, tag):
@@ -99,6 +100,30 @@ def test_roundtrip_dyadic_ld():
     kp = keygen("dyadic", 10, 256, 16, "ld", b"dld10")
     assert kp.w_enc == 17
     roundtrip(kp, 3, "dld10")
+
+
+def test_table1_row2_roundtrip_at_full_size():
+    # Table 1's second row, the first list-decoding one: tau = r + 1
+    kp = keygen("generic", 11, 1876, 40, "ld", b"table1/row2")
+    assert (kp.n, kp.k, kp.r, kp.w_enc) == (1876, 1436, 40, 41)
+    ct = encrypt(kp, b"table one, row two", b"table1/row2")
+    assert decrypt(kp, ct) == b"table one, row two"
+
+
+def test_project_mask_matches_loop():
+    # dyadic keys keep the identity column order, so their plaintext
+    # projection is a mask; generic keys permute the columns
+    rng = random.Random(31)
+    keys = {"generic": keygen("generic", 8, 200, 12, "ud", b"proj"),
+            "dyadic": keygen("dyadic", 10, 256, 16, "ud", b"proj")}
+    for variant, kp in keys.items():
+        systematic = kp.colperm[:kp.k]
+        assert (systematic == tuple(range(kp.k))) == (variant == "dyadic")
+        for positions in (systematic, kp.colperm[kp.k:]):
+            for _ in range(20):
+                row = rng.getrandbits(kp.n)
+                assert _project(row, positions) == \
+                    project_bitloop(row, positions)
 
 
 def test_beyond_unique_witness():

@@ -1,17 +1,22 @@
 """Helpers that only the tests use, kept out of the package.
 
 Field division and powers, polynomial powers mod G, exhaustive minimum
-distance, a few BinMatrix constructors and reshapes, and the loop
-references that the package's table-driven kernels are checked against:
-``dyadic.xor_permute``, the GF(2) parity check, the syndrome, the locator
-root search and the square root of x mod G.  The dyadic generator is
-checked against elimination over the ring of dyadic blocks.
+distance, a few BinMatrix constructors and reshapes, systematic form,
+and the loop references that the package's table-driven kernels are
+checked against: ``dyadic.xor_permute``, the GF(2) parity check, the
+syndrome, the locator root search, the square root of x mod G and the
+plaintext projection.  The dyadic generator is checked against
+elimination over the ring of dyadic blocks, and the linear list-decoding
+engine against the flip engine, one degree-2r decode per flip subset.
 """
 
+import itertools
+
 from goppacrypt.binmat import BinMatrix, rref
+from goppacrypt.decode import _g2_from_syndrome, _sorted_result
 from goppacrypt.dyadic import xor_permute
 from goppacrypt.goppa import (
-    CapacityError, CodeConstructionError, syndrome_inverses,
+    CapacityError, CodeConstructionError, syndrome_poly,
 )
 from goppacrypt.gf2m import Poly
 
@@ -85,6 +90,41 @@ def vstack(A, B):
     if A.cols != B.cols:
         raise ValueError("column count mismatch")
     return BinMatrix(A.rows + B.rows, A.cols, list(A.bits) + list(B.bits))
+
+
+class RankDeficiencyError(ValueError):
+    """Systematic form requested from a matrix whose rank < rows."""
+
+    def __init__(self, rank):
+        super().__init__("matrix is rank-deficient (rank %d)" % rank)
+        self.rank = rank
+
+
+def permute_cols(M, perm):
+    """New matrix with column j taken from column perm[j]."""
+    if sorted(perm) != list(range(M.cols)):
+        raise ValueError("not a permutation of the columns")
+    out = []
+    for r in M.bits:
+        v = 0
+        for j, src in enumerate(perm):
+            v |= ((r >> src) & 1) << j
+        out.append(v)
+    return BinMatrix(M.rows, M.cols, out)
+
+
+def systematic_form(M):
+    """Column-permute a full-row-rank matrix into [I | A].
+
+    Returns (S, colperm) where S has column j equal to M's column colperm[j];
+    pivot columns are chosen greedily left to right and moved to the front.
+    """
+    R, rank, pivots = rref(M)
+    if rank < M.rows:
+        raise RankDeficiencyError(rank)
+    pivset = set(pivots)
+    colperm = pivots + [c for c in range(M.cols) if c not in pivset]
+    return permute_cols(R, colperm), colperm
 
 
 def xor_permute_bitloop(bits, p, r):
@@ -177,6 +217,66 @@ def syndrome_poly_bitloop(code, y, modulus):
         y >>= 1
         j += 1
     return Poly(code.field, acc)
+
+
+def inv_x_minus(modulus, a):
+    """1/(x - a) mod modulus, by synthetic division.
+
+    1/(x + a) = (modulus(x) + modulus(a)) / (x + a), scaled by 1/modulus(a).
+    """
+    field = modulus.field
+    va = modulus.eval(a)
+    quot = [0] * modulus.degree
+    acc = 0
+    for i in range(modulus.degree, 0, -1):
+        acc = field.mul(acc, a) ^ modulus[i]
+        quot[i - 1] = acc
+    scale = field.inv(va)
+    return Poly(field, [field.mul(scale, c) for c in quot])
+
+
+def syndrome_inverses(code, modulus):
+    """Cached per-position inverses 1/(x - L_j) mod modulus."""
+    key = ("inverses", modulus.c)
+    cache = code._cache.get(key)
+    if cache is None:
+        cache = tuple(inv_x_minus(modulus, a) for a in code.support)
+        code._cache[key] = cache
+    return cache
+
+
+def flip_engine(code, y, tau):
+    """All codewords within tau of y, one degree-2r decode per flip subset.
+
+    Any codeword at distance w in (r, tau] differs from y on w error
+    positions; flipping any w - r of them drops the distance to r where
+    g2 decoding is guaranteed.  Enumerating all flip subsets up to size
+    tau - r therefore finds every candidate, at C(n, tau - r) decodes.
+    """
+    g2 = code.gpoly.square()
+    base = syndrome_poly(code, y, g2)
+    inv = syndrome_inverses(code, g2)
+    found = {}
+    for size in range(max(0, tau - code.r) + 1):
+        for flips in itertools.combinations(range(code.n), size):
+            s = base
+            word = y
+            for p in flips:
+                s = s + inv[p]
+                word ^= 1 << p
+            for c, _ in _g2_from_syndrome(code, word, s, g2).candidates:
+                dist = (c ^ y).bit_count()
+                if dist <= tau:
+                    found[c] = dist
+    return _sorted_result(code.n, found.items())
+
+
+def project_bitloop(row, positions):
+    """Bit positions[j] of row as bit j, one position at a time."""
+    out = 0
+    for j, p in enumerate(positions):
+        out |= (row >> p & 1) << j
+    return out
 
 
 def locator_roots_horner(code, sigma):
