@@ -8,6 +8,7 @@ verified table contains any MISMATCH row, 1 on errors.
 """
 
 import argparse
+import contextlib
 import csv
 import sys
 from functools import lru_cache
@@ -22,15 +23,13 @@ from .tables import verify_table
 ROW_FIELDS = ("method", "m", "n", "k", "r", "tau2", "wf", "keysize", "gain")
 
 
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w", newline="")
-    return sys.stdout
-
-
-def _writer(fh, args):
+@contextlib.contextmanager
+def _out_writer(args):
+    """CSV/TSV writer on --out, or on stdout when it is absent."""
     delim = "\t" if args.format == "tsv" else ","
-    return csv.writer(fh, delimiter=delim, lineterminator="\n")
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        yield csv.writer(fh, delimiter=delim, lineterminator="\n")
 
 
 def _fmt_row(row):
@@ -42,9 +41,7 @@ def _fmt_row(row):
 
 def cmd_table(args):
     rows = verify_table(args.table)
-    fh = _open_out(args)
-    try:
-        w = _writer(fh, args)
+    with _out_writer(args) as w:
         if args.table == 4:
             w.writerow(("level", "dlp", "mceliece", "ratio"))
             for row in rows:
@@ -54,9 +51,6 @@ def cmd_table(args):
             w.writerow(ROW_FIELDS + ("status",))
             for row in rows:
                 w.writerow(_fmt_row(row) + [row["status"]])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 2 if any(r["status"] == "MISMATCH" for r in rows) else 0
 
 
@@ -160,23 +154,16 @@ def cmd_search(args):
         print("no feasible parameters for target %.1f" % args.target,
               file=sys.stderr)
         return 1
-    fh = _open_out(args)
-    try:
-        w = _writer(fh, args)
+    with _out_writer(args) as w:
         w.writerow(ROW_FIELDS)
         w.writerow(_fmt_row(row))
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
 def cmd_bounds(args):
     if args.tmax < 1 or 4 * args.tmax + 2 > args.n:
         raise ValueError("need 1 <= tmax and 4*tmax + 2 <= n")
-    fh = _open_out(args)
-    try:
-        w = _writer(fh, args)
+    with _out_writer(args) as w:
         w.writerow(("t", "t_over_n", "unique", "generic", "bernstein",
                     "tau2"))
         for t in range(1, args.tmax + 1):
@@ -184,9 +171,6 @@ def cmd_bounds(args):
             w.writerow(("%d" % t,) + tuple(
                 "%.6f" % (v / args.n) for v in
                 (t, t, rep.generic_johnson, rep.bernstein, rep.tau2)))
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 

@@ -295,16 +295,10 @@ def is_squarefree(f):
 
 def poly_invmod(f, g):
     """Inverse of f modulo g, or None when gcd(f, g) is not constant."""
-    field = f.field
-    r0, r1 = g, f % g
-    s0, s1 = Poly.zero(field), Poly.one(field)
-    while not r1.is_zero():
-        q, r2 = divmod(r0, r1)
-        r0, r1 = r1, r2
-        s0, s1 = s1, s0 + q * s1
-    if r0.degree != 0:
+    r, b = eea_stop(g, f % g, 0)
+    if r.is_zero():
         return None
-    return (s0 % g).scale(field.inv(r0.c[0]))
+    return b.scale(f.field.inv(r.c[0]))
 
 
 def eea_stop(G, T, dstop):

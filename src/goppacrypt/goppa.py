@@ -120,13 +120,8 @@ class GoppaCode:
             self.field.m, self.n, self.k, self.r)
 
 
-def build_code(field, support, gpoly, require_squarefree=True):
-    """Construct Gamma(L, G); raises CodeConstructionError on bad inputs.
-
-    require_squarefree=False admits moduli like G^2 (used when comparing
-    Gamma(L, G) with Gamma(L, G^2); the square-free requirement applies
-    to the Goppa polynomial proper, not to every decoding modulus).
-    """
+def build_code(field, support, gpoly):
+    """Construct Gamma(L, G); raises CodeConstructionError on bad inputs."""
     support = tuple(support)
     n = len(support)
     r = gpoly.degree
@@ -139,7 +134,7 @@ def build_code(field, support, gpoly, require_squarefree=True):
             raise CodeConstructionError("support element outside the field")
     if len(set(support)) != n:
         raise CodeConstructionError("repeated support element")
-    if require_squarefree and not is_squarefree(gpoly):
+    if not is_squarefree(gpoly):
         raise CodeConstructionError("Goppa polynomial is not square-free")
     code = GoppaCode(field, support, gpoly)
     if 0 in code._values(gpoly):  # alternant(G) reuses these values
@@ -195,12 +190,11 @@ def verify_prop1(field, support, gpoly):
     """True iff Gamma(L, G) and Gamma(L, G^2) are the same code.
 
     Checked as equal dimension plus mutual parity orthogonality, which
-    pins equality of the two row spaces' null spaces.
+    pins equality of the two row spaces' null spaces.  build_code
+    validates L and G; G^2 has the same roots, so it needs no checks.
     """
-    if not is_squarefree(gpoly):
-        raise CodeConstructionError("Goppa polynomial is not square-free")
     one = build_code(field, support, gpoly)
-    two = build_code(field, support, gpoly.square(), require_squarefree=False)
+    two = GoppaCode(field, one.support, gpoly.square())
     if one.k != two.k:
         return False
     for i in range(one.k):

@@ -250,8 +250,8 @@ def test_wrong_ciphertext_weight_exits_cleanly(tmp_path, capsys):
 
 
 def test_capacity_error_exits_cleanly(tmp_path, capsys):
-    # a generic LD key at r = 24 is issued, but decrypt needs an
-    # interpolation multiplicity beyond its guard (CapacityError)
+    # a generic LD key at r = 24 is issued with w_enc = 27 = r + 3, but no
+    # decoder reaches past r + 2, so decrypt raises CapacityError
     key = tmp_path / "ld.key"
     code, _, _ = run(capsys, ["keygen", "--variant", "generic",
                               "--decoder", "ld", "-m", "8", "-n", "256",

@@ -100,8 +100,6 @@ def test_list_decode_radius_zero_and_errors():
         list_decode(code, c, limit + 1)
     with pytest.raises(RadiusError):
         list_decode(code, c, -1)
-    with pytest.raises(RadiusError):
-        list_decode(code, c, code.r + 1, engine="g2")
 
 
 def test_list_decode_matches_oracle_and_is_monotone():
@@ -132,24 +130,24 @@ def test_list_decode_contains_patterson_answer():
         assert set(pat.candidates) <= set(lst.candidates)
 
 
-def test_interpolation_engine_tiny():
+def test_list_decode_tiny_code_past_r():
     code = make_code(4, 12, 2, b"gs1")
     rng = random.Random(18)
     for trial in range(4):
         c = encode(code, rng.randrange(1 << code.k))
         y = corrupt(rng, c, code.n, 3)
-        got = list_decode(code, y, 3, engine="interp")
+        got = list_decode(code, y, 3)
         assert got == sphere_oracle(code, y, 3)
         assert any(cand == c for cand, _ in got.candidates)
 
 
-def test_interpolation_engine_multiplicity_one():
+def test_list_decode_short_code_at_r():
     code = make_code(4, 16, 2, b"gs2")
     rng = random.Random(19)
     for trial in range(6):
         c = encode(code, rng.randrange(1 << code.k))
         y = corrupt(rng, c, code.n, 2)
-        got = list_decode(code, y, 2, engine="interp")
+        got = list_decode(code, y, 2)
         assert got == sphere_oracle(code, y, 2)
 
 
@@ -160,11 +158,19 @@ def test_flip_engine_explicit():
     y = corrupt(rng, c, code.n, 5)
     got = flip_engine(code, y, 5)
     assert any(cand == c for cand, _ in got.candidates)
-    assert list_decode(code, y, 5, engine="linear") == got
-    with pytest.raises(RadiusError):
-        list_decode(code, y, code.r, engine="linear")
-    with pytest.raises(ValueError):
-        list_decode(code, y, 5, engine="flip")
+    assert list_decode(code, y, 5) == got
+
+
+def test_list_decode_refuses_past_r_plus_2_before_any_work(monkeypatch):
+    code = make_code(8, 256, 24, b"ld/r+3")
+    tau = code.r + 3
+    assert tau <= radii(code.n, code.r).ld_errors
+
+    def refuse(*args):
+        raise AssertionError("syndrome computed")
+    monkeypatch.setattr(decode, "syndrome_poly", refuse)
+    with pytest.raises(CapacityError, match="r \\+ 3"):
+        list_decode(code, 0, tau)
 
 
 def linear_decode(code, y, tau):
