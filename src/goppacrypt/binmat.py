@@ -83,19 +83,11 @@ def rref(M):
     return BinMatrix(M.rows, M.cols, work), rank, pivots
 
 
-def null_space(M):
-    """Basis (as rows) of {x : M x^T = 0}; row count = cols - rank."""
-    R, rank, pivots = rref(M)
-    piv_row = {c: i for i, c in enumerate(pivots)}
-    pivset = set(pivots)
-    basis = []
-    for free in range(M.cols):
-        if free in pivset:
-            continue
-        v = 1 << free
-        fbit = 1 << free
-        for c, i in piv_row.items():
-            if R.bits[i] & fbit:
-                v |= 1 << c
-        basis.append(v)
-    return BinMatrix(len(basis), M.cols, basis)
+def transpose(M):
+    """M^T, read off the base-2 digit strings of the rows at C speed."""
+    if not (M.rows and M.cols):
+        return BinMatrix(M.cols, M.rows)
+    # last row first, so column j reads as an int with bit i = row i
+    digits = [format(v, "0%db" % M.cols) for v in reversed(M.bits)]
+    return BinMatrix(M.cols, M.rows,
+                     [int("".join(c), 2) for c in zip(*digits)][::-1])

@@ -12,7 +12,7 @@ into an m*k-bit public key.
 from dataclasses import dataclass
 
 from .gf2m import Poly
-from .binmat import BinMatrix, rref
+from .binmat import BinMatrix, rref, transpose
 from .goppa import GoppaCode, CodeConstructionError, build_code
 from .prng import SeededStream
 
@@ -176,10 +176,8 @@ def signature_to_code(sig, params, seed):
     if pivots != list(range(mr)):
         raise CodeConstructionError("the last m*r parity columns are singular")
     # R = [I_mr | B] with B over the first k columns, and A is B transposed
-    digits = [format(v >> mr, "0%db" % k) for v in reversed(R.bits)]
-    cols = [int("".join(c), 2) for c in zip(*digits)]  # column k-1 first
-    gen = BinMatrix(k, n, [1 << j | c << k
-                           for j, c in enumerate(reversed(cols))])
+    A = transpose(BinMatrix(mr, k, [v >> mr for v in R.bits]))
+    gen = BinMatrix(k, n, [1 << j | a << k for j, a in enumerate(A.bits)])
     return GoppaCode(field, support, gpoly, gen, range(n))
 
 

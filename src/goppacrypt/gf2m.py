@@ -14,7 +14,9 @@ call and index the tables directly.  Polynomials are immutable coefficient
 tuples, lowest degree first, with the zero polynomial carrying degree
 minus-infinity so that EEA stop conditions need no special cases.
 Modular square roots, for Patterson decoding, use no linear algebra: the
-square root of x mod G is G0/G1, where G = G0^2 + x*G1^2.
+square root of x mod G is G0/G1, where G = G0^2 + x*G1^2.  Irreducibility
+is Ben-Or's test, squaring on a per-G table of x^(2i) mod G; exact like
+Rabin's test, it decides every G alike, so seeded draws are unchanged.
 """
 
 import functools
@@ -358,41 +360,56 @@ def poly_sqrt_mod(t, G):
     return out
 
 
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
+def _squarer(G):
+    """t -> t^2 mod G on lists of r coefficients, for monic G of degree r.
+
+    t_j^2 goes to x^(2j): reduced already for 2j < r, else a row of a table
+    of x^(2j) mod G built once per G.  No Poly object, no division.
+    """
+    field, r = G.field, G.degree
+    exp, log = field.exp, field.log
+    half = (r + 1) // 2
+    low = [(i, log[c]) for i, c in enumerate(G.c[:-1]) if c]
+    rows, v = [], list(G.c[:-1])  # v = x^e mod G, from x^r = G - x^r
+    for e in range(r, 2 * r - 1):
+        if not e & 1:
+            rows.append([(i, log[c]) for i, c in enumerate(v) if c])
+        top, v = v[-1], [0] + v[:-1]
+        if top:
+            lt = log[top]
+            for i, lc in low:
+                v[i] ^= exp[lt + lc]
+    shift = field.order - 1  # 2 log a - shift indexes exp from either end
+
+    def square(t):
+        out = [0] * r
+        out[:2 * half:2] = [exp[2 * log[a]] if a else 0 for a in t[:half]]
+        for a, row in zip(t[half:], rows):
+            if a:
+                la = 2 * log[a] - shift
+                for i, lb in row:
+                    out[i] ^= exp[la + lb]
+        return out
+    return square
 
 
 def is_irreducible(G):
-    """Rabin test for G over GF(2^m), q = 2^m."""
-    field = G.field
-    r = G.degree
-    if r is NEG_INF or r < 1:
+    """Ben-Or test for G over GF(2^m), q = 2^m: G of degree r is reducible
+    iff it has an irreducible factor of degree i <= r/2, which divides
+    x^(q^i) - x.  Exact like Rabin's test, it decides every G alike.  Each
+    step i = 1..r/2 is m squarings on _squarer's table and one gcd.
+    """
+    field, r = G.field, G.degree
+    if r < 1:  # also the zero polynomial, of degree minus infinity
         return False
-    if r == 1:
-        return True
-    G = G.monic()
-    x = Poly.x(field)
-    need = {r // p for p in _prime_factors(r)}
-    t = x
-    for i in range(1, r + 1):
-        #  t <- t^(2^m) mod G, one Frobenius step, via m squarings
+    square = _squarer(G.monic())
+    t = [0, 1] + [0] * (r - 2)
+    for _ in range(r // 2):
         for _ in range(field.m):
-            t = _square_mod(t, G)
-        if i in need:
-            if poly_gcd(t + x, G).degree != 0:
-                return False
-        if i == r:
-            return t == x % G
-    return False  # unreachable
+            t = square(t)
+        if poly_gcd(Poly(field, t) + Poly.x(field), G).degree != 0:
+            return False
+    return True
 
 
 def random_monic_irreducible(field, r, stream):

@@ -14,7 +14,7 @@ first use.
 import struct
 
 from .gf2m import Poly, is_squarefree
-from .binmat import BinMatrix, null_space
+from .binmat import BinMatrix, rref, transpose
 
 
 class CodeConstructionError(ValueError):
@@ -97,13 +97,11 @@ class GoppaCode:
 
     @property
     def gen(self):
-        if self._gen is None:
-            self._gen = null_space(self.parity_bin)
-            # the free columns, then the pivots: a basis row's top set bit
-            # is its free column, as every pivot it touches lies left of it
-            free = [v.bit_length() - 1 for v in self._gen.bits]
-            self._colperm = tuple(free) + tuple(sorted(
-                set(range(self.n)).difference(free)))
+        if self._gen is None:  # column colperm[i] is e_i, then A's columns
+            self._colperm, A = systematic(self.parity_bin)
+            cols = [1 << i for i in range(A.rows)] + list(transpose(A).bits)
+            cols = [v for _, v in sorted(zip(self._colperm, cols))]
+            self._gen = transpose(BinMatrix(self.n, A.rows, cols))
         return self._gen
 
     @property
@@ -118,6 +116,19 @@ class GoppaCode:
     def __repr__(self):
         return "GoppaCode(m=%d, n=%d, k=%d, r=%d)" % (
             self.field.m, self.n, self.k, self.r)
+
+
+def systematic(parity):
+    """(colperm, A) with [I_k | A] a generator on the column order colperm.
+
+    colperm is the free columns, then the pivots, of the RREF R of parity,
+    and row i of A is R's i-th free column, read on the pivots.
+    """
+    R, rank, pivots = rref(parity)
+    free = sorted(set(range(parity.cols)).difference(pivots))
+    cols = transpose(R).bits
+    return (tuple(free + pivots),
+            BinMatrix(len(free), rank, [cols[c] for c in free]))
 
 
 def build_code(field, support, gpoly):
@@ -189,19 +200,13 @@ def syndrome_poly(code, y, modulus):
 def verify_prop1(field, support, gpoly):
     """True iff Gamma(L, G) and Gamma(L, G^2) are the same code.
 
-    Checked as equal dimension plus mutual parity orthogonality, which
-    pins equality of the two row spaces' null spaces.  build_code
-    validates L and G; G^2 has the same roots, so it needs no checks.
+    Checked as equal dimension plus the generator rows of Gamma(L, G)
+    passing the parity check of G^2: for spaces of equal dimension, one
+    inclusion is equality.  build_code validates L and G; G^2 has the
+    same roots, so it needs no checks.
     """
     one = build_code(field, support, gpoly)
     two = GoppaCode(field, one.support, gpoly.square())
-    if one.k != two.k:
-        return False
-    for i in range(one.k):
-        if two.parity_bin.mul_vec(one.gen.row(i)):
-            return False
-    for i in range(two.k):
-        if one.parity_bin.mul_vec(two.gen.row(i)):
-            return False
-    return True
+    return one.k == two.k and not any(
+        two.parity_bin.mul_vec(v) for v in one.gen.bits)
 

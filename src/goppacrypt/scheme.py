@@ -17,7 +17,7 @@ import binascii
 
 from .gf2m import Field, Poly, make_field, random_monic_irreducible
 from .binmat import BinMatrix
-from .goppa import CodeConstructionError, build_code
+from .goppa import CodeConstructionError, build_code, systematic
 from .decode import patterson_decode, g2_decode, list_decode
 from .dyadic import (
     DyadicParams, gen_signature, signature_to_code,
@@ -255,8 +255,10 @@ def _unpack_values(blob, pos, width, count):
 def keygen(variant, m, n, r, decoder, seed):
     """Deterministic key generation; see the module docstring for the
     seed schedule.  Construction failures raise CodeConstructionError;
-    parameter refusals raise ValueError before any work happens."""
+    parameter refusals, w_enc past r + 2 too, raise ValueError first."""
     k, w_enc = validate_params(variant, m, n, r, decoder)
+    if w_enc > r + 2:
+        raise ValueError("decoders reach r + 2; tau - r = %d" % (w_enc - r))
     if not isinstance(seed, (bytes, bytearray)) or not seed:
         raise ValueError("seed must be nonempty bytes")
     seed = bytes(seed)
@@ -266,12 +268,11 @@ def keygen(variant, m, n, r, decoder, seed):
         g = random_monic_irreducible(field, r, stream.child(b"goppa"))
         support = stream.child(b"support").sample_distinct(field.order, n)
         code = build_code(field, support, g)
-        if code.k != k:
+        colperm, pub = systematic(code.parity_bin)
+        if pub.rows != k:
             raise CodeConstructionError("parity check is rank-deficient")
-        pub = BinMatrix(k, n - k, [
-            _project(code.gen.row(i), code.colperm[k:]) for i in range(k)])
         return KeyPair(variant, decoder, w_enc, field, code.support,
-                       g, code.colperm, pub)
+                       g, colperm, pub)
     N = _dyadic_pool_size(m, n)
     if n > N:
         raise CodeConstructionError(

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from goppacrypt.binmat import BinMatrix, rref, null_space
+from goppacrypt.binmat import BinMatrix, rref, transpose
 from testlib import (
-    RankDeficiencyError, from_entries, identity, permute_cols,
-    systematic_form, transpose, vstack,
+    RankDeficiencyError, from_entries, identity, null_space, permute_cols,
+    systematic_form, transpose_bitloop, vstack,
 )
 
 
@@ -81,6 +81,24 @@ def test_transpose():
             for j in range(M.cols):
                 assert M.get(i, j) == T.get(j, i)
         assert transpose(T) == M
+
+
+def test_transpose_matches_bit_loop():
+    # empty shapes, single rows and columns, and sparse, dense and wide
+    # matrices, against the set-bit loop
+    rng = random.Random(6)
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (1, 70), (70, 1), (3, 200),
+              (130, 64)]
+    shapes += [(rng.randrange(1, 40), rng.randrange(1, 40))
+               for _ in range(40)]
+    for rows, cols in shapes:
+        for density in (0, 1, 2):
+            bits = [rng.getrandbits(cols) if density == 1 else
+                    (1 << cols) - 1 if density == 2 else
+                    1 << rng.randrange(cols) if cols else 0
+                    for _ in range(rows)]
+            M = BinMatrix(rows, cols, bits)
+            assert transpose(M) == transpose_bitloop(M)
 
 
 def test_vstack_and_permute_cols():

@@ -250,14 +250,31 @@ def test_wrong_ciphertext_weight_exits_cleanly(tmp_path, capsys):
 
 
 def test_capacity_error_exits_cleanly(tmp_path, capsys):
-    # a generic LD key at r = 24 is issued with w_enc = 27 = r + 3, but no
-    # decoder reaches past r + 2, so decrypt raises CapacityError
+    # a generic LD key at r = 24 would need w_enc = 27 = r + 3, past every
+    # decoder, so keygen refuses it and writes no key file
     key = tmp_path / "ld.key"
+    code, out, err = run(capsys, ["keygen", "--variant", "generic",
+                                  "--decoder", "ld", "-m", "8", "-n", "256",
+                                  "-r", "24", "--seed", "cafe", "--out",
+                                  str(key)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "r + 2" in err and "Traceback" not in err
+    assert not key.exists()
+    # the LD key an earlier keygen issued there is the UD key with the
+    # decoder byte set and w_enc = r + 3 (the seed schedule ignores the
+    # decoder); decrypt reaches the decoder's CapacityError and reports it
+    # in one line
     code, _, _ = run(capsys, ["keygen", "--variant", "generic",
-                              "--decoder", "ld", "-m", "8", "-n", "256",
+                              "--decoder", "ud", "-m", "8", "-n", "256",
                               "-r", "24", "--seed", "cafe", "--out",
                               str(key)])
     assert code == 0
+    blob = bytearray(key.read_bytes())
+    assert blob[6] == 0 and int.from_bytes(blob[20:24], "big") == 24
+    blob[6] = 1
+    blob[20:24] = (24 + 3).to_bytes(4, "big")
+    key.write_bytes(bytes(blob))
     msg = tmp_path / "msg.bin"
     msg.write_bytes(b"hi")
     ct = tmp_path / "msg.ct"
@@ -267,7 +284,8 @@ def test_capacity_error_exits_cleanly(tmp_path, capsys):
     code, _, err = run(capsys, ["decrypt", "--key", str(key), "--in",
                                 str(ct), "--out", str(tmp_path / "out")])
     assert code == 1
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and "r + 3" in err
+    assert "Traceback" not in err
 
 
 def test_hostile_key_files_exit_cleanly(tmp_path, capsys):

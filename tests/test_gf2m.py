@@ -2,13 +2,18 @@ import random
 
 import pytest
 
+import itertools
+
+from goppacrypt import gf2m
 from goppacrypt.gf2m import (
     NEG_INF, Field, Poly, make_field, poly_gcd, is_squarefree, poly_invmod,
     eea_stop, poly_sqrt_mod, is_irreducible,
-    random_monic_irreducible, _gf2_mod, _sqrt_x_mod,
+    random_monic_irreducible, _gf2_mod, _sqrt_x_mod, _square_mod, _squarer,
 )
 from goppacrypt.prng import SeededStream
-from testlib import field_pow, poly_powmod, sqrt_x_mod_solve
+from testlib import (
+    field_pow, poly_powmod, rabin_irreducible, sqrt_x_mod_solve,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -440,6 +445,96 @@ def test_random_monic_irreducible_is_deterministic():
     g1 = random_monic_irreducible(field, 6, SeededStream(b"g"))
     g2 = random_monic_irreducible(field, 6, SeededStream(b"g"))
     assert g1 == g2 and g1.degree == 6 and g1.c[-1] == 1 and is_irreducible(g1)
+
+
+def test_ben_or_equals_rabin_exhaustively():
+    # every monic polynomial over GF(4) of degree <= 5, GF(8) of degree <= 4
+    count = 0
+    for m, top in ((2, 5), (3, 4)):
+        field = make_field(m)
+        for d in range(top + 1):
+            for coeffs in itertools.product(range(field.order), repeat=d):
+                G = Poly(field, coeffs + (1,))
+                assert is_irreducible(G) == rabin_irreducible(G), G
+                count += 1
+    assert count == 1365 + 4681
+
+
+def test_ben_or_equals_rabin_on_seeded_candidates():
+    rng = random.Random(41)
+    seen = set()
+    for m in range(6, 12):
+        field = make_field(m)
+        for _ in range(6):
+            r = rng.randrange(1, 41)
+            G = Poly(field, [rng.randrange(field.order) for _ in range(r)]
+                     + [rng.randrange(1, field.order)])
+            want = rabin_irreducible(G)
+            assert is_irreducible(G) == want, (m, r)
+            seen.add(want)
+        G = random_monic_irreducible(field, rng.randrange(2, 41),
+                                     SeededStream(b"bo%d" % m))
+        assert is_irreducible(G) and rabin_irreducible(G)
+    assert seen == {False, True}
+
+
+def test_ben_or_on_crafted_reducibles(monkeypatch):
+    gcds = []
+    real_gcd = gf2m.poly_gcd
+    monkeypatch.setattr(gf2m, "poly_gcd",
+                        lambda f, g: gcds.append(f) or real_gcd(f, g))
+
+    def check(G, want, steps=None):
+        gcds.clear()
+        assert is_irreducible(G) is want and rabin_irreducible(G) is want
+        if steps is not None:
+            assert len(gcds) == steps
+    for m, half in ((4, 3), (6, 4), (9, 5), (11, 8)):
+        field = make_field(m)
+        a = random_monic_irreducible(field, half, SeededStream(b"a%d" % m))
+        b = random_monic_irreducible(field, half, SeededStream(b"b%d" % m))
+        assert a != b
+        check(a * b, False, half)  # only the last step sees a factor
+        check(a * a, False, half)
+        # distinct linear factors: t - x = 0 at the first step
+        check(Poly.from_roots(field, range(1, 2 * half + 1)), False, 1)
+        check(Poly(field, (field.order - 1, 1)), True, 0)  # r = 1
+        c = random_monic_irreducible(field, 2, SeededStream(b"c%d" % m))
+        check(c, True, 1)  # r = 2
+        check(Poly.from_roots(field, (2, 3)), False, 1)
+        for p in (5, 7, 13):  # prime r: irreducible and split at r/2
+            g = random_monic_irreducible(field, p, SeededStream(b"p%d" % p))
+            check(g, True, p // 2)
+            h = random_monic_irreducible(field, p - p // 2,
+                                         SeededStream(b"q%d" % p))
+            check(random_monic_irreducible(
+                field, p // 2, SeededStream(b"s%d" % p)) * h, False)
+
+
+@pytest.mark.parametrize("m", (2, 5, 9, 11, 16))
+def test_squaring_table_matches_square_mod(m):
+    field = make_field(m)
+    rng = random.Random(m)
+    for r in (2, 3, 4, 7, 12, 25):
+        G = Poly(field, [rng.randrange(field.order) for _ in range(r)] + [1])
+        square = _squarer(G)
+        for _ in range(10):
+            t = [rng.randrange(field.order) for _ in range(r)]
+            if rng.randrange(3) == 0:  # sparse residues, zeros on top too
+                t = [v if rng.randrange(3) == 0 else 0 for v in t]
+            want = _square_mod(Poly(field, t), G).c
+            assert square(t) == list(want) + [0] * (r - len(want))
+
+
+def test_irreducible_draw_equals_rabin_draw(monkeypatch):
+    fast = [random_monic_irreducible(make_field(m), r, SeededStream(seed))
+            for m, r, seed in ((6, 6, b"g"), (8, 12, b"d1"), (9, 12, b"d2"),
+                               (10, 17, b"d3"), (11, 20, b"d4"))]
+    monkeypatch.setattr(gf2m, "is_irreducible", rabin_irreducible)
+    slow = [random_monic_irreducible(make_field(m), r, SeededStream(seed))
+            for m, r, seed in ((6, 6, b"g"), (8, 12, b"d1"), (9, 12, b"d2"),
+                               (10, 17, b"d3"), (11, 20, b"d4"))]
+    assert fast == slow
 
 
 def test_poly_powmod():

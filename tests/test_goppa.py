@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from goppacrypt import binmat
+from goppacrypt import binmat, goppa
 from goppacrypt.gf2m import Poly, make_field, is_squarefree, random_monic_irreducible
 from goppacrypt.goppa import (
     CodeConstructionError, CapacityError, build_code, encode, syndrome_poly,
@@ -61,7 +61,7 @@ def test_generator_is_one_elimination_on_first_read(monkeypatch):
     g = random_squarefree_avoiding(field, 3, support, rng)
     calls = []
     real_rref = binmat.rref
-    monkeypatch.setattr(binmat, "rref",
+    monkeypatch.setattr(goppa, "rref",
                         lambda M: calls.append(M) or real_rref(M))
     code = build_code(field, support, g)
     assert calls == []  # validation only

@@ -11,7 +11,7 @@ from goppacrypt.scheme import (
     AmbiguityError, Cryptogram, KeyPair, NoCandidateError,
     _project, _unwrap, _wrap, decrypt, encrypt, keygen, validate_params,
 )
-from testlib import project_bitloop
+from testlib import null_space, project_bitloop
 
 
 def roundtrip(kp, trials, tag):
@@ -49,6 +49,29 @@ def test_validate_params():
         validate_params("generic", 17, 1 << 17, 2)
     with pytest.raises(ValueError):
         validate_params("generic", 3, 8, 2, "ld")  # 4r+2 > n has no tau2
+
+
+def test_keygen_refuses_ld_past_r_plus_2_before_any_work(monkeypatch):
+    # the decoders stop at r + 2, so keygen issues no key past it; the
+    # parameter gate still reports the published shape and radius
+    class Drawn(Exception):
+        pass
+
+    def draw(*args):
+        raise Drawn
+    monkeypatch.setattr(scheme, "random_monic_irreducible", draw)
+    monkeypatch.setattr(scheme, "gen_signature", draw)
+    for variant, m, n, r, excess in (("generic", 8, 256, 24, 3),
+                                     ("dyadic", 12, 1024, 64, 5)):
+        assert validate_params(variant, m, n, r, "ld")[1] == r + excess
+        with pytest.raises(ValueError) as exc:
+            keygen(variant, m, n, r, "ld", b"cafe")
+        assert "tau - r = %d" % excess in str(exc.value)
+        assert "r + 2" in str(exc.value)
+        with pytest.raises(Drawn):  # the same shape decoded up to r
+            keygen(variant, m, n, r, "ud", b"cafe")
+    with pytest.raises(Drawn):  # Table 1 row 8, at tau = r + 2
+        keygen("generic", 13, 5269, 96, "ld", b"cafe")
 
 
 def test_wrap_unwrap():
@@ -108,6 +131,26 @@ def test_table1_row2_roundtrip_at_full_size():
     assert (kp.n, kp.k, kp.r, kp.w_enc) == (1876, 1436, 40, 41)
     ct = encrypt(kp, b"table one, row two", b"table1/row2")
     assert decrypt(kp, ct) == b"table one, row two"
+
+
+@pytest.mark.parametrize("m,n,r", ((6, 64, 4), (8, 200, 12), (9, 256, 12)))
+def test_generic_public_matrix_matches_null_space(m, n, r, monkeypatch):
+    # the transposed elimination against the null-space basis it replaced;
+    # keygen builds no generator on the way
+    def refuse(code):
+        raise AssertionError("generator built")
+    with monkeypatch.context() as patch:
+        patch.setattr(goppa.GoppaCode, "gen", property(refuse))
+        kp = keygen("generic", m, n, r, "ud", b"ns%d" % m)
+    code = kp.code()
+    basis = null_space(code.parity_bin)
+    assert basis.rows == kp.k
+    assert kp.colperm == tuple(v.bit_length() - 1 for v in basis.bits) \
+        + tuple(sorted(set(range(n)) - {v.bit_length() - 1
+                                        for v in basis.bits}))
+    assert kp.public.bits == tuple(_project(v, kp.colperm[kp.k:])
+                                   for v in basis.bits)
+    assert code.gen == basis
 
 
 def test_project_mask_matches_loop():
@@ -333,8 +376,9 @@ def test_load_and_decrypt_never_compute_a_null_space(monkeypatch):
     cts = [encrypt(kp, b"lean", b"lean") for kp in keys]
 
     def refuse(M):
-        raise AssertionError("null space computed")
-    monkeypatch.setattr(goppa, "null_space", refuse)
+        raise AssertionError("elimination or transpose run")
+    monkeypatch.setattr(goppa, "rref", refuse)
+    monkeypatch.setattr(goppa, "transpose", refuse)
     for kp, ct in zip(keys, cts):
         assert decrypt(KeyPair.from_bytes(kp.to_bytes()), ct) == b"lean"
     again = keygen("dyadic", 10, 256, 16, "ud", b"lean")

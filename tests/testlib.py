@@ -2,10 +2,11 @@
 
 Field division and powers, polynomial powers mod G, exhaustive minimum
 distance, a few BinMatrix constructors and reshapes, systematic form,
-and the loop references that the package's table-driven kernels are
-checked against: ``dyadic.xor_permute``, the GF(2) parity check, the
-syndrome, the locator root search, the square root of x mod G and the
-plaintext projection.  The dyadic generator is checked against
+and the references that the package's fast kernels are checked against:
+Rabin's irreducibility test, the GF(2) null space, loop versions of
+``dyadic.xor_permute``, the bit-matrix transpose, the GF(2) parity
+check, the syndrome, the locator root search, the square root of x mod
+G and the plaintext projection.  The dyadic generator is checked against
 elimination over the ring of dyadic blocks, and the linear list-decoding
 engine against the flip engine, one degree-2r decode per flip subset.
 """
@@ -18,7 +19,7 @@ from goppacrypt.dyadic import xor_permute
 from goppacrypt.goppa import (
     CapacityError, CodeConstructionError, syndrome_poly,
 )
-from goppacrypt.gf2m import Poly
+from goppacrypt.gf2m import NEG_INF, Poly, _square_mod, poly_gcd
 
 
 def field_div(field, a, b):
@@ -46,6 +47,43 @@ def poly_powmod(f, e, G):
         f = (f * f) % G
         e >>= 1
     return r
+
+
+def _prime_factors(n):
+    out = set()
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.add(n)
+    return out
+
+
+def rabin_irreducible(G):
+    """Rabin test for G over GF(2^m), q = 2^m."""
+    field = G.field
+    r = G.degree
+    if r is NEG_INF or r < 1:
+        return False
+    if r == 1:
+        return True
+    G = G.monic()
+    x = Poly.x(field)
+    need = {r // p for p in _prime_factors(r)}
+    t = x
+    for i in range(1, r + 1):
+        #  t <- t^(2^m) mod G, one Frobenius step, via m squarings
+        for _ in range(field.m):
+            t = _square_mod(t, G)
+        if i in need:
+            if poly_gcd(t + x, G).degree != 0:
+                return False
+        if i == r:
+            return t == x % G
+    return False  # unreachable
 
 
 def min_distance_exhaustive(code):
@@ -76,7 +114,8 @@ def from_entries(entries):
     return BinMatrix(len(rows), cols, rows)
 
 
-def transpose(M):
+def transpose_bitloop(M):
+    """M^T, one set bit at a time."""
     cols = [0] * M.cols
     for i, r in enumerate(M.bits):
         while r:
@@ -84,6 +123,24 @@ def transpose(M):
             cols[low.bit_length() - 1] |= 1 << i
             r ^= low
     return BinMatrix(M.cols, M.rows, cols)
+
+
+def null_space(M):
+    """Basis (as rows) of {x : M x^T = 0}; row count = cols - rank."""
+    R, rank, pivots = rref(M)
+    piv_row = {c: i for i, c in enumerate(pivots)}
+    pivset = set(pivots)
+    basis = []
+    for free in range(M.cols):
+        if free in pivset:
+            continue
+        v = 1 << free
+        fbit = 1 << free
+        for c, i in piv_row.items():
+            if R.bits[i] & fbit:
+                v |= 1 << c
+        basis.append(v)
+    return BinMatrix(len(basis), M.cols, basis)
 
 
 def vstack(A, B):
