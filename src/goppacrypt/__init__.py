@@ -17,8 +17,7 @@ from .decode import (
 )
 from .dyadic import (
     DyadicParams, DyadicSignature, SignatureExhaustionError,
-    compact_pubkey, dyadic_check, expand_pubkey, gen_signature,
-    signature_to_code,
+    compact_pubkey, expand_pubkey, gen_signature, signature_to_code,
 )
 from .security import (
     check_countermeasures, fs_workfactor, gain, keysize, radii,
@@ -39,7 +38,7 @@ __all__ = [
     "DecodeResult", "RadiusError", "patterson_decode", "g2_decode",
     "list_decode", "sphere_oracle",
     "DyadicParams", "DyadicSignature", "SignatureExhaustionError",
-    "gen_signature", "signature_to_code", "dyadic_check",
+    "gen_signature", "signature_to_code",
     "compact_pubkey", "expand_pubkey",
     "radii", "fs_workfactor", "keysize", "check_countermeasures", "gain",
     "KeyPair", "Cryptogram", "keygen", "encrypt", "decrypt",

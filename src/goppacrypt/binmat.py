@@ -37,11 +37,9 @@ class BinMatrix:
 
     def mul_vec(self, x):
         """M * x^T for an n-bit vector x; bit i of the result = parity(row_i & x)."""
-        out = 0
-        for i, r in enumerate(self.bits):
-            if (r & x).bit_count() & 1:
-                out |= 1 << i
-        return out
+        # the parities as base-2 digits, last row first; b"0" reads 0 rows as 0
+        return int(b"0" + bytes(0x30 | (row & x).bit_count() & 1
+                                for row in reversed(self.bits)), 2)
 
     def to_bytes(self):
         """Row-major contiguous bit stream, LSB first within each byte."""

@@ -4,9 +4,10 @@ A dyadic matrix Delta(h) has entries h_{i xor j}, so its first row (the
 signature) determines it.  Signatures built to satisfy
 1/h_{i xor j} = 1/h_i + 1/h_j + 1/h_0 make Delta(h) a Cauchy matrix
 1/(z_i + u_j), which yields a Goppa parity check made of r x r dyadic
-blocks.  Invertible dyadic matrices have dyadic inverses, so the code's
-systematic generator [I_k | A] is made of dyadic blocks too, and A packs
-into an m*k-bit public key.
+blocks.  Invertible dyadic matrices have dyadic inverses, so the
+redundancy part A of the code's systematic generator [I_k | A] is made of
+dyadic blocks too.  A is the public key, and compact_pubkey packs it into
+m*k bits: the first row of each r x r block.
 """
 
 from dataclasses import dataclass
@@ -108,17 +109,6 @@ def gen_signature(field, N, seed):
     raise SignatureExhaustionError("no admissible signature after 4096 draws")
 
 
-def dyadic_check(M):
-    """True iff M[i][j] = M[0][i xor j] for all i, j."""
-    rows = len(M)
-    if rows < 1 or rows & (rows - 1):
-        raise ValueError("matrix order must be a power of two")
-    if any(len(row) != rows for row in M):
-        raise ValueError("matrix must be square")
-    return all(M[i][j] == M[0][i ^ j]
-               for i in range(rows) for j in range(rows))
-
-
 def xor_permute(bits, p, r):
     """Reindex an r-bit signature: output bit j is input bit j xor p."""
     b = r >> 1
@@ -132,18 +122,18 @@ def xor_permute(bits, p, r):
 
 
 def signature_to_code(sig, params, seed):
-    """Goppa code with dyadic Cauchy parity and block-systematic generator.
+    """Goppa code with dyadic Cauchy parity and block-systematic form.
 
     The support is n/r whole dyadic blocks of the u_j pool, block choice
-    and per-block xor offsets drawn from the seed.  The generator is
-    [I_k | A] with every r x r block of A dyadic.  Every binary parity
-    check of Gamma(L, G) has the code as its null space, so all share one
-    row space, and [I_k | A] on the identity column order is unique when
-    it exists.  It comes from one elimination of parity_bin with its last
-    m*r columns moved first; if those columns are singular, no systematic
-    generator exists and CodeConstructionError is raised.  The generator
-    and the identity column order go straight into the code, so no null
-    space is built.
+    and per-block xor offsets drawn from the seed.  The code's systematic
+    form is [I_k | A] on the identity column order, with every r x r
+    block of A dyadic.  Every binary parity check of Gamma(L, G) has the
+    code as its null space, so all share one row space, and that form is
+    unique when it exists.  It comes from one elimination of parity_bin
+    with its last m*r columns moved first; if those columns are singular,
+    no systematic form exists and CodeConstructionError is raised.  The
+    pair (range(n), A) goes straight into the code, so no generator or
+    null space is built.
     """
     params.validate()
     field = sig.field
@@ -177,37 +167,29 @@ def signature_to_code(sig, params, seed):
         raise CodeConstructionError("the last m*r parity columns are singular")
     # R = [I_mr | B] with B over the first k columns, and A is B transposed
     A = transpose(BinMatrix(mr, k, [v >> mr for v in R.bits]))
-    gen = BinMatrix(k, n, [1 << j | a << k for j, a in enumerate(A.bits)])
-    return GoppaCode(field, support, gpoly, gen, range(n))
+    return GoppaCode(field, support, gpoly, (tuple(range(n)), A))
 
 
-def compact_pubkey(code, r):
-    """Serialize the dyadic generator redundancy: m*k payload bits."""
-    m, n, k = code.field.m, code.n, code.k
-    if n - k != m * r or k % r:
-        raise ValueError("generator shape does not admit a compact key")
-    sigs = []
-    for ublk in range(k // r):
-        base = code.gen.row(ublk * r)
-        if base & ((1 << k) - 1) != 1 << (ublk * r):
-            raise ValueError("generator is not in systematic form")
-        for t in range(m):
-            sig = base >> (k + t * r) & ((1 << r) - 1)
-            for i in range(1, r):
-                row = code.gen.row(ublk * r + i)
-                if row & ((1 << k) - 1) != 1 << (ublk * r + i):
-                    raise ValueError("generator is not in systematic form")
-                if row >> (k + t * r) & ((1 << r) - 1) != xor_permute(sig, i, r):
-                    raise ValueError("non-dyadic block; key cannot be compacted")
-            sigs.append(sig)
+def compact_pubkey(m, r, A):
+    """Serialize a k x mr matrix of dyadic r x r blocks in m*k bits.
+
+    The exact inverse of expand_pubkey: the first row of each block is
+    its signature, and an A that the signatures do not rebuild is refused.
+    """
+    if r < 1 or r & (r - 1) or A.cols != m * r or A.rows % r:
+        raise ValueError("matrix shape does not admit a compact key")
     out = bytearray(b"QDGK")
     out.append(1)
     out.append(m)
     out.append(r.bit_length() - 1)
-    out += (k // r).to_bytes(2, "big")
+    out += (A.rows // r).to_bytes(2, "big")
     span = (r + 7) // 8
-    for sig in sigs:
-        out += sig.to_bytes(span, "little")
+    mask = (1 << r) - 1
+    for base in A.bits[::r]:
+        for t in range(m):
+            out += (base >> (t * r) & mask).to_bytes(span, "little")
+    if expand_pubkey(out)[2] != A:
+        raise ValueError("non-dyadic block; key cannot be compacted")
     return bytes(out)
 
 

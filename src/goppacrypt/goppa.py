@@ -7,8 +7,9 @@ does no matrix work.  Decoding works on one bit-sliced table per modulus
 M: the alternant matrix H[t][j] = L_j^t / M(L_j), t < deg M, expanded
 over GF(2), one n-bit int per row.  Syndromes are parities of its rows
 against the received word, and for M = G it is the GF(2) parity check.
-The generator, a systematic basis of its right null space, is built on
-first use.
+Encoders and keys read the systematic form (colperm, A), [I_k | A] a
+generator on the column order colperm; dyadic codes are built with it,
+others get it from one elimination of the parity check on first use.
 """
 
 import struct
@@ -43,21 +44,22 @@ def _bit_slices(values, m):
 class GoppaCode:
     """Immutable code object; see build_code for the canonical constructor.
 
-    A caller that already holds a generator passes it with its column
-    order; otherwise one elimination of parity_bin builds both.
+    A caller that already holds the systematic form (colperm, A), colperm
+    a tuple, passes it; otherwise one elimination of parity_bin builds it
+    on first use.
     """
 
     __slots__ = ("field", "support", "gpoly", "n", "r",
-                 "_gen", "_colperm", "_cache")
+                 "_systematic", "_gen", "_cache")
 
-    def __init__(self, field, support, gpoly, gen=None, colperm=None):
+    def __init__(self, field, support, gpoly, systematic=None):
         self.field = field
         self.support = tuple(support)
         self.gpoly = gpoly
         self.n = len(self.support)
         self.r = gpoly.degree
-        self._gen = gen
-        self._colperm = None if colperm is None else tuple(colperm)
+        self._systematic = systematic
+        self._gen = None
         self._cache = {}
 
     def alternant(self, modulus):
@@ -96,39 +98,41 @@ class GoppaCode:
         return self.alternant(self.gpoly)
 
     @property
+    def systematic(self):
+        """(colperm, A) with [I_k | A] a generator on the column order colperm.
+
+        colperm is the free columns, then the pivots, of the RREF R of
+        parity_bin, and row i of A is R's i-th free column, read on the
+        pivots.
+        """
+        if self._systematic is None:
+            R, rank, pivots = rref(self.parity_bin)
+            free = sorted(set(range(self.n)).difference(pivots))
+            cols = transpose(R).bits
+            self._systematic = (tuple(free + pivots), BinMatrix(
+                len(free), rank, [cols[c] for c in free]))
+        return self._systematic
+
+    @property
     def gen(self):
         if self._gen is None:  # column colperm[i] is e_i, then A's columns
-            self._colperm, A = systematic(self.parity_bin)
+            colperm, A = self.systematic
             cols = [1 << i for i in range(A.rows)] + list(transpose(A).bits)
-            cols = [v for _, v in sorted(zip(self._colperm, cols))]
+            cols = [v for _, v in sorted(zip(colperm, cols))]
             self._gen = transpose(BinMatrix(self.n, A.rows, cols))
         return self._gen
 
     @property
     def colperm(self):
-        self.gen  # a generator built here brings its column order along
-        return self._colperm
+        return self.systematic[0]
 
     @property
     def k(self):
-        return self.gen.rows
+        return self.systematic[1].rows
 
     def __repr__(self):
         return "GoppaCode(m=%d, n=%d, k=%d, r=%d)" % (
             self.field.m, self.n, self.k, self.r)
-
-
-def systematic(parity):
-    """(colperm, A) with [I_k | A] a generator on the column order colperm.
-
-    colperm is the free columns, then the pivots, of the RREF R of parity,
-    and row i of A is R's i-th free column, read on the pivots.
-    """
-    R, rank, pivots = rref(parity)
-    free = sorted(set(range(parity.cols)).difference(pivots))
-    cols = transpose(R).bits
-    return (tuple(free + pivots),
-            BinMatrix(len(free), rank, [cols[c] for c in free]))
 
 
 def build_code(field, support, gpoly):
@@ -153,18 +157,27 @@ def build_code(field, support, gpoly):
     return code
 
 
+def systematic_encode(colperm, A, msg):
+    """Codeword of [I_k | A] on the column order colperm, as an n-bit int.
+
+    Bit j of msg | (msg A) << k lands at position colperm[j].
+    """
+    if msg < 0 or msg >> A.rows:
+        raise ValueError("message does not fit in %d bits" % A.rows)
+    red = out = 0
+    for i, row in enumerate(A.bits):
+        if msg >> i & 1:
+            red ^= row
+    word = msg | red << A.rows
+    for j, p in enumerate(colperm):
+        if word >> j & 1:
+            out |= 1 << p
+    return out
+
+
 def encode(code, msg):
     """Codeword (as an n-bit int) for a k-bit message int."""
-    if msg < 0 or msg >> code.k:
-        raise ValueError("message does not fit in %d bits" % code.k)
-    word = 0
-    u = 0
-    while msg:
-        if msg & 1:
-            word ^= code.gen.row(u)
-        msg >>= 1
-        u += 1
-    return word
+    return systematic_encode(*code.systematic, msg)
 
 
 def syndrome_poly(code, y, modulus):
@@ -180,10 +193,7 @@ def syndrome_poly(code, y, modulus):
     field = code.field
     exp, log = field.exp, field.log
     m, d = field.m, modulus.degree
-    table = code.alternant(modulus).bits
-    # bit t*m + beta of the parities is bit beta of S_t
-    par = int(bytes(0x30 | (row & y).bit_count() & 1
-                    for row in reversed(table)), 2)
+    par = code.alternant(modulus).mul_vec(y)  # bit t*m + beta: beta of S_t
     lead = [log[c] for c in modulus.c[1:]]  # log M_k at k - 1; None at 0
     mask = (1 << m) - 1
     acc = [0] * d

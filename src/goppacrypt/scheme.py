@@ -17,7 +17,7 @@ import binascii
 
 from .gf2m import Field, Poly, make_field, random_monic_irreducible
 from .binmat import BinMatrix
-from .goppa import CodeConstructionError, build_code, systematic
+from .goppa import CodeConstructionError, build_code, systematic_encode
 from .decode import patterson_decode, g2_decode, list_decode
 from .dyadic import (
     DyadicParams, gen_signature, signature_to_code,
@@ -86,9 +86,10 @@ def _dyadic_pool_size(m, n):
 class KeyPair:
     """Key material for one code; immutable after generation.
 
-    public is the k x (n-k) redundancy matrix (generic) or the compact
-    signature blob (dyadic); private decoding state is the support, the
-    Goppa polynomial and the systematic column order.
+    public is the k x (n-k) redundancy matrix A of the systematic
+    generator [I_k | A] for both variants; a dyadic key file stores it
+    compactly.  Private decoding state is the support, the Goppa
+    polynomial and the systematic column order.
     """
 
     def __init__(self, variant, decoder, w_enc, field, support, gpoly,
@@ -106,21 +107,12 @@ class KeyPair:
         self.r = gpoly.degree
         self.k = self.n - self.m * self.r
         self._code = None
-        self._pub_matrix = None
 
     def code(self):
         """The decoding view: validated support and G, no matrix work."""
         if self._code is None:
             self._code = build_code(self.field, self.support, self.gpoly)
         return self._code
-
-    def pub_matrix(self):
-        if self._pub_matrix is None:
-            if self.variant == "dyadic":
-                _, _, self._pub_matrix = expand_pubkey(self.public)
-            else:
-                self._pub_matrix = self.public
-        return self._pub_matrix
 
     def capacity(self):
         """Largest payload encrypt() accepts, in bytes."""
@@ -135,13 +127,13 @@ class KeyPair:
         for v in (self.n, self.k, self.r, self.w_enc):
             out += v.to_bytes(4, "big")
         out += self.field.modulus.to_bytes(4, "big")
-        out += _pack_values(self.support, self.m)
+        out += BinMatrix(self.n, self.m, self.support).to_bytes()
         coeffs = list(self.gpoly.c) + [0] * (self.r + 1 - len(self.gpoly.c))
-        out += _pack_values(coeffs, self.m)
+        out += BinMatrix(self.r + 1, self.m, coeffs).to_bytes()
         for p in self.colperm:
             out += p.to_bytes(2, "big")
-        out += self.public if self.variant == "dyadic" \
-            else self.public.to_bytes()
+        out += compact_pubkey(self.m, self.r, self.public) \
+            if self.variant == "dyadic" else self.public.to_bytes()
         return bytes(out)
 
     @classmethod
@@ -165,28 +157,27 @@ class KeyPair:
             raise ValueError("inconsistent key dimensions")
         span = (9 + k // r * m * ((r + 7) // 8) if variant == "dyadic"
                 else (k * (n - k) + 7) // 8)
-        pos = 28 + (n * m + 7) // 8 + ((r + 1) * m + 7) // 8 + 2 * n
-        if len(blob) != pos + span:
+        mid = 28 + (n * m + 7) // 8
+        pos = mid + ((r + 1) * m + 7) // 8
+        if len(blob) != pos + 2 * n + span:
             raise ValueError("key file length does not match its header")
-        support, pos = _unpack_values(blob, 28, m, n)
-        coeffs, pos = _unpack_values(blob, pos, m, r + 1)
+        support = BinMatrix.from_bytes(n, m, blob[28:mid]).bits
+        coeffs = BinMatrix.from_bytes(r + 1, m, blob[mid:pos]).bits
         colperm = [int.from_bytes(blob[pos + 2 * j:pos + 2 * j + 2], "big")
                    for j in range(n)]
         if sorted(colperm) != list(range(n)):
             raise ValueError("column order is not a permutation")
         body = blob[pos + 2 * n:]
         if variant == "dyadic":
-            public = bytes(body)
-            pm, pr, pub_matrix = expand_pubkey(public)  # validates structure
-            if (pm, pr, pub_matrix.rows) != (m, r, k):
+            pm, pr, public = expand_pubkey(body)  # validates structure
+            if (pm, pr, public.rows) != (m, r, k):
                 raise ValueError("compact key does not match the key header")
         else:
-            public = pub_matrix = BinMatrix.from_bytes(k, n - k, body)
+            public = BinMatrix.from_bytes(k, n - k, body)
         kp = cls(variant, decoder, w_enc, field, support,
                  Poly(field, coeffs), colperm, public)
         if kp.r != r:
             raise ValueError("inconsistent key dimensions")
-        kp._pub_matrix = pub_matrix
         return kp
 
     def save(self, path):
@@ -238,20 +229,6 @@ class Cryptogram:
             return cls.from_bytes(fh.read())
 
 
-def _pack_values(values, width):
-    acc = 0
-    for i, v in enumerate(values):
-        acc |= v << (i * width)
-    return acc.to_bytes((len(values) * width + 7) // 8, "little")
-
-
-def _unpack_values(blob, pos, width, count):
-    span = (count * width + 7) // 8
-    acc = int.from_bytes(blob[pos:pos + span], "little")
-    mask = (1 << width) - 1
-    return [acc >> (i * width) & mask for i in range(count)], pos + span
-
-
 def keygen(variant, m, n, r, decoder, seed):
     """Deterministic key generation; see the module docstring for the
     seed schedule.  Construction failures raise CodeConstructionError;
@@ -268,11 +245,10 @@ def keygen(variant, m, n, r, decoder, seed):
         g = random_monic_irreducible(field, r, stream.child(b"goppa"))
         support = stream.child(b"support").sample_distinct(field.order, n)
         code = build_code(field, support, g)
-        colperm, pub = systematic(code.parity_bin)
-        if pub.rows != k:
+        if code.k != k:
             raise CodeConstructionError("parity check is rank-deficient")
         return KeyPair(variant, decoder, w_enc, field, code.support,
-                       g, colperm, pub)
+                       g, *code.systematic)
     N = _dyadic_pool_size(m, n)
     if n > N:
         raise CodeConstructionError(
@@ -285,9 +261,8 @@ def keygen(variant, m, n, r, decoder, seed):
                                      seed + b"/blocks/" + bytes([t]))
         except CodeConstructionError:
             continue
-        pub = compact_pubkey(code, r)
         return KeyPair(variant, decoder, w_enc, field, code.support,
-                       code.gpoly, code.colperm, pub)
+                       code.gpoly, *code.systematic)
     raise CodeConstructionError(
         "no systemizable dyadic draw in %d attempts" % KEYGEN_ATTEMPTS)
 
@@ -336,17 +311,7 @@ def encrypt(pk, msg, seed):
     if len(msg) > pk.capacity():
         raise ValueError("payload of %d bytes exceeds capacity %d"
                          % (len(msg), pk.capacity()))
-    block = _wrap(bytes(msg), pk.k)
-    A = pk.pub_matrix()
-    red = 0
-    for i in range(pk.k):
-        if block >> i & 1:
-            red ^= A.row(i)
-    c_sys = block | red << pk.k
-    c = 0
-    for j in range(pk.n):
-        if c_sys >> j & 1:
-            c |= 1 << pk.colperm[j]
+    c = systematic_encode(pk.colperm, pk.public, _wrap(bytes(msg), pk.k))
     stream = SeededStream(bytes(seed)).child(b"err")
     for p in stream.sample_distinct(pk.n, pk.w_enc):
         c ^= 1 << p

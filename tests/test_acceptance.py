@@ -214,7 +214,7 @@ def test_criterion_10_dyadic_structure():
             continue
     else:
         raise AssertionError("no systemizable draw in 64 attempts")
-    blob = compact_pubkey(code, r)
+    blob = compact_pubkey(m, r, code.systematic[1])
     assert (len(blob) - 9) * 8 == m * code.k  # payload is exactly mk bits
     em, er, mat = expand_pubkey(blob)
     assert (em, er) == (m, r)

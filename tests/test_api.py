@@ -1,6 +1,6 @@
 """The public API: every exported name resolves, the README's "Python
-API" section names nothing that is not exported, and the package imports
-nothing outside the standard library."""
+API" section names nothing that is not exported and its example runs,
+and the package imports nothing outside the standard library."""
 
 import ast
 import glob
@@ -35,6 +35,16 @@ def test_readme_api_names_are_exported():
     names = readme_api_names()
     assert {"keygen", "build_code", "sphere_oracle", "SeededStream"} <= names
     assert names <= set(goppacrypt.__all__)
+
+
+def test_readme_api_example_runs():
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Python API", 1)[1].split("\n#", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 1 and "decrypt" in blocks[0]
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert "ct" in namespace  # the example ran to its end
 
 
 def test_package_imports_only_the_standard_library():

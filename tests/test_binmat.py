@@ -4,8 +4,8 @@ import pytest
 
 from goppacrypt.binmat import BinMatrix, rref, transpose
 from testlib import (
-    RankDeficiencyError, from_entries, identity, null_space, permute_cols,
-    systematic_form, transpose_bitloop, vstack,
+    RankDeficiencyError, from_entries, identity, mul_vec_bitloop, null_space,
+    permute_cols, systematic_form, transpose_bitloop, vstack,
 )
 
 
@@ -58,17 +58,18 @@ def test_equality_and_hash():
 
 
 def test_mul_vec_matches_naive():
+    # the digit-string parity against the entry loop, from 0 rows (whose
+    # product is 0) and 1 row up to a few hundred rows and columns
     rng = random.Random(3)
-    for _ in range(40):
-        r, c = rng.randrange(1, 9), rng.randrange(1, 9)
-        M = random_matrix(rng, r, c)
-        x = rng.getrandbits(c)
-        y = M.mul_vec(x)
-        for i in range(r):
-            bit = 0
-            for j in range(c):
-                bit ^= M.get(i, j) & (x >> j & 1)
-            assert y >> i & 1 == bit
+    shapes = [(0, 0), (0, 7), (1, 1), (1, 9), (5, 0), (3, 70)]
+    shapes += [(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in range(40)]
+    shapes += [(rng.randrange(9, 300), rng.randrange(9, 300))
+               for _ in range(8)]
+    for rows, cols in shapes:
+        M = random_matrix(rng, rows, cols)
+        for x in (0, (1 << cols) - 1, rng.getrandbits(cols),
+                  rng.getrandbits(cols + 5)):  # bits past cols are ignored
+            assert M.mul_vec(x) == mul_vec_bitloop(M, x)
 
 
 def test_transpose():

@@ -5,18 +5,19 @@ import pytest
 from goppacrypt import binmat, dyadic
 from goppacrypt.gf2m import make_field
 from goppacrypt.binmat import BinMatrix, rref
-from goppacrypt.goppa import CodeConstructionError, GoppaCode, encode
+from goppacrypt.goppa import CodeConstructionError, encode
 from goppacrypt.decode import patterson_decode, g2_decode
 from goppacrypt.dyadic import (
-    DyadicParams, SignatureExhaustionError, gen_signature, dyadic_check,
+    DyadicParams, SignatureExhaustionError, gen_signature,
     xor_permute, signature_to_code, compact_pubkey, expand_pubkey,
 )
 from goppacrypt.prng import SeededStream
-from goppacrypt.scheme import KEYGEN_ATTEMPTS
+from goppacrypt.scheme import KEYGEN_ATTEMPTS, keygen
 from testlib import (
-    block_invertible, block_mul, block_systemized_generator,
-    xor_permute_bitloop,
+    block_invertible, block_mul, block_systemized_generator, dyadic_check,
+    random_goppa_code, xor_permute_bitloop,
 )
+from test_golden import GOLDEN
 
 
 def make_dyadic(m, n, r, N, tag, attempts=64):
@@ -187,8 +188,11 @@ def test_generator_matches_block_elimination(monkeypatch, m, N, n, r):
                 rejected += 1
                 continue
             assert code.gen.bits == want.bits
-            ref = GoppaCode(field, code.support, code.gpoly, want, range(n))
-            assert compact_pubkey(code, r) == compact_pubkey(ref, r)
+            colperm, A = code.systematic
+            ref = BinMatrix(want.rows, n - want.rows,
+                            [v >> want.rows for v in want.bits])
+            assert colperm == tuple(range(n)) and A == ref
+            assert compact_pubkey(m, r, A) == compact_pubkey(m, r, ref)
             break
     assert rejected
 
@@ -250,7 +254,7 @@ def test_dyadic_decode_roundtrip():
 
 def test_compact_roundtrip():
     _, code = make_dyadic(7, 64, 8, 64, b"pack")
-    blob = compact_pubkey(code, code.r)
+    blob = compact_pubkey(code.field.m, code.r, code.systematic[1])
     assert blob[:4] == b"QDGK"
     assert len(blob) == 9 + (code.k // code.r) * code.field.m * (code.r // 8)
     m, r, A = expand_pubkey(blob)
@@ -261,28 +265,60 @@ def test_compact_roundtrip():
 
 
 def test_compact_rejects_non_dyadic():
-    _, code = make_dyadic(7, 64, 8, 64, b"rej")
-    with pytest.raises(ValueError):
-        compact_pubkey(code, 4)  # wrong block order
-    # flipping a single redundancy bit in one row cannot stay dyadic
-    broken = BinMatrix(code.k, code.n,
-                       [code.gen.row(i) ^ ((1 << code.k) if i == 1 else 0)
-                        for i in range(code.k)])
-    bad = GoppaCode(code.field, code.support, code.gpoly, broken, code.colperm)
-    with pytest.raises(ValueError):
-        compact_pubkey(bad, code.r)
-    # and a broken identity part is caught before the block scan
-    shifted = BinMatrix(code.k, code.n,
-                        [code.gen.row(i) ^ 3 for i in range(code.k)])
-    bad2 = GoppaCode(code.field, code.support, code.gpoly, shifted,
-                     code.colperm)
-    with pytest.raises(ValueError):
-        compact_pubkey(bad2, code.r)
+    # compact_pubkey refuses every A that expand_pubkey would not rebuild:
+    # a flipped bit in the signature row or in a row rebuilt from it, and
+    # every shape that is not k x mr with r a power of two dividing k
+    rng = random.Random(35)
+    for m, N, n, r in ((7, 64, 64, 8), (16, 256, 128, 4)):
+        _, code = make_dyadic(m, n, r, N, b"rej")
+        A = code.systematic[1]
+        assert expand_pubkey(compact_pubkey(m, r, A)) == (m, r, A)
+        for ublk in range(A.rows // r):
+            for row in (ublk * r, ublk * r + 1):
+                bit = 1 << rng.randrange(A.cols)
+                bad = BinMatrix(A.rows, A.cols, [v ^ bit if i == row else v
+                                                 for i, v in enumerate(A.bits)])
+                with pytest.raises(ValueError, match="non-dyadic"):
+                    compact_pubkey(m, r, bad)
+        for args in ((m, r // 2, A),                             # block order
+                     (m + 1, r, A),                              # cols != m*r
+                     (m, r, BinMatrix(A.rows - 1, A.cols, A.bits[1:])),
+                     (m, 3, BinMatrix(6, 3 * m)),                # r = 3
+                     (m, 0, BinMatrix(0, 0))):                   # r = 0
+            with pytest.raises(ValueError, match="shape"):
+                compact_pubkey(*args)
+
+
+@pytest.mark.parametrize("name", ["dyadic-ld", "dyadic-m16", "dyadic-ud"])
+def test_compact_inverts_expand_on_golden_keys(name):
+    args = GOLDEN[name][0]
+    kp = keygen(*args, seed=b"golden/" + name.encode())
+    m, n, r = kp.m, kp.n, kp.r
+    blob = kp.to_bytes()
+    tail = blob[28 + (n * m + 7) // 8 + ((r + 1) * m + 7) // 8 + 2 * n:]
+    assert tail[:4] == b"QDGK"
+    assert compact_pubkey(*expand_pubkey(tail)) == tail
+    assert expand_pubkey(tail) == (m, r, kp.public)
+
+
+def test_encode_matches_generator_rows():
+    rng = random.Random(36)
+    codes = [random_goppa_code(6, 50, 3, rng),
+             make_dyadic(7, 64, 8, 64, b"enc")[1],
+             make_dyadic(16, 128, 4, 256, b"enc")[1]]
+    for code in codes:
+        for _ in range(10):
+            msg = rng.getrandbits(code.k)
+            want = 0
+            for i in range(code.k):
+                if msg >> i & 1:
+                    want ^= code.gen.row(i)
+            assert encode(code, msg) == want
 
 
 def test_expand_rejects_garbage():
     _, code = make_dyadic(7, 64, 8, 64, b"garb")
-    blob = compact_pubkey(code, code.r)
+    blob = compact_pubkey(code.field.m, code.r, code.systematic[1])
     with pytest.raises(ValueError):
         expand_pubkey(b"XXXX" + blob[4:])
     with pytest.raises(ValueError):
@@ -293,7 +329,7 @@ def test_large_field_small_blocks():
     # the m = 16 shape: many short blocks rather than a few long ones
     sig, code = make_dyadic(16, 128, 4, 256, b"wide")
     assert (code.n, code.k, code.r) == (128, 64, 4)
-    blob = compact_pubkey(code, code.r)
+    blob = compact_pubkey(code.field.m, code.r, code.systematic[1])
     m, r, A = expand_pubkey(blob)
     assert (m, r, A.rows, A.cols) == (16, 4, 64, 64)
     rng = random.Random(34)

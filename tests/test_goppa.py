@@ -75,6 +75,21 @@ def test_generator_is_one_elimination_on_first_read(monkeypatch):
     assert code.colperm == tuple(free) + tuple(pivots)
 
 
+def test_k_and_colperm_read_the_systematic_form(monkeypatch):
+    # k, colperm and encode come from (colperm, A); only gen assembles
+    # [I_k | A]
+    rng = random.Random(8)
+    code = random_goppa_code(6, 60, 4, rng)
+    with monkeypatch.context() as patch:
+        patch.setattr(goppa.GoppaCode, "gen", property(
+            lambda code: pytest.fail("generator built")))
+        colperm, A = code.systematic
+        assert (code.k, code.colperm) == (A.rows, colperm)
+        assert A.cols == code.n - code.k
+        word = encode(code, 1)
+    assert word == code.gen.row(0)
+
+
 def test_g_evaluated_once_per_support_point(monkeypatch):
     # the root-of-G check in build_code and row 0 of the alternant table
     # of G share one evaluation of G per support point

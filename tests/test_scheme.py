@@ -4,6 +4,7 @@ import time
 import pytest
 
 from goppacrypt import goppa, scheme
+from goppacrypt.binmat import BinMatrix
 from goppacrypt.goppa import CodeConstructionError
 from goppacrypt.decode import patterson_decode
 from goppacrypt.prng import SeededStream
@@ -151,6 +152,27 @@ def test_generic_public_matrix_matches_null_space(m, n, r, monkeypatch):
     assert kp.public.bits == tuple(_project(v, kp.colperm[kp.k:])
                                    for v in basis.bits)
     assert code.gen == basis
+
+
+def test_dyadic_keygen_builds_no_generator(monkeypatch):
+    want = keygen("dyadic", 10, 256, 16, "ud", b"nogen").to_bytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(goppa.GoppaCode, "gen", property(
+            lambda code: pytest.fail("generator built")))
+        kp = keygen("dyadic", 10, 256, 16, "ud", b"nogen")
+        assert kp.to_bytes() == want
+
+
+@pytest.mark.parametrize("args", [("generic", 8, 200, 12, "ud"),
+                                  ("dyadic", 10, 256, 16, "ud")])
+def test_loaded_public_key_is_the_issued_matrix(args):
+    # both variants hold A itself; a dyadic key file stores it compactly
+    kp = keygen(*args, seed=b"pub")
+    loaded = KeyPair.from_bytes(kp.to_bytes())
+    assert isinstance(kp.public, BinMatrix)
+    assert (kp.public.rows, kp.public.cols) == (kp.k, kp.n - kp.k)
+    assert loaded.public == kp.public
+    assert loaded.colperm == kp.colperm
 
 
 def test_project_mask_matches_loop():

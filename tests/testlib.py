@@ -3,10 +3,11 @@
 Field division and powers, polynomial powers mod G, exhaustive minimum
 distance, a few BinMatrix constructors and reshapes, systematic form,
 and the references that the package's fast kernels are checked against:
-Rabin's irreducibility test, the GF(2) null space, loop versions of
-``dyadic.xor_permute``, the bit-matrix transpose, the GF(2) parity
-check, the syndrome, the locator root search, the square root of x mod
-G and the plaintext projection.  The dyadic generator is checked against
+Rabin's irreducibility test, the GF(2) null space, the dyadic structure
+check, loop versions of ``dyadic.xor_permute``, the bit-matrix transpose
+and matrix-vector product, the GF(2) parity check, the syndrome, the
+locator root search, the square root of x mod G and the plaintext
+projection.  The dyadic generator is checked against
 elimination over the ring of dyadic blocks, and the linear list-decoding
 engine against the flip engine, one degree-2r decode per flip subset.
 """
@@ -182,6 +183,28 @@ def systematic_form(M):
     pivset = set(pivots)
     colperm = pivots + [c for c in range(M.cols) if c not in pivset]
     return permute_cols(R, colperm), colperm
+
+
+def mul_vec_bitloop(M, x):
+    """M * x^T, one entry at a time."""
+    out = 0
+    for i in range(M.rows):
+        bit = 0
+        for j in range(M.cols):
+            bit ^= M.get(i, j) & (x >> j & 1)
+        out |= bit << i
+    return out
+
+
+def dyadic_check(M):
+    """True iff M[i][j] = M[0][i xor j] for all i, j."""
+    rows = len(M)
+    if rows < 1 or rows & (rows - 1):
+        raise ValueError("matrix order must be a power of two")
+    if any(len(row) != rows for row in M):
+        raise ValueError("matrix must be square")
+    return all(M[i][j] == M[0][i ^ j]
+               for i in range(rows) for j in range(rows))
 
 
 def xor_permute_bitloop(bits, p, r):
