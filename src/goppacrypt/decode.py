@@ -1,9 +1,9 @@
 """Error correction for binary Goppa codes.
 
 Three layers: Patterson unique decoding up to r errors, a decoder on the
-degree-2r view (Gamma(L,G) = Gamma(L,G^2)) that backs it up and finds
-the list candidates within r, and list decoding at radii r+1 and r+2
-from one linear key equation.  No radius past r + 2 is decoded.  A
+degree-2r view (Gamma(L,G) = Gamma(L,G^2)) that backs it up, and list
+decoding at radii r+1 and r+2 from one linear key equation.  list_decode
+is the one entry for every radius; no radius past r + 2 is decoded.  A
 brute-force sphere oracle is the ground truth for the list decoders.
 
 Syndromes and error-locator roots both come from the code's bit-sliced
@@ -84,7 +84,9 @@ def _apply_locator(code, y, sigma, modulus):
     if roots.bit_count() != sigma.degree:
         return DecodeResult(())
     word = y ^ roots
-    if not syndrome_poly(code, word, code.gpoly).is_zero():
+    # s_i = sum over k > i of G_k S_(k-1-i) is triangular with G's leading
+    # coefficient on its diagonal: s = 0 iff every alternant syndrome is 0
+    if code.parity_bin.mul_vec(word):
         return DecodeResult(())
     return DecodeResult(((word, sigma.degree),))
 
@@ -129,36 +131,36 @@ def g2_decode(code, y):
 
 
 def list_decode(code, y, tau):
-    """All codewords within distance tau of y.
+    """All codewords within distance tau of y: the one decoding entry.
 
-    tau may reach the binary Johnson limit ceil(tau2) - 1.  Up to r, g2
-    returns the one candidate.  At r+1 and r+2, _linear_engine does: a
-    codeword within 2r - tau is the only one, since d >= 2r + 1; otherwise
-    one key equation has a kernel of dimension tau - r + 1.
+    Up to r, Patterson finds the one candidate (d >= 2r + 1), or g2 if
+    Patterson gives up; only tau >= 0 is checked.  Beyond r, tau may reach
+    the binary Johnson limit ceil(tau2) - 1, and _linear_engine lists r+1
+    and r+2: a codeword within 2r - tau is the only one; otherwise one key
+    equation has a kernel of dimension tau - r + 1.
 
     Past r + 2 there is no engine, and CapacityError comes before any
-    work.  Bivariate interpolation over the evaluation code of dimension
-    n - 2r does not fill the gap on any code with n > m*r: over every
-    m <= 10, n <= 2^m, m*r < n, 4r + 2 <= n and r + 3 <= tau < ceil(tau2)
-    (88,876 cases), and over 864,456 such cases up to m = 16, no
-    multiplicity pair up to 50 gives a system of at most 20,000 GF(2)
-    unknowns.  It lists only codes with n <= m*r, of dimension 0 or 1,
-    which sphere_oracle lists at once.
+    work.  Bivariate interpolation does not fill the gap on any code with
+    n > m*r: over 864,456 shapes up to m = 16, no multiplicity pair up to
+    50 gives a system of at most 20,000 GF(2) unknowns.
     """
+    if tau < 0:
+        raise RadiusError("radius %d is negative" % tau)
+    if tau <= code.r:
+        res = patterson_decode(code, y)
+        if not res.candidates:
+            res = g2_decode(code, y)
+        return DecodeResult(tuple(p for p in res.candidates if p[1] <= tau))
     try:
         limit = radii(code.n, code.r).ld_errors
     except ValueError:
         raise RadiusError("code too short for a real-valued list radius")
-    if tau < 0 or tau > limit:
+    if tau > limit:
         raise RadiusError("radius %d outside [0, %d]" % (tau, limit))
     if tau > code.r + 2:
         raise CapacityError("no decoder reaches radius tau = r + %d"
                             % (tau - code.r))
-    if tau > code.r:
-        return _linear_engine(code, y, tau)
-    res = g2_decode(code, y)
-    return _sorted_result(
-        code.n, [(c, w) for c, w in res.candidates if w <= tau])
+    return _linear_engine(code, y, tau)
 
 
 def _linear_engine(code, y, tau):

@@ -7,7 +7,8 @@ signature) determines it.  Signatures built to satisfy
 blocks.  Invertible dyadic matrices have dyadic inverses, so the
 redundancy part A of the code's systematic generator [I_k | A] is made of
 dyadic blocks too.  A is the public key, and compact_pubkey packs it into
-m*k bits: the first row of each r x r block.
+m*k bits: the first row of each r x r block.  expand_pubkey rebuilds each
+block from that row by doubling, swapping halves of bit groups.
 """
 
 from dataclasses import dataclass
@@ -43,8 +44,11 @@ class DyadicParams:
     m: int
     N: int
     n: int
-    k: int
     r: int
+
+    @property
+    def k(self):
+        return self.n - self.m * self.r
 
     def validate(self):
         if self.r < 1 or self.r & (self.r - 1):
@@ -55,8 +59,6 @@ class DyadicParams:
             raise ValueError("need r <= n <= N")
         if self.N & (self.N - 1):
             raise ValueError("N must be a power of two")
-        if self.k != self.n - self.m * self.r:
-            raise ValueError("k must equal n - m*r")
         if self.k <= 0:
             raise ValueError("parameters leave no dimension")
 
@@ -107,18 +109,6 @@ def gen_signature(field, N, seed):
         omega = stream.randbelow(field.order)
         return DyadicSignature(field, tuple(field.inv(v) for v in e), omega)
     raise SignatureExhaustionError("no admissible signature after 4096 draws")
-
-
-def xor_permute(bits, p, r):
-    """Reindex an r-bit signature: output bit j is input bit j xor p."""
-    b = r >> 1
-    low = (1 << b) - 1  # the low half of every 2b-wide block
-    while b:
-        if p & b:  # swap the two halves
-            bits = (bits & low) << b | (bits >> b) & low
-        b >>= 1
-        low ^= low << b
-    return bits & ((1 << r) - 1)
 
 
 def signature_to_code(sig, params, seed):
@@ -194,25 +184,37 @@ def compact_pubkey(m, r, A):
 
 
 def expand_pubkey(blob):
-    """Inverse of compact_pubkey: returns (m, r, A) with A the k x mr part."""
-    if blob[:4] != b"QDGK" or blob[4] != 1:
+    """Inverse of compact_pubkey: returns (m, r, A) with A the k x mr part.
+
+    Row i of a dyadic block has bit j of row 0 at position j xor i, so for
+    i < b, row i + b is row i with the halves of every 2b-wide group
+    swapped.  Each block doubles from row 0, its m signatures side by
+    side, for b = 1, 2, ..., r/2: one masked shift per row for all planes.
+    m outside 2..16 or m*r >= 2^16 is refused before any allocation: no
+    support of at most 2^16 points leaves room for that parity part.
+    """
+    if len(blob) < 9 or blob[:5] != b"QDGK\x01":
         raise ValueError("not a compact dyadic key")
     m = blob[5]
+    if not 2 <= m <= 16 or m << blob[6] >= 1 << 16:
+        raise ValueError("compact key dimensions out of range")
     r = 1 << blob[6]
-    kblocks = int.from_bytes(blob[7:9], "big")
-    k = kblocks * r
     span = (r + 7) // 8
     body = blob[9:]
-    if len(body) != kblocks * m * span:
+    if len(body) != int.from_bytes(blob[7:9], "big") * m * span:
         raise ValueError("truncated compact key")
-    rows = [0] * k
-    pos = 0
-    for ublk in range(kblocks):
-        for t in range(m):
-            sig = int.from_bytes(body[pos:pos + span], "little")
-            pos += span
-            if sig >> r:
-                raise ValueError("signature bits beyond r")
-            for i in range(r):
-                rows[ublk * r + i] |= xor_permute(sig, i, r) << (t * r)
-    return m, r, BinMatrix(k, m * r, rows)
+    sigs = [int.from_bytes(body[pos:pos + span], "little")
+            for pos in range(0, len(body), span)]
+    if any(sig >> r for sig in sigs):
+        raise ValueError("signature bits beyond r")
+    full = (1 << m * r) - 1
+    # the low b bits of every 2b-wide group, shared by all planes and blocks
+    masks = [(b, full // ((1 << 2 * b) - 1) * ((1 << b) - 1))
+             for b in (1 << j for j in range(blob[6]))]
+    rows = []
+    for pos in range(0, len(sigs), m):
+        block = [sum(sig << t * r for t, sig in enumerate(sigs[pos:pos + m]))]
+        for b, mask in masks:
+            block += [(v & mask) << b | v >> b & mask for v in block]
+        rows += block
+    return m, r, BinMatrix(len(rows), m * r, rows)

@@ -18,7 +18,7 @@ import binascii
 from .gf2m import Field, Poly, make_field, random_monic_irreducible
 from .binmat import BinMatrix
 from .goppa import CodeConstructionError, build_code, systematic_encode
-from .decode import patterson_decode, g2_decode, list_decode
+from .decode import list_decode
 from .dyadic import (
     DyadicParams, gen_signature, signature_to_code,
     compact_pubkey, expand_pubkey,
@@ -153,7 +153,7 @@ class KeyPair:
         field = Field(m, modulus)
         #  the header sizes everything below: check it before any work
         if (r < 1 or n > field.order or k < 1 or k != n - m * r
-                or variant == "dyadic" and k % r):
+                or variant == "dyadic" and (r & (r - 1) or k % r)):
             raise ValueError("inconsistent key dimensions")
         span = (9 + k // r * m * ((r + 7) // 8) if variant == "dyadic"
                 else (k * (n - k) + 7) // 8)
@@ -169,9 +169,10 @@ class KeyPair:
             raise ValueError("column order is not a permutation")
         body = blob[pos + 2 * n:]
         if variant == "dyadic":
-            pm, pr, public = expand_pubkey(body)  # validates structure
-            if (pm, pr, public.rows) != (m, r, k):
+            head = body[5], 1 << body[6], body[7] << 8 | body[8]
+            if head != (m, r, k // r):  # before anything is expanded
                 raise ValueError("compact key does not match the key header")
+            public = expand_pubkey(body)[2]  # validates structure
         else:
             public = BinMatrix.from_bytes(k, n - k, body)
         kp = cls(variant, decoder, w_enc, field, support,
@@ -253,7 +254,7 @@ def keygen(variant, m, n, r, decoder, seed):
     if n > N:
         raise CodeConstructionError(
             "support needs %d points but the pool holds %d" % (n, N))
-    params = DyadicParams(m, N, n, k, r)
+    params = DyadicParams(m, N, n, r)
     for t in range(KEYGEN_ATTEMPTS):
         sig = gen_signature(field, N, seed + b"/sig/" + bytes([t]))
         try:
@@ -321,32 +322,22 @@ def encrypt(pk, msg, seed):
 def decrypt(sk, ct):
     """The unique candidate whose tag verifies.
 
-    Unique decoding runs Patterson with the degree-2r decoder as backup
-    (split Goppa polynomials can make the syndrome non-invertible);
-    list decoding collects every candidate within w_enc.  Zero verified
-    candidates raise NoCandidateError; two or more raise AmbiguityError
-    rather than guessing.  A ciphertext whose length or recorded error
-    weight differs from the key's raises ValueError before any decoding.
+    Both decoders take the candidates within w_enc from one list_decode
+    call: a unique-decoding key (w_enc = r) gets Patterson with the
+    degree-2r decoder as backup, a list-decoding key every codeword
+    within its radius.  Zero verified candidates raise NoCandidateError;
+    two or more raise AmbiguityError rather than guessing.  A ciphertext
+    whose length or recorded error weight differs from the key's raises
+    ValueError before any decoding.
     """
     if ct.n != sk.n:
         raise ValueError("ciphertext length does not match the key")
     if ct.weight != sk.w_enc:
         raise ValueError("ciphertext weight %d does not match the key's %d"
                          % (ct.weight, sk.w_enc))
-    code = sk.code()
-    y = ct.vector
-    if sk.decoder == "ud":
-        res = patterson_decode(code, y)
-        if not res.candidates:
-            res = g2_decode(code, y)
-        pairs = [p for p in res.candidates if p[1] <= sk.w_enc]
-    else:
-        pairs = list(list_decode(code, y, sk.w_enc).candidates)
-    valid = []
-    for c, _ in pairs:
-        msg = _unwrap(_project(c, sk.colperm[:sk.k]), sk.k)
-        if msg is not None:
-            valid.append(msg)
+    pairs = list_decode(sk.code(), ct.vector, sk.w_enc).candidates
+    msgs = [_unwrap(_project(c, sk.colperm[:sk.k]), sk.k) for c, _ in pairs]
+    valid = [msg for msg in msgs if msg is not None]
     if not valid:
         raise NoCandidateError("no decoding candidate carries a valid tag")
     if len(valid) > 1:

@@ -200,7 +200,7 @@ def test_criterion_10_dyadic_structure():
                 assert e[i ^ j] == e[i] ^ e[j] ^ e[0]
     field = make_field(7)
     m, n, r = 7, 64, 8
-    params = DyadicParams(m, 64, n, n - m * r, r)
+    params = DyadicParams(m, 64, n, r)
     for t in range(64):
         sig = gen_signature(field, 64, b"accept/cauchy/%d" % t)
         z = sig.roots(r)

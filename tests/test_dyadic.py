@@ -6,16 +6,17 @@ from goppacrypt import binmat, dyadic
 from goppacrypt.gf2m import make_field
 from goppacrypt.binmat import BinMatrix, rref
 from goppacrypt.goppa import CodeConstructionError, encode
-from goppacrypt.decode import patterson_decode, g2_decode
+from goppacrypt.decode import patterson_decode, g2_decode, list_decode
 from goppacrypt.dyadic import (
     DyadicParams, SignatureExhaustionError, gen_signature,
-    xor_permute, signature_to_code, compact_pubkey, expand_pubkey,
+    signature_to_code, compact_pubkey, expand_pubkey,
 )
 from goppacrypt.prng import SeededStream
 from goppacrypt.scheme import KEYGEN_ATTEMPTS, keygen
 from testlib import (
     block_invertible, block_mul, block_systemized_generator, dyadic_check,
-    random_goppa_code, xor_permute_bitloop,
+    expand_pubkey_rowloop, random_goppa_code, xor_permute,
+    xor_permute_bitloop,
 )
 from test_golden import GOLDEN
 
@@ -24,7 +25,7 @@ def make_dyadic(m, n, r, N, tag, attempts=64):
     # a draw whose last m*r parity columns are singular has no systematic
     # generator, so scan attempt seeds the same way key generation does
     field = make_field(m)
-    params = DyadicParams(m, N, n, n - m * r, r)
+    params = DyadicParams(m, N, n, r)
     for t in range(attempts):
         sig = gen_signature(field, N, tag + b"/sig/%d" % t)
         try:
@@ -166,7 +167,7 @@ def test_generator_matches_block_elimination(monkeypatch, m, N, n, r):
     monkeypatch.setattr(dyadic, "rref", counted_rref)
     monkeypatch.setattr(dyadic, "build_code", captured_build_code)
     field = make_field(m)
-    params = DyadicParams(m, N, n, n - m * r, r)
+    params = DyadicParams(m, N, n, r)
     rejected = 0
     for seed in (b"ref-a", b"ref-b", b"ref-c"):
         for t in range(KEYGEN_ATTEMPTS):
@@ -227,11 +228,9 @@ def test_signature_to_code_rejects_mismatch():
     field = make_field(7)
     sig = gen_signature(field, 64, b"mm")
     with pytest.raises(ValueError):
-        signature_to_code(sig, DyadicParams(7, 128, 64, 8, 8), b"mm")
+        signature_to_code(sig, DyadicParams(7, 128, 64, 8), b"mm")
     with pytest.raises(ValueError):
-        signature_to_code(sig, DyadicParams(7, 64, 64, 9, 8), b"mm")
-    with pytest.raises(ValueError):
-        signature_to_code(sig, DyadicParams(7, 64, 48, -8, 8), b"mm")
+        signature_to_code(sig, DyadicParams(7, 64, 48, 8), b"mm")  # k = -8
 
 
 def test_dyadic_decode_roundtrip():
@@ -246,6 +245,7 @@ def test_dyadic_decode_roundtrip():
         for p in rng.sample(range(code.n), code.r):
             y ^= 1 << p
         assert g2_decode(code, y).candidates == ((c, code.r),)
+        assert list_decode(code, y, code.r).candidates == ((c, code.r),)
         got = patterson_decode(code, y).candidates
         assert got in ((), ((c, code.r),))
         direct += bool(got)
@@ -323,6 +323,9 @@ def test_expand_rejects_garbage():
         expand_pubkey(b"XXXX" + blob[4:])
     with pytest.raises(ValueError):
         expand_pubkey(blob[:-1])
+    for cut in range(9):  # shorter than the header
+        with pytest.raises(ValueError):
+            expand_pubkey(blob[:cut])
 
 
 def test_large_field_small_blocks():
@@ -338,3 +341,43 @@ def test_large_field_small_blocks():
     for p in rng.sample(range(code.n), code.r):
         y ^= 1 << p
     assert patterson_decode(code, y).candidates == ((c, code.r),)
+
+
+def _random_blob(rng, m, r, kblocks):
+    sigs = [rng.getrandbits(r) for _ in range(kblocks * m)]
+    sigs[:2] = [0, (1 << r) - 1][:len(sigs)]
+    span = (r + 7) // 8
+    return (b"QDGK\x01" + bytes((m, r.bit_length() - 1))
+            + kblocks.to_bytes(2, "big")
+            + b"".join(v.to_bytes(span, "little") for v in sigs))
+
+
+def test_expand_matches_row_loop():
+    # doubling from row 0 rebuilds every block as the row-by-row loop does,
+    # and compact_pubkey inverts it
+    rng = random.Random(37)
+    for r in (1, 2, 4, 8, 16, 32, 64):
+        for m in (2, 7, 16):
+            for kblocks in (0, 1, 3):
+                blob = _random_blob(rng, m, r, kblocks)
+                got = expand_pubkey(blob)
+                assert got == expand_pubkey_rowloop(blob)
+                assert got[2].rows == kblocks * r
+                assert compact_pubkey(*got) == blob
+
+
+def test_expand_refuses_padding_bits():
+    rng = random.Random(38)
+    for r in (1, 2, 4):
+        for bit in range(r, 8):
+            blob = bytearray(_random_blob(rng, 3, r, 2))
+            blob[9 + rng.randrange(6)] |= 1 << bit
+            with pytest.raises(ValueError, match="signature bits beyond r"):
+                expand_pubkey(bytes(blob))
+
+
+@pytest.mark.parametrize("m, logr", [(2, 255), (2, 40), (0, 4)])
+def test_expand_refuses_header_dimensions(m, logr):
+    # m outside 2..16 or m*r >= 2^16, before anything is allocated
+    with pytest.raises(ValueError, match="out of range"):
+        expand_pubkey(b"QDGK\x01" + bytes((m, logr)) + b"\0\0")

@@ -6,13 +6,14 @@ import pytest
 from goppacrypt import goppa, scheme
 from goppacrypt.binmat import BinMatrix
 from goppacrypt.goppa import CodeConstructionError
-from goppacrypt.decode import patterson_decode
+from goppacrypt.decode import list_decode, patterson_decode
 from goppacrypt.prng import SeededStream
 from goppacrypt.scheme import (
     AmbiguityError, Cryptogram, KeyPair, NoCandidateError,
     _project, _unwrap, _wrap, decrypt, encrypt, keygen, validate_params,
 )
 from testlib import null_space, project_bitloop
+from test_golden import GOLDEN
 
 
 def roundtrip(kp, trials, tag):
@@ -227,12 +228,25 @@ def test_decrypt_refuses_wrong_weight(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("decoding ran")
-    for name in ("patterson_decode", "g2_decode", "list_decode"):
-        monkeypatch.setattr(scheme, name, refuse)
+    monkeypatch.setattr(scheme, "list_decode", refuse)
     for kp, ct in zip(keys, cts):
         for weight in (0, kp.w_enc - 1, kp.w_enc + 1):
             with pytest.raises(ValueError, match="weight"):
                 decrypt(kp, Cryptogram(kp.n, weight, ct.vector))
+
+
+def test_decrypt_is_one_list_decode_call(monkeypatch):
+    keys = [keygen("generic", 8, 144, 8, d, b"one") for d in ("ud", "ld")]
+    calls = []
+
+    def counted(code, y, tau):
+        calls.append(tau)
+        return list_decode(code, y, tau)
+    monkeypatch.setattr(scheme, "list_decode", counted)
+    for kp in keys:
+        calls.clear()
+        assert decrypt(kp, encrypt(kp, b"1", b"one")) == b"1"
+        assert calls == [kp.w_enc]
 
 
 def test_encrypt_input_errors():
@@ -360,6 +374,36 @@ def test_from_bytes_checks_header_before_work(small_key_blob):
             KeyPair.from_bytes(bytes(blob))
     with pytest.raises(ValueError):
         KeyPair.from_bytes(small_key_blob + b"\0")
+
+
+@pytest.fixture(scope="module")
+def dyadic_key_blob():
+    return keygen(*GOLDEN["dyadic-ud"][0], seed=b"golden/dyadic-ud").to_bytes()
+
+
+@pytest.mark.parametrize("offset, value", [(5, 9), (6, 3), (8, 5)])
+def test_from_bytes_checks_compact_header_before_expanding(
+        dyadic_key_blob, monkeypatch, offset, value):
+    # m, log2 r or k/r of the compact header disagrees with the key header
+    def refuse(blob):
+        raise AssertionError("compact key expanded")
+    kp = KeyPair.from_bytes(dyadic_key_blob)
+    blob = bytearray(dyadic_key_blob)
+    pos = _colperm_offset(kp) + 2 * kp.n + offset
+    assert blob[pos] != value
+    blob[pos] = value
+    monkeypatch.setattr(scheme, "expand_pubkey", refuse)
+    with pytest.raises(ValueError, match="does not match the key header"):
+        KeyPair.from_bytes(bytes(blob))
+
+
+def test_from_bytes_refuses_dyadic_r_not_power_of_two(dyadic_key_blob):
+    # m = 10, n = 240, k = 120, r = 12: consistent but for r
+    blob = bytearray(dyadic_key_blob)
+    for start, value in ((8, 240), (12, 120), (16, 12)):
+        blob[start:start + 4] = value.to_bytes(4, "big")
+    with pytest.raises(ValueError, match="inconsistent key dimensions"):
+        KeyPair.from_bytes(bytes(blob))
 
 
 @pytest.mark.parametrize("case", ["out-of-range", "duplicate"])

@@ -4,7 +4,8 @@ Field division and powers, polynomial powers mod G, exhaustive minimum
 distance, a few BinMatrix constructors and reshapes, systematic form,
 and the references that the package's fast kernels are checked against:
 Rabin's irreducibility test, the GF(2) null space, the dyadic structure
-check, loop versions of ``dyadic.xor_permute``, the bit-matrix transpose
+check, the xor reindexing of a dyadic signature with its bit-loop
+version, the row-by-row compact key expansion, the bit-matrix transpose
 and matrix-vector product, the GF(2) parity check, the syndrome, the
 locator root search, the square root of x mod G and the plaintext
 projection.  The dyadic generator is checked against
@@ -16,7 +17,6 @@ import itertools
 
 from goppacrypt.binmat import BinMatrix, rref
 from goppacrypt.decode import _g2_from_syndrome, _sorted_result
-from goppacrypt.dyadic import xor_permute
 from goppacrypt.goppa import (
     CapacityError, CodeConstructionError, syndrome_poly,
 )
@@ -205,6 +205,43 @@ def dyadic_check(M):
         raise ValueError("matrix must be square")
     return all(M[i][j] == M[0][i ^ j]
                for i in range(rows) for j in range(rows))
+
+
+def xor_permute(bits, p, r):
+    """Reindex an r-bit signature: output bit j is input bit j xor p."""
+    b = r >> 1
+    low = (1 << b) - 1  # the low half of every 2b-wide block
+    while b:
+        if p & b:  # swap the two halves
+            bits = (bits & low) << b | (bits >> b) & low
+        b >>= 1
+        low ^= low << b
+    return bits & ((1 << r) - 1)
+
+
+def expand_pubkey_rowloop(blob):
+    """dyadic.expand_pubkey row by row: one xor_permute per (row, plane)."""
+    if blob[:4] != b"QDGK" or blob[4] != 1:
+        raise ValueError("not a compact dyadic key")
+    m = blob[5]
+    r = 1 << blob[6]
+    kblocks = int.from_bytes(blob[7:9], "big")
+    k = kblocks * r
+    span = (r + 7) // 8
+    body = blob[9:]
+    if len(body) != kblocks * m * span:
+        raise ValueError("truncated compact key")
+    rows = [0] * k
+    pos = 0
+    for ublk in range(kblocks):
+        for t in range(m):
+            sig = int.from_bytes(body[pos:pos + span], "little")
+            pos += span
+            if sig >> r:
+                raise ValueError("signature bits beyond r")
+            for i in range(r):
+                rows[ublk * r + i] |= xor_permute(sig, i, r) << (t * r)
+    return m, r, BinMatrix(k, m * r, rows)
 
 
 def xor_permute_bitloop(bits, p, r):
