@@ -43,17 +43,23 @@ class BinMatrix:
 
     def to_bytes(self):
         """Row-major contiguous bit stream, LSB first within each byte."""
-        total = self.rows * self.cols
-        acc = 0
-        for i, r in enumerate(self.bits):
-            acc |= r << (i * self.cols)
-        return acc.to_bytes((total + 7) // 8, "little")
+        # the rows as base-2 digits, last row first; "0" reads 0 rows as 0
+        spec = "0%db" % self.cols
+        digits = "".join(format(v, spec) for v in reversed(self.bits))
+        return int("0" + digits, 2).to_bytes(
+            (self.rows * self.cols + 7) // 8, "little")
 
     @classmethod
     def from_bytes(cls, rows, cols, data):
-        acc = int.from_bytes(data, "little")
-        mask = (1 << cols) - 1
-        return cls(rows, cols, [(acc >> (i * cols)) & mask for i in range(rows)])
+        """Inverse of to_bytes; bits past rows*cols are ignored."""
+        total = rows * cols
+        if not total:
+            return cls(rows, cols)
+        # exactly total base-2 digits, last row first
+        digits = format(int.from_bytes(data, "little") & ((1 << total) - 1),
+                        "0%db" % total)
+        return cls(rows, cols, [int(digits[p:p + cols], 2)
+                                for p in range(total - cols, -1, -cols)])
 
 
 def rref(M):

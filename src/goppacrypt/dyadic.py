@@ -6,12 +6,18 @@ signature) determines it.  Signatures built to satisfy
 1/(z_i + u_j), which yields a Goppa parity check made of r x r dyadic
 blocks.  Invertible dyadic matrices have dyadic inverses, so the
 redundancy part A of the code's systematic generator [I_k | A] is made of
-dyadic blocks too.  A is the public key, and compact_pubkey packs it into
-m*k bits: the first row of each r x r block.  expand_pubkey rebuilds each
-block from that row by doubling, swapping halves of bit groups.
+dyadic blocks too.  Whether A exists is read off the signature first:
+binary r x r dyadic matrices form a local ring whose residue map is the
+parity, so the signature sums of the last m support blocks decide it,
+and a singular draw is refused before any matrix is built.  A is the
+public key, and compact_pubkey packs it into m*k bits: the first row of
+each r x r block.  expand_pubkey rebuilds each block from that row by
+doubling, swapping halves of bit groups.
 """
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 from .gf2m import Poly
 from .binmat import BinMatrix, rref, transpose
@@ -124,6 +130,21 @@ def signature_to_code(sig, params, seed):
     no systematic form exists and CodeConstructionError is raised.  The
     pair (range(n), A) goes straight into the code, so no generator or
     null space is built.
+
+    Singular draws are refused from the signature sums first, before
+    build_code.  In the Cauchy parity check, support block c is pool
+    block b_c read at offset p_c, and its bit plane beta is the binary
+    dyadic matrix of bit beta of h_{b_c*r + (x xor p_c)}.  Binary r x r
+    dyadic matrices form the group ring GF(2)[(Z/2)^s], r = 2^s, which is
+    local with the parity as its residue map, and a square matrix over a
+    commutative local ring is invertible iff its residue image is.  The
+    image of the last m block columns is m x m with column c equal to the
+    bits of s_c = sum over x < r of h_{b_c*r + x}; the offset only
+    permutes that sum.  Every binary parity check of Gamma(L, G) has the
+    same null space, so the last m*r columns are singular iff the m
+    values s_c are dependent over GF(2).  The pivot check after the
+    elimination stays as a backstop.  The picks and offsets come from
+    this attempt's own stream, so stopping early changes no later draw.
     """
     params.validate()
     field = sig.field
@@ -144,6 +165,17 @@ def signature_to_code(sig, params, seed):
     picks = stream.sample_distinct(len(admissible), n // r)
     blocks = [admissible[i] for i in picks]
     offsets = [stream.randbelow(r) for _ in blocks]
+    # an xor basis of the residues s_c: each kept value is reduced by the
+    # earlier ones, so it is clear at their leading bits
+    basis = []
+    for b in blocks[-m:]:
+        v = reduce(xor, sig.h[b * r:(b + 1) * r])
+        for u in basis:
+            v = min(v, v ^ u)
+        if not v:
+            raise CodeConstructionError(
+                "the last m*r parity columns are singular")
+        basis.append(v)
     support = [points[b * r + (s ^ p)]
                for b, p in zip(blocks, offsets) for s in range(r)]
 

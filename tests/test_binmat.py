@@ -4,8 +4,9 @@ import pytest
 
 from goppacrypt.binmat import BinMatrix, rref, transpose
 from testlib import (
-    RankDeficiencyError, from_entries, identity, mul_vec_bitloop, null_space,
-    permute_cols, systematic_form, transpose_bitloop, vstack,
+    RankDeficiencyError, from_bytes_shiftloop, from_entries, identity,
+    mul_vec_bitloop, null_space, permute_cols, systematic_form,
+    to_bytes_shiftloop, transpose_bitloop, vstack,
 )
 
 
@@ -129,6 +130,28 @@ def test_bytes_roundtrip():
     # row 0 bits 1,0,0,0,1 then row 1 bits 0,1,1,0,0 -> 0b0110...
     packed = 0b10001 | (0b00110 << 5)
     assert M.to_bytes() == packed.to_bytes(2, "little")
+
+
+def test_bytes_match_shift_loop():
+    # the digit-string packing against the per-row shift of one packed int,
+    # on empty shapes, widths on and off byte boundaries and a few hundred
+    # rows, unpacking data that runs short as well
+    rng = random.Random(8)
+    shapes = [(0, 0), (0, 9), (4, 0), (1, 1), (3, 8), (2, 64), (7, 13)]
+    shapes += [(rng.randrange(1, 40), rng.randrange(1, 40))
+               for _ in range(40)]
+    shapes += [(rng.randrange(100, 400), rng.choice((16, 61, 256)))
+               for _ in range(4)]
+    for rows, cols in shapes:
+        M = random_matrix(rng, rows, cols)
+        blob = M.to_bytes()
+        assert blob == to_bytes_shiftloop(M)
+        size = len(blob)
+        # random data sets the padding bits and runs three bytes past them
+        for data in (blob, blob[:size // 2], rng.randbytes(size + 3)):
+            got = BinMatrix.from_bytes(rows, cols, data)
+            assert got == from_bytes_shiftloop(rows, cols, data)
+        assert BinMatrix.from_bytes(rows, cols, blob) == M
 
 
 def test_rref_properties():

@@ -5,7 +5,7 @@ import pytest
 from goppacrypt import binmat, dyadic
 from goppacrypt.gf2m import make_field
 from goppacrypt.binmat import BinMatrix, rref
-from goppacrypt.goppa import CodeConstructionError, encode
+from goppacrypt.goppa import CodeConstructionError, build_code, encode
 from goppacrypt.decode import patterson_decode, g2_decode, list_decode
 from goppacrypt.dyadic import (
     DyadicParams, SignatureExhaustionError, gen_signature,
@@ -15,7 +15,7 @@ from goppacrypt.prng import SeededStream
 from goppacrypt.scheme import KEYGEN_ATTEMPTS, keygen
 from testlib import (
     block_invertible, block_mul, block_systemized_generator, dyadic_check,
-    expand_pubkey_rowloop, random_goppa_code, xor_permute,
+    dyadic_support, expand_pubkey_rowloop, random_goppa_code, xor_permute,
     xor_permute_bitloop,
 )
 from test_golden import GOLDEN
@@ -146,48 +146,58 @@ def test_block_invertible_matches_rank():
             assert block_mul(a, a, r) == 1
 
 
-@pytest.mark.parametrize("m, N, n, r", [
-    (7, 64, 64, 8), (10, 512, 256, 16), (16, 256, 128, 4)])
-def test_generator_matches_block_elimination(monkeypatch, m, N, n, r):
-    # every attempt of keygen's schedule for a few seeds: the same accept
-    # or reject decision and the same generator as elimination over the
-    # ring of dyadic blocks, from exactly one rref per attempt
-    rrefs, built = [], []
+@pytest.fixture
+def counted(monkeypatch):
+    # the rref and build_code calls that signature_to_code makes
+    calls = []
+    real_build_code = dyadic.build_code
 
     def counted_rref(M):
-        rrefs.append(M.rows)
+        calls.append("rref")
         return rref(M)
 
-    def captured_build_code(*args):
-        built.append(real_build_code(*args))
-        return built[-1]
+    def counted_build_code(*args):
+        calls.append("build_code")
+        return real_build_code(*args)
 
-    real_build_code = dyadic.build_code
     monkeypatch.setattr(binmat, "rref", counted_rref)
     monkeypatch.setattr(dyadic, "rref", counted_rref)
-    monkeypatch.setattr(dyadic, "build_code", captured_build_code)
+    monkeypatch.setattr(dyadic, "build_code", counted_build_code)
+    return calls
+
+
+@pytest.mark.parametrize("m, N, n, r", [
+    (7, 64, 64, 8), (10, 512, 256, 16), (16, 256, 128, 4)])
+def test_generator_matches_block_elimination(counted, m, N, n, r):
+    # every attempt of keygen's schedule for a few seeds: the same accept
+    # or reject decision and the same generator as elimination over the
+    # ring of dyadic blocks; an accepted attempt makes one rref and one
+    # build_code, and a refused one neither, since the signature sums
+    # refuse it first
     field = make_field(m)
     params = DyadicParams(m, N, n, r)
     rejected = 0
     for seed in (b"ref-a", b"ref-b", b"ref-c"):
         for t in range(KEYGEN_ATTEMPTS):
             sig = gen_signature(field, N, seed + b"/sig/" + bytes([t]))
-            rrefs.clear()
-            built.clear()
+            blk_seed = seed + b"/blocks/" + bytes([t])
+            counted.clear()
             try:
-                code = signature_to_code(sig, params,
-                                         seed + b"/blocks/" + bytes([t]))
+                code = signature_to_code(sig, params, blk_seed)
             except CodeConstructionError:
                 code = None
-            assert len(rrefs) == 1 and len(built) == 1
+            assert counted == ([] if code is None else ["build_code", "rref"])
+            gpoly, support = dyadic_support(sig, params, blk_seed)
             try:
-                want = block_systemized_generator(built[0], sig)
+                want = block_systemized_generator(
+                    build_code(field, support, gpoly), sig)
             except CodeConstructionError:
                 want = None
             assert (code is None) == (want is None)
             if code is None:
                 rejected += 1
                 continue
+            assert code.support == tuple(support) and code.gpoly == gpoly
             assert code.gen.bits == want.bits
             colperm, A = code.systematic
             ref = BinMatrix(want.rows, n - want.rows,
@@ -196,6 +206,45 @@ def test_generator_matches_block_elimination(monkeypatch, m, N, n, r):
             assert compact_pubkey(m, r, A) == compact_pubkey(m, r, ref)
             break
     assert rejected
+
+
+@pytest.mark.parametrize("m, N, n, r, attempts", [
+    (8, 128, 128, 1, 16), (8, 64, 64, 2, 16), (10, 512, 256, 16, 12),
+    (16, 512, 512, 2, 6), (16, 1024, 1024, 8, 6)])
+def test_signature_sums_decide_like_rref(counted, m, N, n, r, attempts):
+    # a seeded grid of attempts, fewer where the block reference is slow
+    # (it costs m^2 n/r block products): the sums decision of
+    # signature_to_code, the pivots of one elimination of the rotated
+    # parity check and elimination over the ring of dyadic blocks all
+    # agree, and once the sums pass, the pivot check after rref never
+    # refuses
+    field = make_field(m)
+    params = DyadicParams(m, N, n, r)
+    mr, k = m * r, n - m * r
+    verdicts = []
+    for t in range(attempts):
+        sig = gen_signature(field, N, b"grid/sig/%d" % t)
+        blk_seed = b"grid/blocks/%d" % t
+        counted.clear()
+        try:
+            signature_to_code(sig, params, blk_seed)
+            by_sums = True
+        except CodeConstructionError:
+            by_sums = False
+        assert counted == (["build_code", "rref"] if by_sums else [])
+        gpoly, support = dyadic_support(sig, params, blk_seed)
+        code = build_code(field, support, gpoly)
+        _, _, pivots = rref(BinMatrix(mr, n, [
+            v >> k | (v & (1 << k) - 1) << mr for v in code.parity_bin.bits]))
+        by_rref = pivots == list(range(mr))
+        try:
+            block_systemized_generator(code, sig)
+            by_blocks = True
+        except CodeConstructionError:
+            by_blocks = False
+        assert by_sums == by_rref == by_blocks
+        verdicts.append(by_sums)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_signature_to_code_shape():

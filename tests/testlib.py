@@ -2,9 +2,10 @@
 
 Field division and powers, polynomial powers mod G, exhaustive minimum
 distance, a few BinMatrix constructors and reshapes, systematic form,
-and the references that the package's fast kernels are checked against:
-Rabin's irreducibility test, the GF(2) null space, the dyadic structure
-check, the xor reindexing of a dyadic signature with its bit-loop
+the support draw of a dyadic attempt, and the references that the
+package's fast kernels are checked against: Rabin's irreducibility
+test, the GF(2) null space, the shift-loop byte packing, the dyadic
+structure check, the xor reindexing of a dyadic signature with its bit-loop
 version, the row-by-row compact key expansion, the bit-matrix transpose
 and matrix-vector product, the GF(2) parity check, the syndrome, the
 locator root search, the square root of x mod G and the plaintext
@@ -21,6 +22,7 @@ from goppacrypt.goppa import (
     CapacityError, CodeConstructionError, syndrome_poly,
 )
 from goppacrypt.gf2m import NEG_INF, Poly, _square_mod, poly_gcd
+from goppacrypt.prng import SeededStream
 
 
 def field_div(field, a, b):
@@ -185,6 +187,22 @@ def systematic_form(M):
     return permute_cols(R, colperm), colperm
 
 
+def to_bytes_shiftloop(M):
+    """BinMatrix.to_bytes by shifting each row into one packed int."""
+    acc = 0
+    for i, r in enumerate(M.bits):
+        acc |= r << (i * M.cols)
+    return acc.to_bytes((M.rows * M.cols + 7) // 8, "little")
+
+
+def from_bytes_shiftloop(rows, cols, data):
+    """BinMatrix.from_bytes by shifting the packed int once per row."""
+    acc = int.from_bytes(data, "little")
+    mask = (1 << cols) - 1
+    return BinMatrix(rows, cols,
+                     [(acc >> (i * cols)) & mask for i in range(rows)])
+
+
 def mul_vec_bitloop(M, x):
     """M * x^T, one entry at a time."""
     out = 0
@@ -265,6 +283,23 @@ def block_mul(a, b, r):
 def block_invertible(a):
     # Delta(a)^2 = parity(a) * I, so odd parity means Delta(a)^-1 = Delta(a)
     return a.bit_count() & 1 == 1
+
+
+def dyadic_support(sig, params, seed):
+    """(G, support) of dyadic.signature_to_code's draw, rebuilt here so
+    that attempts the package refuses before build_code can be built."""
+    r = params.r
+    zroots = sig.roots(r)
+    points = sig.points()
+    admissible = [t for t in range(params.N // r)
+                  if not set(zroots) & set(points[t * r:(t + 1) * r])]
+    stream = SeededStream(seed)
+    blocks = [admissible[i] for i in
+              stream.sample_distinct(len(admissible), params.n // r)]
+    offsets = [stream.randbelow(r) for _ in blocks]
+    return (Poly.from_roots(sig.field, zroots),
+            [points[b * r + (s ^ p)] for b, p in zip(blocks, offsets)
+             for s in range(r)])
 
 
 def block_systemized_generator(code, sig):
