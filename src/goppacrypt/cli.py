@@ -74,6 +74,8 @@ def _rate(n, m, r, decoder):
 
 def _min_feasible(m, r, decoder, target, lo, hi, step):
     # workfactor grows with n at fixed (m, r), so bisect the grid
+    if lo > hi:
+        return None
     got = _rate(hi, m, r, decoder)
     if got is None or got[0] < target:
         return None
@@ -91,17 +93,18 @@ def search_params(target, variant, decoder, countermeasure="none"):
     """Smallest-key parameter row with WF >= target, or None.
 
     Ties break deterministically on (keysize, n, m).  The dyadic grid
-    walks r over powers of two with r | n; cm1 caps n below r(r+1) and
-    cm2 restricts to m = 16.  The search scores the design dimension
-    k = n - mr; key generation still validates per instance.
+    walks r over powers of two with r | n, the generic grid every r.  For
+    both, cm1 caps n below r(r+1) and cm2 restricts to m = 16.  The
+    search scores the design dimension k = n - mr; key generation still
+    validates per instance.
     """
     if not 60 <= target <= 300:
         raise ValueError("target workfactor must lie in [60, 300]")
     best = None
     for m in range(10, 17):
+        if countermeasure == "cm2" and m < 16:
+            continue
         if variant == "dyadic":
-            if countermeasure == "cm2" and m < 16:
-                continue
             r = 2
             while (m + 1) * r <= (1 << m):
                 hi = 1 << m
@@ -110,13 +113,12 @@ def search_params(target, variant, decoder, countermeasure="none"):
                 lo = (m + 1) * r
                 if decoder == "ld":
                     lo = max(lo, -(-(4 * r + 2) // r) * r)
-                if lo <= hi:
-                    n = _min_feasible(m, r, decoder, target, lo, hi, r)
-                    if n is not None:
-                        k = n - m * r
-                        cand = (m * k, n, m, r, k)
-                        if best is None or cand[:3] < best[:3]:
-                            best = cand
+                n = _min_feasible(m, r, decoder, target, lo, hi, r)
+                if n is not None:
+                    k = n - m * r
+                    cand = (m * k, n, m, r, k)
+                    if best is None or cand[:3] < best[:3]:
+                        best = cand
                 r *= 2
         else:
             # small r cannot reach the target at all, so the miss
@@ -126,8 +128,10 @@ def search_params(target, variant, decoder, countermeasure="none"):
             r = 0
             while misses < 25 and m * (r + 1) + 1 <= (1 << m):
                 r += 1
-                n = _min_feasible(m, r, decoder, target,
-                                  m * r + 1, 1 << m, 1)
+                hi = 1 << m
+                if countermeasure == "cm1":
+                    hi = min(hi, r * (r + 1) - 1)
+                n = _min_feasible(m, r, decoder, target, m * r + 1, hi, 1)
                 improved = False
                 if n is not None:
                     seen_feasible = True

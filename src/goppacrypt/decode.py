@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .gf2m import Poly, eea_stop, poly_invmod, poly_sqrt_mod
-from .goppa import CapacityError, syndrome_poly
+from .goppa import CapacityError, encode, syndrome_poly
 from .security import radii
 
 
@@ -253,11 +253,12 @@ def sphere_oracle(code, y, tau):
         raise CapacityError("both enumeration bounds exceeded")
     out = []
     if by_codeword and (not by_pattern or (1 << code.k) <= patterns):
+        rows = [encode(code, 1 << i) for i in range(code.k)]
         word = 0
         if (word ^ y).bit_count() <= tau:
             out.append((word, (word ^ y).bit_count()))
         for i in range(1, 1 << code.k):
-            word ^= code.gen.row((i & -i).bit_length() - 1)
+            word ^= rows[(i & -i).bit_length() - 1]
             dist = (word ^ y).bit_count()
             if dist <= tau:
                 out.append((word, dist))

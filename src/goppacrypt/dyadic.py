@@ -4,15 +4,16 @@ A dyadic matrix Delta(h) has entries h_{i xor j}, so its first row (the
 signature) determines it.  Signatures built to satisfy
 1/h_{i xor j} = 1/h_i + 1/h_j + 1/h_0 make Delta(h) a Cauchy matrix
 1/(z_i + u_j), which yields a Goppa parity check made of r x r dyadic
-blocks.  Invertible dyadic matrices have dyadic inverses, so the
-redundancy part A of the code's systematic generator [I_k | A] is made of
-dyadic blocks too.  Whether A exists is read off the signature first:
-binary r x r dyadic matrices form a local ring whose residue map is the
-parity, so the signature sums of the last m support blocks decide it,
-and a singular draw is refused before any matrix is built.  A is the
-public key, and compact_pubkey packs it into m*k bits: the first row of
-each r x r block.  expand_pubkey rebuilds each block from that row by
-doubling, swapping halves of bit groups.
+blocks.  A signature is kept as e_i = 1/h_i, from which the roots z and
+the support pool u are xors.  Invertible dyadic matrices have dyadic
+inverses, so the redundancy part A of the code's systematic generator
+[I_k | A] is made of dyadic blocks too.  Whether A exists is read off the
+signature first: binary r x r dyadic matrices form a local ring whose
+residue map is the parity, so the signature sums of the last m support
+blocks decide it, and a singular draw is refused before any matrix is
+built.  A is the public key, and compact_pubkey packs it into m*k bits:
+the first row of each r x r block.  expand_pubkey rebuilds each block
+from that row by doubling, swapping halves of bit groups.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from functools import reduce
 from operator import xor
 
 from .gf2m import Poly
-from .binmat import BinMatrix, rref, transpose
+from .binmat import BinMatrix
 from .goppa import GoppaCode, CodeConstructionError, build_code
 from .prng import SeededStream
 
@@ -31,18 +32,29 @@ class SignatureExhaustionError(RuntimeError):
 
 @dataclass(frozen=True)
 class DyadicSignature:
+    """A dyadic signature held as e_i = 1/h_i, with the offset omega.
+
+    From gen_signature, e_{i xor j} = e_i + e_j + e_0, so e is e_0 plus
+    the span V of the offsets e_b + e_0, b a power of two, and e_0 is
+    outside V.
+    """
+
     field: object
-    h: tuple
+    e: tuple
     omega: int
 
+    @property
+    def h(self):
+        return tuple(self.field.inv(v) for v in self.e)
+
     def roots(self, r):
-        # z_i = 1/h_i + omega, the Goppa polynomial roots
-        return [self.field.inv(self.h[i]) ^ self.omega for i in range(r)]
+        # z_i = 1/h_i + omega, the Goppa polynomial roots, in e_0 + V + omega
+        return [v ^ self.omega for v in self.e[:r]]
 
     def points(self):
-        # u_j = 1/h_j + 1/h_0 + omega, the support pool
-        e0 = self.field.inv(self.h[0])
-        return [self.field.inv(v) ^ e0 ^ self.omega for v in self.h]
+        # u_j = 1/h_j + 1/h_0 + omega, the support pool, in V + omega
+        shift = self.e[0] ^ self.omega
+        return [v ^ shift for v in self.e]
 
 
 @dataclass(frozen=True)
@@ -69,14 +81,29 @@ class DyadicParams:
             raise ValueError("parameters leave no dimension")
 
 
+def _independent(basis, v):
+    """True, and v kept in the xor basis, iff v is outside its span.
+
+    Each kept value is reduced by the earlier ones, so it is clear at
+    their leading bits, and one pass reduces v to 0 iff v is in the span.
+    """
+    for u in basis:
+        v = min(v, v ^ u)
+    if v:
+        basis.append(v)
+    return bool(v)
+
+
 def gen_signature(field, N, seed):
     """Deterministic dyadic signature over GF(2^m) with N = 2^nu entries.
 
-    Draws h_0 and the h at power-of-two indices from the seeded stream and
-    fills the rest through the dyadic-Cauchy identity; any zero or repeat
-    among the 1/h_i rejects the attempt and redraws.  N above 2^(m-1) is
-    refused outright: the N values 1/h_i together with the N offsets
-    1/h_j + 1/h_0 would need 2N distinct field elements.
+    Draws h_0 and the h_b at powers of two b from the seeded stream and
+    fills e = 1/h by doubling: e_{b+i} = e_i + d for i < b, with offset
+    d = 1/h_b + e_0.  The N values e_i are distinct and nonzero iff each
+    d is independent over GF(2) of e_0 and the earlier offsets; a zero
+    h_b or a dependent d rejects the attempt and redraws.  N above
+    2^(m-1) is refused outright: the N values 1/h_i together with the N
+    offsets 1/h_j + 1/h_0 would need 2N distinct field elements.
     """
     if N < 1 or N & (N - 1):
         raise ValueError("N must be a power of two")
@@ -84,36 +111,24 @@ def gen_signature(field, N, seed):
         raise ValueError("N may not exceed half the field size")
     if not seed:
         raise ValueError("seed must be nonempty")
-    nu = N.bit_length() - 1
     stream = SeededStream(seed)
     for _ in range(4096):
         h0 = stream.randbelow(field.order)
         if h0 == 0:
             continue
-        e = [0] * N
-        e[0] = field.inv(h0)
-        seen = {e[0]}
-        ok = True
-        for j in range(nu):
-            b = 1 << j
+        e = [field.inv(h0)]
+        basis = [e[0]]
+        while len(e) < N:
             hb = stream.randbelow(field.order)
             if hb == 0:
-                ok = False
                 break
-            eb = field.inv(hb)
-            for i in range(b):
-                v = e[i] ^ eb ^ e[0]
-                if v == 0 or v in seen:
-                    ok = False
-                    break
-                e[b ^ i] = v
-                seen.add(v)
-            if not ok:
+            d = field.inv(hb) ^ e[0]
+            if not _independent(basis, d):
                 break
-        if not ok:
-            continue
-        omega = stream.randbelow(field.order)
-        return DyadicSignature(field, tuple(field.inv(v) for v in e), omega)
+            e += [v ^ d for v in e]
+        else:
+            omega = stream.randbelow(field.order)
+            return DyadicSignature(field, tuple(e), omega)
     raise SignatureExhaustionError("no admissible signature after 4096 draws")
 
 
@@ -121,15 +136,17 @@ def signature_to_code(sig, params, seed):
     """Goppa code with dyadic Cauchy parity and block-systematic form.
 
     The support is n/r whole dyadic blocks of the u_j pool, block choice
-    and per-block xor offsets drawn from the seed.  The code's systematic
-    form is [I_k | A] on the identity column order, with every r x r
-    block of A dyadic.  Every binary parity check of Gamma(L, G) has the
-    code as its null space, so all share one row space, and that form is
-    unique when it exists.  It comes from one elimination of parity_bin
-    with its last m*r columns moved first; if those columns are singular,
-    no systematic form exists and CodeConstructionError is raised.  The
-    pair (range(n), A) goes straight into the code, so no generator or
-    null space is built.
+    and per-block xor offsets drawn from the seed.  No support point is a
+    root of G: with V the span of the signature's offsets, the roots lie
+    in e_0 + V + omega, the pool in V + omega, and e_0 is outside V.  The
+    code's systematic form is [I_k | A] on the identity column order,
+    with every r x r block of A dyadic; every binary parity check of
+    Gamma(L, G) has the code as its null space, so that form is unique
+    when it exists.  A is read off the systematic form of the same code
+    on the support with its last m*r points moved first, whose one
+    elimination must pivot on exactly those points; otherwise no
+    systematic form exists and CodeConstructionError is raised.  No
+    generator or null space is built.
 
     Singular draws are refused from the signature sums first, before
     build_code.  In the Cauchy parity check, support block c is pool
@@ -140,55 +157,38 @@ def signature_to_code(sig, params, seed):
     commutative local ring is invertible iff its residue image is.  The
     image of the last m block columns is m x m with column c equal to the
     bits of s_c = sum over x < r of h_{b_c*r + x}; the offset only
-    permutes that sum.  Every binary parity check of Gamma(L, G) has the
-    same null space, so the last m*r columns are singular iff the m
-    values s_c are dependent over GF(2).  The pivot check after the
-    elimination stays as a backstop.  The picks and offsets come from
-    this attempt's own stream, so stopping early changes no later draw.
+    permutes that sum.  As all binary parity checks share one null
+    space, the last m*r columns are singular iff the m values s_c are
+    dependent over GF(2), and the pivot check after the elimination is a
+    backstop.  The picks and offsets come from this attempt's own
+    stream, so stopping early changes no later draw.
     """
     params.validate()
     field = sig.field
     m, n, r, N, k = params.m, params.n, params.r, params.N, params.k
-    if field.m != m or len(sig.h) != N:
+    if field.m != m or len(sig.e) != N:
         raise ValueError("signature does not match the parameter set")
 
-    zroots = sig.roots(r)
-    gpoly = Poly.from_roots(field, zroots)
-    points = sig.points()
-    rootset = set(zroots)
-    admissible = [t for t in range(N // r)
-                  if not any(points[t * r + s] in rootset for s in range(r))]
-    if len(admissible) < n // r:
-        raise CodeConstructionError("not enough admissible support blocks")
-
     stream = SeededStream(seed)
-    picks = stream.sample_distinct(len(admissible), n // r)
-    blocks = [admissible[i] for i in picks]
+    blocks = stream.sample_distinct(N // r, n // r)
     offsets = [stream.randbelow(r) for _ in blocks]
-    # an xor basis of the residues s_c: each kept value is reduced by the
-    # earlier ones, so it is clear at their leading bits
     basis = []
     for b in blocks[-m:]:
-        v = reduce(xor, sig.h[b * r:(b + 1) * r])
-        for u in basis:
-            v = min(v, v ^ u)
-        if not v:
+        s = reduce(xor, map(field.inv, sig.e[b * r:(b + 1) * r]))
+        if not _independent(basis, s):
             raise CodeConstructionError(
                 "the last m*r parity columns are singular")
-        basis.append(v)
+    points = sig.points()
     support = [points[b * r + (s ^ p)]
                for b, p in zip(blocks, offsets) for s in range(r)]
+    gpoly = Poly.from_roots(field, sig.roots(r))
 
-    parity = build_code(field, support, gpoly).parity_bin
-    mr = n - k
-    low = (1 << k) - 1
-    # rotate each row so the last m*r columns come first and hold the pivots
-    R, _, pivots = rref(BinMatrix(mr, n, [
-        v >> k | (v & low) << mr for v in parity.bits]))
-    if pivots != list(range(mr)):
+    # on the rotated support, column j < k sits at mr + j; if the
+    # elimination pivots on columns 0..mr-1, its A is that of the
+    # identity order
+    colperm, A = build_code(field, support[k:] + support[:k], gpoly).systematic
+    if colperm[k:] != tuple(range(n - k)):
         raise CodeConstructionError("the last m*r parity columns are singular")
-    # R = [I_mr | B] with B over the first k columns, and A is B transposed
-    A = transpose(BinMatrix(mr, k, [v >> mr for v in R.bits]))
     return GoppaCode(field, support, gpoly, (tuple(range(n)), A))
 
 

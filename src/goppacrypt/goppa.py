@@ -50,7 +50,7 @@ class GoppaCode:
     """
 
     __slots__ = ("field", "support", "gpoly", "n", "r",
-                 "_systematic", "_gen", "_cache")
+                 "_systematic", "_cache")
 
     def __init__(self, field, support, gpoly, systematic=None):
         self.field = field
@@ -59,7 +59,6 @@ class GoppaCode:
         self.n = len(self.support)
         self.r = gpoly.degree
         self._systematic = systematic
-        self._gen = None
         self._cache = {}
 
     def alternant(self, modulus):
@@ -112,15 +111,6 @@ class GoppaCode:
             self._systematic = (tuple(free + pivots), BinMatrix(
                 len(free), rank, [cols[c] for c in free]))
         return self._systematic
-
-    @property
-    def gen(self):
-        if self._gen is None:  # column colperm[i] is e_i, then A's columns
-            colperm, A = self.systematic
-            cols = [1 << i for i in range(A.rows)] + list(transpose(A).bits)
-            cols = [v for _, v in sorted(zip(colperm, cols))]
-            self._gen = transpose(BinMatrix(self.n, A.rows, cols))
-        return self._gen
 
     @property
     def colperm(self):

@@ -6,6 +6,7 @@ import pytest
 
 from goppacrypt.cli import main, search_params
 from goppacrypt.scheme import KeyPair
+from goppacrypt.security import check_countermeasures
 
 TABLE_HEADER = "method,m,n,k,r,tau2,wf,keysize,gain,status"
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -124,6 +125,19 @@ def test_search_generic(capsys):
     fields = out.splitlines()[1].split(",")
     assert int(fields[7]) == 629013  # beats the published 631840
     assert float(fields[6]) >= 80
+
+
+@pytest.mark.parametrize("target, cm", [("128", "cm2"), ("80", "cm1")])
+def test_search_generic_honours_countermeasure(capsys, target, cm):
+    # the generic grid caps n below r(r+1) under cm1 and keeps m = 16
+    # under cm2, as the dyadic grid does
+    code, out, _ = run(capsys, ["search", target, "--variant", "generic",
+                                "--decoder", "ud", "--countermeasure", cm])
+    assert code == 0
+    fields = out.splitlines()[1].split(",")
+    m, n, r = int(fields[1]), int(fields[2]), int(fields[4])
+    assert getattr(check_countermeasures(m, n, r), cm)
+    assert float(fields[6]) >= float(target)
 
 
 def test_search_params_fields():

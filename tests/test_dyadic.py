@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from goppacrypt import binmat, dyadic
+from goppacrypt import binmat, dyadic, goppa
 from goppacrypt.gf2m import make_field
 from goppacrypt.binmat import BinMatrix, rref
 from goppacrypt.goppa import CodeConstructionError, build_code, encode
@@ -15,8 +16,8 @@ from goppacrypt.prng import SeededStream
 from goppacrypt.scheme import KEYGEN_ATTEMPTS, keygen
 from testlib import (
     block_invertible, block_mul, block_systemized_generator, dyadic_check,
-    dyadic_support, expand_pubkey_rowloop, random_goppa_code, xor_permute,
-    xor_permute_bitloop,
+    dyadic_support, expand_pubkey_rowloop, gen, gen_signature_filled,
+    random_goppa_code, xor_permute, xor_permute_bitloop,
 )
 from test_golden import GOLDEN
 
@@ -55,6 +56,23 @@ def test_signature_identity_and_distinctness():
             for i in range(N):
                 for j in range(N):
                     assert e[i ^ j] == e[i] ^ e[j] ^ e[0]
+            assert not set(sig.roots(N)) & set(sig.points())
+
+
+def test_gen_signature_matches_entry_fill():
+    # doubling under the independence rule refuses the same draws, at the
+    # same step, as filling e entry by entry and refusing zeros and
+    # repeats, so both read the seeded stream alike; m = 4, N = 8 has
+    # 2N equal to the field order
+    refusals = Counter()
+    for m, N, seeds in ((4, 8, 40), (4, 1, 4), (5, 16, 20), (7, 64, 10),
+                        (10, 2, 4), (10, 512, 4), (16, 256, 4)):
+        field = make_field(m)
+        for s in range(seeds):
+            seed = b"fill/%d/%d/%d" % (m, N, s)
+            assert gen_signature(field, N, seed) == \
+                gen_signature_filled(field, N, seed, refusals)
+    assert refusals["h_b = 0"] and refusals["zero or repeat"]
 
 
 def test_signature_is_cauchy():
@@ -161,7 +179,7 @@ def counted(monkeypatch):
         return real_build_code(*args)
 
     monkeypatch.setattr(binmat, "rref", counted_rref)
-    monkeypatch.setattr(dyadic, "rref", counted_rref)
+    monkeypatch.setattr(goppa, "rref", counted_rref)
     monkeypatch.setattr(dyadic, "build_code", counted_build_code)
     return calls
 
@@ -198,7 +216,7 @@ def test_generator_matches_block_elimination(counted, m, N, n, r):
                 rejected += 1
                 continue
             assert code.support == tuple(support) and code.gpoly == gpoly
-            assert code.gen.bits == want.bits
+            assert gen(code).bits == want.bits
             colperm, A = code.systematic
             ref = BinMatrix(want.rows, n - want.rows,
                             [v >> want.rows for v in want.bits])
@@ -253,14 +271,15 @@ def test_signature_to_code_shape():
     assert code.colperm == tuple(range(64))
     assert code.gpoly.degree == 8
     assert len(set(code.support)) == 64
+    G = gen(code)
     for i in range(code.k):
-        assert code.parity_bin.mul_vec(code.gen.row(i)) == 0
-        assert code.gen.row(i) & ((1 << code.k) - 1) == 1 << i
+        assert code.parity_bin.mul_vec(G.row(i)) == 0
+        assert G.row(i) & ((1 << code.k) - 1) == 1 << i
     # every r x r block of the redundancy part is dyadic
     r = code.r
     for ublk in range(code.k // r):
         for t in range(code.field.m):
-            block = [[code.gen.row(ublk * r + i) >> (code.k + t * r + j) & 1
+            block = [[G.row(ublk * r + i) >> (code.k + t * r + j) & 1
                       for j in range(r)] for i in range(r)]
             assert dyadic_check(block)
 
@@ -270,7 +289,7 @@ def test_signature_to_code_determinism():
     b_sig, b = make_dyadic(7, 64, 8, 64, b"det")
     assert a_sig == b_sig
     assert a.support == b.support
-    assert a.gen.bits == b.gen.bits
+    assert gen(a).bits == gen(b).bits
 
 
 def test_signature_to_code_rejects_mismatch():
@@ -309,7 +328,7 @@ def test_compact_roundtrip():
     m, r, A = expand_pubkey(blob)
     assert (m, r) == (code.field.m, code.r)
     want = BinMatrix(code.k, code.n - code.k,
-                     [code.gen.row(i) >> code.k for i in range(code.k)])
+                     [v >> code.k for v in gen(code).bits])
     assert A.bits == want.bits
 
 
@@ -356,12 +375,13 @@ def test_encode_matches_generator_rows():
              make_dyadic(7, 64, 8, 64, b"enc")[1],
              make_dyadic(16, 128, 4, 256, b"enc")[1]]
     for code in codes:
+        G = gen(code)
         for _ in range(10):
             msg = rng.getrandbits(code.k)
             want = 0
-            for i in range(code.k):
+            for i, row in enumerate(G.bits):
                 if msg >> i & 1:
-                    want ^= code.gen.row(i)
+                    want ^= row
             assert encode(code, msg) == want
 
 

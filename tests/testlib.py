@@ -2,22 +2,24 @@
 
 Field division and powers, polynomial powers mod G, exhaustive minimum
 distance, a few BinMatrix constructors and reshapes, systematic form,
-the support draw of a dyadic attempt, and the references that the
-package's fast kernels are checked against: Rabin's irreducibility
-test, the GF(2) null space, the shift-loop byte packing, the dyadic
-structure check, the xor reindexing of a dyadic signature with its bit-loop
-version, the row-by-row compact key expansion, the bit-matrix transpose
-and matrix-vector product, the GF(2) parity check, the syndrome, the
-locator root search, the square root of x mod G and the plaintext
-projection.  The dyadic generator is checked against
-elimination over the ring of dyadic blocks, and the linear list-decoding
-engine against the flip engine, one degree-2r decode per flip subset.
+a code's generator matrix, the support draw of a dyadic attempt, and the
+references that the package's fast kernels are checked against: Rabin's
+irreducibility test, the GF(2) null space, the shift-loop byte packing,
+the entry-by-entry dyadic signature fill, the dyadic structure check,
+the xor reindexing of a dyadic signature with its bit-loop version, the
+row-by-row compact key expansion, the bit-matrix transpose and
+matrix-vector product, the GF(2) parity check, the syndrome, the locator
+root search, the square root of x mod G and the plaintext projection.
+The dyadic generator is checked against elimination over the ring of
+dyadic blocks, and the linear list-decoding engine against the flip
+engine, one degree-2r decode per flip subset.
 """
 
 import itertools
 
-from goppacrypt.binmat import BinMatrix, rref
+from goppacrypt.binmat import BinMatrix, rref, transpose
 from goppacrypt.decode import _g2_from_syndrome, _sorted_result
+from goppacrypt.dyadic import DyadicSignature, SignatureExhaustionError
 from goppacrypt.goppa import (
     CapacityError, CodeConstructionError, syndrome_poly,
 )
@@ -99,11 +101,21 @@ def min_distance_exhaustive(code):
     best = code.n + 1
     word = 0
     for i in range(1, 1 << code.k):
-        word ^= code.gen.row((i & -i).bit_length() - 1)
+        word ^= gen(code).row((i & -i).bit_length() - 1)
         w = word.bit_count()
         if w < best:
             best = w
     return best
+
+
+def gen(code):
+    """Generator [I_k | A] of code on the identity column order, assembled
+    by transposes, independently of systematic_encode."""
+    # column colperm[i] is e_i, then A's columns
+    colperm, A = code.systematic
+    cols = [1 << i for i in range(A.rows)] + list(transpose(A).bits)
+    cols = [v for _, v in sorted(zip(colperm, cols))]
+    return transpose(BinMatrix(code.n, A.rows, cols))
 
 
 def identity(n):
@@ -289,17 +301,60 @@ def dyadic_support(sig, params, seed):
     """(G, support) of dyadic.signature_to_code's draw, rebuilt here so
     that attempts the package refuses before build_code can be built."""
     r = params.r
-    zroots = sig.roots(r)
     points = sig.points()
-    admissible = [t for t in range(params.N // r)
-                  if not set(zroots) & set(points[t * r:(t + 1) * r])]
     stream = SeededStream(seed)
-    blocks = [admissible[i] for i in
-              stream.sample_distinct(len(admissible), params.n // r)]
+    blocks = stream.sample_distinct(params.N // r, params.n // r)
     offsets = [stream.randbelow(r) for _ in blocks]
-    return (Poly.from_roots(sig.field, zroots),
+    return (Poly.from_roots(sig.field, sig.roots(r)),
             [points[b * r + (s ^ p)] for b, p in zip(blocks, offsets)
              for s in range(r)])
+
+
+def gen_signature_filled(field, N, seed, refusals):
+    """dyadic.gen_signature as first written: h_0 and the h_b at powers of
+    two b drawn, the rest of e = 1/h filled one entry at a time through
+    the dyadic-Cauchy identity, and a zero h_b or a zero or repeat among
+    the e_i rejecting the attempt.  Each rejection is counted in the
+    Counter refusals, under "h_b = 0" or "zero or repeat"."""
+    if N < 1 or N & (N - 1):
+        raise ValueError("N must be a power of two")
+    if 2 * N > field.order:
+        raise ValueError("N may not exceed half the field size")
+    if not seed:
+        raise ValueError("seed must be nonempty")
+    nu = N.bit_length() - 1
+    stream = SeededStream(seed)
+    for _ in range(4096):
+        h0 = stream.randbelow(field.order)
+        if h0 == 0:
+            continue
+        e = [0] * N
+        e[0] = field.inv(h0)
+        seen = {e[0]}
+        ok = True
+        for j in range(nu):
+            b = 1 << j
+            hb = stream.randbelow(field.order)
+            if hb == 0:
+                refusals["h_b = 0"] += 1
+                ok = False
+                break
+            eb = field.inv(hb)
+            for i in range(b):
+                v = e[i] ^ eb ^ e[0]
+                if v == 0 or v in seen:
+                    refusals["zero or repeat"] += 1
+                    ok = False
+                    break
+                e[b ^ i] = v
+                seen.add(v)
+            if not ok:
+                break
+        if not ok:
+            continue
+        omega = stream.randbelow(field.order)
+        return DyadicSignature(field, tuple(e), omega)
+    raise SignatureExhaustionError("no admissible signature after 4096 draws")
 
 
 def block_systemized_generator(code, sig):
