@@ -16,7 +16,7 @@ from .decode import (
     sphere_oracle,
 )
 from .dyadic import (
-    DyadicParams, DyadicSignature, SignatureExhaustionError,
+    DyadicSignature, SignatureExhaustionError,
     compact_pubkey, expand_pubkey, gen_signature, signature_to_code,
 )
 from .security import (
@@ -37,7 +37,7 @@ __all__ = [
     "CodeConstructionError", "CapacityError",
     "DecodeResult", "RadiusError", "patterson_decode", "g2_decode",
     "list_decode", "sphere_oracle",
-    "DyadicParams", "DyadicSignature", "SignatureExhaustionError",
+    "DyadicSignature", "SignatureExhaustionError",
     "gen_signature", "signature_to_code",
     "compact_pubkey", "expand_pubkey",
     "radii", "fs_workfactor", "keysize", "check_countermeasures", "gain",

@@ -91,7 +91,9 @@ def transpose(M):
     """M^T, read off the base-2 digit strings of the rows at C speed."""
     if not (M.rows and M.cols):
         return BinMatrix(M.cols, M.rows)
-    # last row first, so column j reads as an int with bit i = row i
-    digits = [format(v, "0%db" % M.cols) for v in reversed(M.bits)]
-    return BinMatrix(M.cols, M.rows,
-                     [int("".join(c), 2) for c in zip(*digits)][::-1])
+    # last row first, so column j, every cols-th digit from cols-1-j,
+    # reads as an int with bit i = row i
+    cols = M.cols
+    digits = "".join(format(v, "0%db" % cols) for v in reversed(M.bits))
+    return BinMatrix(cols, M.rows, [int(digits[cols - 1 - j::cols], 2)
+                                    for j in range(cols)])

@@ -12,12 +12,13 @@ import contextlib
 import csv
 import sys
 from functools import lru_cache
+from itertools import count
 
 from .goppa import CapacityError, CodeConstructionError
 from .scheme import (
     Cryptogram, DecryptionError, KeyPair, decrypt, encrypt, keygen,
 )
-from .security import fs_workfactor, radii
+from .security import fs_workfactor, keysize, radii
 from .tables import verify_table
 
 ROW_FIELDS = ("method", "m", "n", "k", "r", "tau2", "wf", "keysize", "gain")
@@ -57,19 +58,11 @@ def cmd_table(args):
 @lru_cache(maxsize=None)
 def _rate(n, m, r, decoder):
     """(workfactor, w) on the design dimension k = n - mr, else None."""
-    k = n - m * r
-    if k < 1:
+    try:
+        w = radii(n, r).ld_errors if decoder == "ld" else r
+        return fs_workfactor(n, n - m * r, w), w
+    except ValueError:  # k < 1, 4r + 2 > n, or w outside (0, n - k)
         return None
-    if decoder == "ld":
-        try:
-            w = radii(n, r).ld_errors
-        except ValueError:
-            return None
-    else:
-        w = r
-    if not 0 < w < n - k:
-        return None
-    return fs_workfactor(n, k, w), w
 
 
 def _min_feasible(m, r, decoder, target, lo, hi, step):
@@ -92,56 +85,43 @@ def _min_feasible(m, r, decoder, target, lo, hi, step):
 def search_params(target, variant, decoder, countermeasure="none"):
     """Smallest-key parameter row with WF >= target, or None.
 
-    Ties break deterministically on (keysize, n, m).  The dyadic grid
-    walks r over powers of two with r | n, the generic grid every r.  For
-    both, cm1 caps n below r(r+1) and cm2 restricts to m = 16.  The
+    Ties break deterministically on (keysize, n, m).  For each m the
+    dyadic grid walks r = 2, 4, 8, ... with n stepping by r, the generic
+    grid every r with every n; cm1 caps n below r(r+1) and cm2
+    restricts to m = 16.  Each m's walk ends once the smallest n with
+    k >= 1 exceeds 2^m, or after 25 consecutive values of r that do not
+    improve the best row, counted from the first feasible one; a dyadic
+    walk has at most 11 values of r, so it is never cut short.  The
     search scores the design dimension k = n - mr; key generation still
     validates per instance.
     """
     if not 60 <= target <= 300:
         raise ValueError("target workfactor must lie in [60, 300]")
+    dyadic = variant == "dyadic"
     best = None
-    for m in range(10, 17):
-        if countermeasure == "cm2" and m < 16:
-            continue
-        if variant == "dyadic":
-            r = 2
-            while (m + 1) * r <= (1 << m):
-                hi = 1 << m
-                if countermeasure == "cm1":
-                    hi = min(hi, r * r)
-                lo = (m + 1) * r
-                if decoder == "ld":
-                    lo = max(lo, -(-(4 * r + 2) // r) * r)
-                n = _min_feasible(m, r, decoder, target, lo, hi, r)
-                if n is not None:
-                    k = n - m * r
-                    cand = (m * k, n, m, r, k)
-                    if best is None or cand[:3] < best[:3]:
-                        best = cand
-                r *= 2
-        else:
-            # small r cannot reach the target at all, so the miss
-            # counter starts only once r enters the feasible region
-            misses = 0
-            seen_feasible = False
-            r = 0
-            while misses < 25 and m * (r + 1) + 1 <= (1 << m):
-                r += 1
-                hi = 1 << m
-                if countermeasure == "cm1":
-                    hi = min(hi, r * (r + 1) - 1)
-                n = _min_feasible(m, r, decoder, target, m * r + 1, hi, 1)
-                improved = False
-                if n is not None:
-                    seen_feasible = True
-                    k = n - m * r
-                    cand = (m * r * k, n, m, r, k)
-                    if best is None or cand[:3] < best[:3]:
-                        best = cand
-                        improved = True
-                if seen_feasible:
-                    misses = 0 if improved else misses + 1
+    for m in range(16 if countermeasure == "cm2" else 10, 17):
+        # small r cannot reach the target at all, so the miss counter
+        # starts only once r enters the feasible region
+        misses = 0
+        seen_feasible = False
+        for r in (1 << j for j in count(1)) if dyadic else count(1):
+            step = r if dyadic else 1
+            lo, hi = m * r + step, 1 << m
+            if lo > hi or misses == 25:
+                break
+            if countermeasure == "cm1":
+                hi = min(hi, (r * (r + 1) - 1) // step * step)
+            n = _min_feasible(m, r, decoder, target, lo, hi, step)
+            improved = False
+            if n is not None:
+                seen_feasible = True
+                k = n - m * r
+                cand = (keysize(variant, m, k, r), n, m, r, k)
+                if best is None or cand[:3] < best[:3]:
+                    best = cand
+                    improved = True
+            if seen_feasible:
+                misses = 0 if improved else misses + 1
     if best is None:
         return None
     ks, n, m, r, k = best

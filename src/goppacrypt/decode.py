@@ -101,15 +101,12 @@ def patterson_decode(code, y):
     T = poly_invmod(s, G)
     if T is None:
         return DecodeResult(())
-    if T == x:
-        sigma = x
-    else:
-        try:
-            R = poly_sqrt_mod(T + x, G)
-        except ArithmeticError:
-            return DecodeResult(())
-        a, b = eea_stop(G, R, G.degree // 2)
-        sigma = a.square() + x * b.square()
+    try:
+        R = poly_sqrt_mod(T + x, G)
+    except ArithmeticError:
+        return DecodeResult(())
+    a, b = eea_stop(G, R, G.degree // 2)
+    sigma = a.square() + x * b.square()
     return _apply_locator(code, y, sigma, G)
 
 

@@ -57,30 +57,6 @@ class DyadicSignature:
         return [v ^ shift for v in self.e]
 
 
-@dataclass(frozen=True)
-class DyadicParams:
-    m: int
-    N: int
-    n: int
-    r: int
-
-    @property
-    def k(self):
-        return self.n - self.m * self.r
-
-    def validate(self):
-        if self.r < 1 or self.r & (self.r - 1):
-            raise ValueError("r must be a power of two")
-        if self.n % self.r or self.N % self.r:
-            raise ValueError("r must divide n and N")
-        if not self.r <= self.n <= self.N:
-            raise ValueError("need r <= n <= N")
-        if self.N & (self.N - 1):
-            raise ValueError("N must be a power of two")
-        if self.k <= 0:
-            raise ValueError("parameters leave no dimension")
-
-
 def _independent(basis, v):
     """True, and v kept in the xor basis, iff v is outside its span.
 
@@ -132,10 +108,12 @@ def gen_signature(field, N, seed):
     raise SignatureExhaustionError("no admissible signature after 4096 draws")
 
 
-def signature_to_code(sig, params, seed):
+def signature_to_code(sig, n, r, seed):
     """Goppa code with dyadic Cauchy parity and block-systematic form.
 
-    The support is n/r whole dyadic blocks of the u_j pool, block choice
+    m is the signature's field degree and N its length.  r must be a
+    power of two dividing n, with r <= n <= N and k = n - mr >= 1.  The
+    support is n/r whole dyadic blocks of the u_j pool, block choice
     and per-block xor offsets drawn from the seed.  No support point is a
     root of G: with V the span of the signature's offsets, the roots lie
     in e_0 + V + omega, the pool in V + omega, and e_0 is outside V.  The
@@ -163,11 +141,12 @@ def signature_to_code(sig, params, seed):
     backstop.  The picks and offsets come from this attempt's own
     stream, so stopping early changes no later draw.
     """
-    params.validate()
     field = sig.field
-    m, n, r, N, k = params.m, params.n, params.r, params.N, params.k
-    if field.m != m or len(sig.e) != N:
-        raise ValueError("signature does not match the parameter set")
+    m, N = field.m, len(sig.e)
+    k = n - m * r
+    if r < 1 or r & (r - 1) or n % r or not r <= n <= N or k < 1:
+        raise ValueError("need a power-of-two r dividing n, r <= n <= %d "
+                         "and k = n - %d*r >= 1" % (N, m))
 
     stream = SeededStream(seed)
     blocks = stream.sample_distinct(N // r, n // r)

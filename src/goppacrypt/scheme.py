@@ -14,13 +14,14 @@ keygen derives child streams "goppa" then "support" (generic) or
 """
 
 import binascii
+import struct
 
 from .gf2m import Field, Poly, make_field, random_monic_irreducible
 from .binmat import BinMatrix
 from .goppa import CodeConstructionError, build_code, systematic_encode
 from .decode import list_decode
 from .dyadic import (
-    DyadicParams, gen_signature, signature_to_code,
+    gen_signature, signature_to_code,
     compact_pubkey, expand_pubkey,
 )
 from .security import check_countermeasures, radii
@@ -130,8 +131,7 @@ class KeyPair:
         out += BinMatrix(self.n, self.m, self.support).to_bytes()
         coeffs = list(self.gpoly.c) + [0] * (self.r + 1 - len(self.gpoly.c))
         out += BinMatrix(self.r + 1, self.m, coeffs).to_bytes()
-        for p in self.colperm:
-            out += p.to_bytes(2, "big")
+        out += struct.pack(">%dH" % self.n, *self.colperm)
         out += compact_pubkey(self.m, self.r, self.public) \
             if self.variant == "dyadic" else self.public.to_bytes()
         return bytes(out)
@@ -163,8 +163,7 @@ class KeyPair:
             raise ValueError("key file length does not match its header")
         support = BinMatrix.from_bytes(n, m, blob[28:mid]).bits
         coeffs = BinMatrix.from_bytes(r + 1, m, blob[mid:pos]).bits
-        colperm = [int.from_bytes(blob[pos + 2 * j:pos + 2 * j + 2], "big")
-                   for j in range(n)]
+        colperm = struct.unpack_from(">%dH" % n, blob, pos)
         if sorted(colperm) != list(range(n)):
             raise ValueError("column order is not a permutation")
         body = blob[pos + 2 * n:]
@@ -254,11 +253,10 @@ def keygen(variant, m, n, r, decoder, seed):
     if n > N:
         raise CodeConstructionError(
             "support needs %d points but the pool holds %d" % (n, N))
-    params = DyadicParams(m, N, n, r)
     for t in range(KEYGEN_ATTEMPTS):
         sig = gen_signature(field, N, seed + b"/sig/" + bytes([t]))
         try:
-            code = signature_to_code(sig, params,
+            code = signature_to_code(sig, n, r,
                                      seed + b"/blocks/" + bytes([t]))
         except CodeConstructionError:
             continue

@@ -12,8 +12,7 @@ import random
 from goppacrypt.cli import main, search_params
 from goppacrypt.decode import list_decode, patterson_decode, sphere_oracle
 from goppacrypt.dyadic import (
-    DyadicParams, compact_pubkey, expand_pubkey, gen_signature,
-    signature_to_code,
+    compact_pubkey, expand_pubkey, gen_signature, signature_to_code,
 )
 from goppacrypt.gf2m import Poly, is_squarefree, make_field, \
     random_monic_irreducible
@@ -201,7 +200,6 @@ def test_criterion_10_dyadic_structure():
                 assert e[i ^ j] == e[i] ^ e[j] ^ e[0]
     field = make_field(7)
     m, n, r = 7, 64, 8
-    params = DyadicParams(m, 64, n, r)
     for t in range(64):
         sig = gen_signature(field, 64, b"accept/cauchy/%d" % t)
         z = sig.roots(r)
@@ -209,7 +207,7 @@ def test_criterion_10_dyadic_structure():
         assert all(field.inv(z[i] ^ u[j]) == sig.h[i ^ j]
                    for i in range(r) for j in range(64))
         try:
-            code = signature_to_code(sig, params, b"accept/blk/%d" % t)
+            code = signature_to_code(sig, n, r, b"accept/blk/%d" % t)
             break
         except CodeConstructionError:
             continue

@@ -4,8 +4,10 @@ import pytest
 
 import testlib
 from goppacrypt import decode
-from goppacrypt.gf2m import Poly, make_field, random_monic_irreducible
-from goppacrypt.goppa import CapacityError, build_code, encode
+from goppacrypt.gf2m import (
+    Poly, make_field, poly_invmod, random_monic_irreducible,
+)
+from goppacrypt.goppa import CapacityError, build_code, encode, syndrome_poly
 from goppacrypt.decode import (
     RadiusError, patterson_decode, g2_decode, list_decode, sphere_oracle,
     _locator_roots,
@@ -69,6 +71,23 @@ def test_patterson_failure_beyond_radius():
             continue
         checked += 1
         assert patterson_decode(code, y).candidates == ()
+
+
+def test_patterson_single_error_at_support_point_zero():
+    # one error at the support point 0 has syndrome 1/x, so T = x,
+    # sqrt(T + x) = 0 and the key equation gives sigma = x
+    rng = random.Random(16)
+    for m, n, r in ((6, 48, 5), (8, 160, 8), (10, 300, 12)):
+        for t in range(6):
+            code = make_code(m, n, r, b"zero/%d/%d" % (m, t), split=t == 5)
+            support = [a for a in code.support if a][:n - 1] + [0]
+            rng.shuffle(support)
+            code = build_code(code.field, support, code.gpoly)
+            c = encode(code, rng.randrange(1 << code.k))
+            y = c ^ 1 << support.index(0)
+            s = syndrome_poly(code, y, code.gpoly)
+            assert poly_invmod(s, code.gpoly) == Poly.x(code.field)
+            assert patterson_decode(code, y).candidates == ((c, 1),)
 
 
 def test_g2_matches_patterson_on_irreducible():

@@ -9,7 +9,7 @@ from goppacrypt.binmat import BinMatrix, rref
 from goppacrypt.goppa import CodeConstructionError, build_code, encode
 from goppacrypt.decode import patterson_decode, g2_decode, list_decode
 from goppacrypt.dyadic import (
-    DyadicParams, SignatureExhaustionError, gen_signature,
+    SignatureExhaustionError, gen_signature,
     signature_to_code, compact_pubkey, expand_pubkey,
 )
 from goppacrypt.prng import SeededStream
@@ -26,11 +26,10 @@ def make_dyadic(m, n, r, N, tag, attempts=64):
     # a draw whose last m*r parity columns are singular has no systematic
     # generator, so scan attempt seeds the same way key generation does
     field = make_field(m)
-    params = DyadicParams(m, N, n, r)
     for t in range(attempts):
         sig = gen_signature(field, N, tag + b"/sig/%d" % t)
         try:
-            return sig, signature_to_code(sig, params, tag + b"/blk/%d" % t)
+            return sig, signature_to_code(sig, n, r, tag + b"/blk/%d" % t)
         except CodeConstructionError:
             continue
     raise AssertionError("no systemizable draw in %d attempts" % attempts)
@@ -193,7 +192,6 @@ def test_generator_matches_block_elimination(counted, m, N, n, r):
     # build_code, and a refused one neither, since the signature sums
     # refuse it first
     field = make_field(m)
-    params = DyadicParams(m, N, n, r)
     rejected = 0
     for seed in (b"ref-a", b"ref-b", b"ref-c"):
         for t in range(KEYGEN_ATTEMPTS):
@@ -201,11 +199,11 @@ def test_generator_matches_block_elimination(counted, m, N, n, r):
             blk_seed = seed + b"/blocks/" + bytes([t])
             counted.clear()
             try:
-                code = signature_to_code(sig, params, blk_seed)
+                code = signature_to_code(sig, n, r, blk_seed)
             except CodeConstructionError:
                 code = None
             assert counted == ([] if code is None else ["build_code", "rref"])
-            gpoly, support = dyadic_support(sig, params, blk_seed)
+            gpoly, support = dyadic_support(sig, n, r, blk_seed)
             try:
                 want = block_systemized_generator(
                     build_code(field, support, gpoly), sig)
@@ -237,7 +235,6 @@ def test_signature_sums_decide_like_rref(counted, m, N, n, r, attempts):
     # agree, and once the sums pass, the pivot check after rref never
     # refuses
     field = make_field(m)
-    params = DyadicParams(m, N, n, r)
     mr, k = m * r, n - m * r
     verdicts = []
     for t in range(attempts):
@@ -245,12 +242,12 @@ def test_signature_sums_decide_like_rref(counted, m, N, n, r, attempts):
         blk_seed = b"grid/blocks/%d" % t
         counted.clear()
         try:
-            signature_to_code(sig, params, blk_seed)
+            signature_to_code(sig, n, r, blk_seed)
             by_sums = True
         except CodeConstructionError:
             by_sums = False
         assert counted == (["build_code", "rref"] if by_sums else [])
-        gpoly, support = dyadic_support(sig, params, blk_seed)
+        gpoly, support = dyadic_support(sig, n, r, blk_seed)
         code = build_code(field, support, gpoly)
         _, _, pivots = rref(BinMatrix(mr, n, [
             v >> k | (v & (1 << k) - 1) << mr for v in code.parity_bin.bits]))
@@ -295,10 +292,11 @@ def test_signature_to_code_determinism():
 def test_signature_to_code_rejects_mismatch():
     field = make_field(7)
     sig = gen_signature(field, 64, b"mm")
-    with pytest.raises(ValueError):
-        signature_to_code(sig, DyadicParams(7, 128, 64, 8), b"mm")
-    with pytest.raises(ValueError):
-        signature_to_code(sig, DyadicParams(7, 64, 48, 8), b"mm")  # k = -8
+    # k = -8, r not a power of two, r not dividing n, n past N = 64: all
+    # refused by the one check, before any draw
+    for n, r in ((48, 8), (63, 3), (62, 4), (128, 8)):
+        with pytest.raises(ValueError, match="power-of-two r"):
+            signature_to_code(sig, n, r, b"mm")
 
 
 def test_dyadic_decode_roundtrip():

@@ -1,11 +1,13 @@
 """Golden SHA-256 digests of fixed-seed artifacts.
 
-Key files, ciphertexts and the `table 1` CSV must stay byte-identical
-across refactors and speedups.  A change that has to alter these bytes
-must bump the file-format version and replace the digests on purpose.
+Key files, ciphertexts, the `table 1` CSV and a fixed set of `search`
+CSVs must stay byte-identical across refactors and speedups.  A change
+that has to alter these bytes must bump the file-format version and
+replace the digests on purpose.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -33,7 +35,7 @@ GOLDEN = {
         ("dyadic", 16, 256, 4, "ud"),
         "d7fe803545febec2bbc25834b695dd7943ac5f7bd8ee164b9acf971e51b8eaf5",
         "a32288a9f9b87a4e35f03489288b6eb7fd8a5c69a9488f96774a591143869c39"),
-    # w_enc = 17, decrypted by the flip engine
+    # w_enc = 17 = r + 1, decrypted by the linear engine
     "dyadic-ld": (
         ("dyadic", 10, 256, 16, "ld"),
         "ea33433d5cca61c36c95d916af2a1272ef92b31df4e52a8bc85ad998d91e7cbb",
@@ -41,6 +43,11 @@ GOLDEN = {
 }
 
 TABLE1_CSV = "40ff4a5ebb036ec22b1e47a79ba4b75d7494e66d2581f283d5ecbaaf51a6733a"
+
+# each (variant, decoder, countermeasure) once, at targets 80, 96, ..., 256
+SEARCHES = list(zip(range(80, 257, 16), itertools.product(
+    ("generic", "dyadic"), ("ud", "ld"), ("none", "cm1", "cm2"))))
+SEARCH_CSV = "b215f3230fee543efc30e1929881eb61176d29fb2222464c56a29f168d2eeb9b"
 
 
 def sha256(data):
@@ -64,3 +71,10 @@ def test_key_and_ciphertext_digests(name):
 def test_table1_csv_digest(capsys):
     assert main(["table", "1"]) == 2
     assert sha256(capsys.readouterr().out.encode()) == TABLE1_CSV
+
+
+def test_search_csv_digest(capsys):
+    for target, (variant, decoder, cm) in SEARCHES:
+        assert main(["search", str(target), "--variant", variant,
+                     "--decoder", decoder, "--countermeasure", cm]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == SEARCH_CSV

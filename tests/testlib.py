@@ -297,13 +297,12 @@ def block_invertible(a):
     return a.bit_count() & 1 == 1
 
 
-def dyadic_support(sig, params, seed):
+def dyadic_support(sig, n, r, seed):
     """(G, support) of dyadic.signature_to_code's draw, rebuilt here so
     that attempts the package refuses before build_code can be built."""
-    r = params.r
     points = sig.points()
     stream = SeededStream(seed)
-    blocks = stream.sample_distinct(params.N // r, params.n // r)
+    blocks = stream.sample_distinct(len(sig.e) // r, n // r)
     offsets = [stream.randbelow(r) for _ in blocks]
     return (Poly.from_roots(sig.field, sig.roots(r)),
             [points[b * r + (s ^ p)] for b, p in zip(blocks, offsets)
