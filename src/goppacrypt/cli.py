@@ -11,14 +11,13 @@ import argparse
 import contextlib
 import csv
 import sys
-from functools import lru_cache
 from itertools import count
 
 from .goppa import CapacityError, CodeConstructionError
 from .scheme import (
     Cryptogram, DecryptionError, KeyPair, decrypt, encrypt, keygen,
 )
-from .security import fs_workfactor, keysize, radii
+from .security import fs_reaches, fs_workfactor, keysize, radii
 from .tables import verify_table
 
 ROW_FIELDS = ("method", "m", "n", "k", "r", "tau2", "wf", "keysize", "gain")
@@ -55,27 +54,29 @@ def cmd_table(args):
     return 2 if any(r["status"] == "MISMATCH" for r in rows) else 0
 
 
-@lru_cache(maxsize=None)
-def _rate(n, m, r, decoder):
-    """(workfactor, w) on the design dimension k = n - mr, else None."""
+def _errors(n, r, decoder):
+    return radii(n, r).ld_errors if decoder == "ld" else r
+
+
+def _feasible(n, m, r, decoder, target):
+    """WF >= target on the design dimension k = n - mr; False, without
+    raising, outside the estimator's domain."""
     try:
-        w = radii(n, r).ld_errors if decoder == "ld" else r
-        return fs_workfactor(n, n - m * r, w), w
+        return fs_reaches(n, n - m * r, _errors(n, r, decoder), target)
     except ValueError:  # k < 1, 4r + 2 > n, or w outside (0, n - k)
-        return None
+        return False
 
 
 def _min_feasible(m, r, decoder, target, lo, hi, step):
-    # workfactor grows with n at fixed (m, r), so bisect the grid
-    if lo > hi:
-        return None
-    got = _rate(hi, m, r, decoder)
-    if got is None or got[0] < target:
+    # bisect the grid for the smallest feasible n.  This assumes the
+    # workfactor grows with n at fixed (m, r); where it does not, the row
+    # is the one this path finds (hi first, then halving), which
+    # test_search_rows_follow_bisection_path pins
+    if lo > hi or not _feasible(hi, m, r, decoder, target):
         return None
     while lo < hi:
         mid = lo + ((hi - lo) // (2 * step)) * step
-        got = _rate(mid, m, r, decoder)
-        if got is not None and got[0] >= target:
+        if _feasible(mid, m, r, decoder, target):
             hi = mid
         else:
             lo = mid + step
@@ -125,10 +126,10 @@ def search_params(target, variant, decoder, countermeasure="none"):
     if best is None:
         return None
     ks, n, m, r, k = best
-    wf, w = _rate(n, m, r, decoder)
+    w = _errors(n, r, decoder)
     return {"method": "LD" if decoder == "ld" else "UD", "m": m, "n": n,
             "k": k, "r": r, "tau2": w if decoder == "ld" else None,
-            "wf": wf, "keysize": ks, "gain": None}
+            "wf": fs_workfactor(n, k, w), "keysize": ks, "gain": None}
 
 
 def cmd_search(args):

@@ -35,25 +35,36 @@ def radii(n, t):
     return RadiusReport(t, generic, bernstein, tau2, math.ceil(tau2) - 1)
 
 
-def _log2_binom(n, w):
-    # real-valued log2 C(n, w); n may be fractional
-    if w < 0 or n < w:
-        return None
-    return (math.lgamma(n + 1) - math.lgamma(w + 1)
-            - math.lgamma(n - w + 1)) / math.log(2)
-
-
-def _fixed_point_l(k, p):
-    # l = log2 C((k + l)/2, p), from l = 0
-    l = 0.0
-    for _ in range(500):
-        nl = _log2_binom((k + l) / 2, p)
-        if nl is None:
-            return None
-        if abs(nl - l) < 0.01:
-            return nl
-        l = nl
-    return l
+def _split_costs(n, k, w):
+    # l + log2 C(n,w) - log2 C(n-k, w-2p) - log2 C(k+l, 2p) for each
+    # admissible p in turn, up to the first one 40 bits past the minimum;
+    # p = 0 is always admissible, and w - 2p never leaves [0, n - k]
+    if k <= 0 or w <= 0 or w >= n - k:
+        raise ValueError("need k > 0 and 0 < w < n - k")
+    lg, ln2 = math.lgamma, math.log(2)
+    total = (lg(n + 1) - lg(w + 1) - lg(n - w + 1)) / ln2
+    lg_nk = lg(n - k + 1)
+    best = math.inf
+    for p in range(w // 2 + 1):
+        # l = log2 C((k + l)/2, p), iterated from l = 0
+        lg_p, l = lg(p + 1), 0.0
+        for _ in range(500):
+            h = (k + l) / 2
+            if h < p:
+                break
+            l, prev = (lg(h + 1) - lg_p - lg(h - p + 1)) / ln2, l
+            if abs(l - prev) < 0.01:
+                break
+        if h < p or k + l < 2 * p:
+            continue
+        kl, wp = k + l, w - 2 * p
+        val = (l + total
+               - (lg_nk - lg(wp + 1) - lg(n - k - wp + 1)) / ln2
+               - (lg(kl + 1) - lg(2 * p + 1) - lg(kl - 2 * p + 1)) / ln2)
+        if val > best + 40:
+            return  # past the minimum and diverging
+        best = min(best, val)
+        yield val
 
 
 def fs_workfactor(n, k, w):
@@ -63,26 +74,13 @@ def fs_workfactor(n, k, w):
          - log2 C(k+l, 2p), with l the fixed point of
          l = log2 C((k+l)/2, p).
     """
-    if k <= 0 or w <= 0 or w >= n - k:
-        raise ValueError("need k > 0 and 0 < w < n - k")
-    total = _log2_binom(n, w)
-    best = None
-    for p in range(w // 2 + 1):
-        l = _fixed_point_l(k, p)
-        if l is None:
-            continue
-        success = _log2_binom(n - k, w - 2 * p)
-        cost = _log2_binom(k + l, 2 * p)
-        if success is None or cost is None:
-            continue
-        val = l + total - success - cost
-        if best is None or val < best:
-            best = val
-        elif val > best + 40:
-            break  # past the minimum and diverging
-    if best is None:
-        raise ValueError("no admissible split parameter")
-    return best
+    return min(_split_costs(n, k, w))
+
+
+def fs_reaches(n, k, w, target):
+    """fs_workfactor(n, k, w) >= target, decided at the first split cost
+    below target; the same ValueError outside the estimator's domain."""
+    return all(cost >= target for cost in _split_costs(n, k, w))
 
 
 def keysize(variant, m, k, r=None):

@@ -140,6 +140,22 @@ def test_search_generic_honours_countermeasure(capsys, target, cm):
     assert float(fields[6]) >= float(target)
 
 
+@pytest.mark.parametrize("target, row", [
+    (140, (12, 3520, 2668, 71, 73, 2273136)),
+    (220, (13, 5828, 4294, 118, 121, 6586996)),
+    (260, (13, 7117, 5414, 131, 134, 9220042)),
+    (280, (13, 7740, 5933, 139, 142, 10720931)),
+])
+def test_search_rows_follow_bisection_path(target, row):
+    # the workfactor is not monotone in n everywhere, so these rows are
+    # the ones the bisection reaches by probing hi first, then halving;
+    # capping hi at the best keysize so far would change all four
+    got = search_params(target, "generic", "ld")
+    assert tuple(got[f] for f in ("m", "n", "k", "r", "tau2", "keysize")) \
+        == row
+    assert got["wf"] >= target
+
+
 def test_search_params_fields():
     row = search_params(80, "dyadic", "ld", "cm1")
     assert row["method"] == "LD" and row["tau2"] == 276
