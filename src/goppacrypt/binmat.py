@@ -19,18 +19,9 @@ class BinMatrix:
         self.cols = cols
         self.bits = tuple(b & mask for b in bits)
 
-    def get(self, i, j):
-        return (self.bits[i] >> j) & 1
-
-    def row(self, i):
-        return self.bits[i]
-
     def __eq__(self, other):
         return (isinstance(other, BinMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.bits == other.bits)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.bits))
 
     def __repr__(self):
         return "BinMatrix(%d x %d)" % (self.rows, self.cols)

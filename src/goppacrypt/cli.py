@@ -17,7 +17,9 @@ from .goppa import CapacityError, CodeConstructionError
 from .scheme import (
     Cryptogram, DecryptionError, KeyPair, decrypt, encrypt, keygen,
 )
-from .security import fs_reaches, fs_workfactor, keysize, radii
+from .security import (
+    encryption_weight, fs_reaches, fs_workfactor, keysize, radii,
+)
 from .tables import verify_table
 
 ROW_FIELDS = ("method", "m", "n", "k", "r", "tau2", "wf", "keysize", "gain")
@@ -54,15 +56,12 @@ def cmd_table(args):
     return 2 if any(r["status"] == "MISMATCH" for r in rows) else 0
 
 
-def _errors(n, r, decoder):
-    return radii(n, r).ld_errors if decoder == "ld" else r
-
-
 def _feasible(n, m, r, decoder, target):
     """WF >= target on the design dimension k = n - mr; False, without
     raising, outside the estimator's domain."""
     try:
-        return fs_reaches(n, n - m * r, _errors(n, r, decoder), target)
+        w = encryption_weight(n, r, decoder)
+        return fs_reaches(n, n - m * r, w, target)
     except ValueError:  # k < 1, 4r + 2 > n, or w outside (0, n - k)
         return False
 
@@ -126,7 +125,7 @@ def search_params(target, variant, decoder, countermeasure="none"):
     if best is None:
         return None
     ks, n, m, r, k = best
-    w = _errors(n, r, decoder)
+    w = encryption_weight(n, r, decoder)
     return {"method": "LD" if decoder == "ld" else "UD", "m": m, "n": n,
             "k": k, "r": r, "tau2": w if decoder == "ld" else None,
             "wf": fs_workfactor(n, k, w), "keysize": ks, "gain": None}

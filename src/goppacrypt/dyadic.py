@@ -43,10 +43,6 @@ class DyadicSignature:
     e: tuple
     omega: int
 
-    @property
-    def h(self):
-        return tuple(self.field.inv(v) for v in self.e)
-
     def roots(self, r):
         # z_i = 1/h_i + omega, the Goppa polynomial roots, in e_0 + V + omega
         return [v ^ self.omega for v in self.e[:r]]

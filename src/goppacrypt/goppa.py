@@ -7,9 +7,10 @@ does no matrix work.  Decoding works on one bit-sliced table per modulus
 M: the alternant matrix H[t][j] = L_j^t / M(L_j), t < deg M, expanded
 over GF(2), one n-bit int per row.  Syndromes are parities of its rows
 against the received word, and for M = G it is the GF(2) parity check.
-Encoders and keys read the systematic form (colperm, A), [I_k | A] a
-generator on the column order colperm; dyadic codes are built with it,
-others get it from one elimination of the parity check on first use.
+A code's systematic form (colperm, A) makes [I_k | A] a generator on
+the column order colperm; dyadic codes are built with it, others get it
+from one elimination of the parity check on first use.  Keys store the
+support in that order, so their [I_k | A] needs no column order.
 """
 
 import struct
@@ -113,10 +114,6 @@ class GoppaCode:
         return self._systematic
 
     @property
-    def colperm(self):
-        return self.systematic[0]
-
-    @property
     def k(self):
         return self.systematic[1].rows
 
@@ -147,27 +144,28 @@ def build_code(field, support, gpoly):
     return code
 
 
-def systematic_encode(colperm, A, msg):
-    """Codeword of [I_k | A] on the column order colperm, as an n-bit int.
-
-    Bit j of msg | (msg A) << k lands at position colperm[j].
-    """
+def systematic_encode(A, msg):
+    """Codeword msg | (msg A) << k of [I_k | A], as an n-bit int."""
     if msg < 0 or msg >> A.rows:
         raise ValueError("message does not fit in %d bits" % A.rows)
-    red = out = 0
+    red = 0
     for i, row in enumerate(A.bits):
         if msg >> i & 1:
             red ^= row
-    word = msg | red << A.rows
+    return msg | red << A.rows
+
+
+def encode(code, msg):
+    """Codeword (as an n-bit int) for a k-bit message int.
+
+    Bit j of the systematic codeword lands at position colperm[j].
+    """
+    colperm, A = code.systematic
+    word, out = systematic_encode(A, msg), 0
     for j, p in enumerate(colperm):
         if word >> j & 1:
             out |= 1 << p
     return out
-
-
-def encode(code, msg):
-    """Codeword (as an n-bit int) for a k-bit message int."""
-    return systematic_encode(*code.systematic, msg)
 
 
 def syndrome_poly(code, y, modulus):

@@ -1,7 +1,7 @@
 """McEliece encryption over binary Goppa codes, generic and quasi-dyadic.
 
-Messages ride in the systematic positions of a codeword, so candidate
-plaintext extraction is a projection.  Each plaintext block carries a
+Messages ride in the first k positions of a codeword, so candidate
+plaintext extraction is a mask.  Each plaintext block carries a
 36-bit tag (4-bit length descriptor + CRC-32) that disambiguates the
 candidate list when decrypting beyond the unique radius; the tag is a
 functional check only and offers no CCA2 security.
@@ -10,11 +10,12 @@ All randomness flows from caller-supplied seeds through SeededStream.
 The byte schedule (documented so key files are reproducible):
 keygen derives child streams "goppa" then "support" (generic) or
 "sig/<t>" then "blocks/<t>" per attempt t (dyadic); encrypt derives
-"err" for the error positions.
+"err" for the error positions.  A generic key keeps its support in the
+column order of the parity check's elimination, so that [I_k | A] is a
+generator on the support's own order, as it is for dyadic codes.
 """
 
 import binascii
-import struct
 
 from .gf2m import Field, Poly, make_field, random_monic_irreducible
 from .binmat import BinMatrix
@@ -24,10 +25,11 @@ from .dyadic import (
     gen_signature, signature_to_code,
     compact_pubkey, expand_pubkey,
 )
-from .security import check_countermeasures, radii
+from .security import check_countermeasures, encryption_weight
 from .prng import SeededStream
 
 TAG_BITS = 36  # 4-bit length descriptor + 32-bit CRC
+FORMAT_VERSION = 2  # GPPA key files
 KEYGEN_ATTEMPTS = 64
 
 
@@ -71,11 +73,7 @@ def validate_params(variant, m, n, r, decoder="ud"):
         if not (cm.cm1 or cm.cm2):
             raise ValueError(
                 "insecure dyadic parameters: need r(r+1) > n or m >= 16")
-    if decoder == "ld":
-        w_enc = radii(n, r).ld_errors
-    else:
-        w_enc = r
-    return k, w_enc
+    return k, encryption_weight(n, r, decoder)
 
 
 def _dyadic_pool_size(m, n):
@@ -88,13 +86,13 @@ class KeyPair:
     """Key material for one code; immutable after generation.
 
     public is the k x (n-k) redundancy matrix A of the systematic
-    generator [I_k | A] for both variants; a dyadic key file stores it
-    compactly.  Private decoding state is the support, the Goppa
-    polynomial and the systematic column order.
+    generator [I_k | A] for both variants, on the support's own order;
+    a dyadic key file stores it compactly.  Private decoding state is
+    the support and the Goppa polynomial.
     """
 
     def __init__(self, variant, decoder, w_enc, field, support, gpoly,
-                 colperm, public):
+                 public):
         self.variant = variant
         self.decoder = decoder
         self.w_enc = w_enc
@@ -102,7 +100,6 @@ class KeyPair:
         self.m = field.m
         self.support = tuple(support)
         self.gpoly = gpoly
-        self.colperm = tuple(colperm)
         self.public = public
         self.n = len(self.support)
         self.r = gpoly.degree
@@ -121,7 +118,7 @@ class KeyPair:
 
     def to_bytes(self):
         out = bytearray(b"GPPA")
-        out.append(1)
+        out.append(FORMAT_VERSION)
         out.append(0 if self.variant == "generic" else 1)
         out.append(0 if self.decoder == "ud" else 1)
         out.append(self.m)
@@ -131,7 +128,6 @@ class KeyPair:
         out += BinMatrix(self.n, self.m, self.support).to_bytes()
         coeffs = list(self.gpoly.c) + [0] * (self.r + 1 - len(self.gpoly.c))
         out += BinMatrix(self.r + 1, self.m, coeffs).to_bytes()
-        out += struct.pack(">%dH" % self.n, *self.colperm)
         out += compact_pubkey(self.m, self.r, self.public) \
             if self.variant == "dyadic" else self.public.to_bytes()
         return bytes(out)
@@ -140,8 +136,11 @@ class KeyPair:
     def from_bytes(cls, blob):
         if len(blob) < 28:
             raise ValueError("truncated key file")
-        if blob[:4] != b"GPPA" or blob[4] != 1:
+        if blob[:4] != b"GPPA":
             raise ValueError("not a key file")
+        if blob[4] != FORMAT_VERSION:
+            raise ValueError("unsupported key file version %d (this reads "
+                             "version %d)" % (blob[4], FORMAT_VERSION))
         if blob[5] > 1 or blob[6] > 1:
             raise ValueError("unknown variant or decoder in key file")
         variant = ("generic", "dyadic")[blob[5]]
@@ -155,18 +154,17 @@ class KeyPair:
         if (r < 1 or n > field.order or k < 1 or k != n - m * r
                 or variant == "dyadic" and (r & (r - 1) or k % r)):
             raise ValueError("inconsistent key dimensions")
+        if w_enc != encryption_weight(n, r, decoder):  # as keygen issues
+            raise ValueError("encryption weight does not match the decoder")
         span = (9 + k // r * m * ((r + 7) // 8) if variant == "dyadic"
                 else (k * (n - k) + 7) // 8)
         mid = 28 + (n * m + 7) // 8
         pos = mid + ((r + 1) * m + 7) // 8
-        if len(blob) != pos + 2 * n + span:
+        if len(blob) != pos + span:
             raise ValueError("key file length does not match its header")
         support = BinMatrix.from_bytes(n, m, blob[28:mid]).bits
         coeffs = BinMatrix.from_bytes(r + 1, m, blob[mid:pos]).bits
-        colperm = struct.unpack_from(">%dH" % n, blob, pos)
-        if sorted(colperm) != list(range(n)):
-            raise ValueError("column order is not a permutation")
-        body = blob[pos + 2 * n:]
+        body = blob[pos:]
         if variant == "dyadic":
             head = body[5], 1 << body[6], body[7] << 8 | body[8]
             if head != (m, r, k // r):  # before anything is expanded
@@ -175,7 +173,7 @@ class KeyPair:
         else:
             public = BinMatrix.from_bytes(k, n - k, body)
         kp = cls(variant, decoder, w_enc, field, support,
-                 Poly(field, coeffs), colperm, public)
+                 Poly(field, coeffs), public)
         if kp.r != r:
             raise ValueError("inconsistent key dimensions")
         return kp
@@ -240,39 +238,36 @@ def keygen(variant, m, n, r, decoder, seed):
         raise ValueError("seed must be nonempty bytes")
     seed = bytes(seed)
     field = make_field(m)
-    stream = SeededStream(seed)
     if variant == "generic":
+        stream = SeededStream(seed)
         g = random_monic_irreducible(field, r, stream.child(b"goppa"))
         support = stream.child(b"support").sample_distinct(field.order, n)
         code = build_code(field, support, g)
         if code.k != k:
             raise CodeConstructionError("parity check is rank-deficient")
-        return KeyPair(variant, decoder, w_enc, field, code.support,
-                       g, *code.systematic)
-    N = _dyadic_pool_size(m, n)
+    else:
+        code = _dyadic_code(field, n, r, seed)
+    # the support in the elimination's column order makes [I_k | A] a
+    # generator on the identity order, which a dyadic code's order is
+    colperm, A = code.systematic
+    return KeyPair(variant, decoder, w_enc, field,
+                   [code.support[c] for c in colperm], code.gpoly, A)
+
+
+def _dyadic_code(field, n, r, seed):
+    N = _dyadic_pool_size(field.m, n)
     if n > N:
         raise CodeConstructionError(
             "support needs %d points but the pool holds %d" % (n, N))
     for t in range(KEYGEN_ATTEMPTS):
         sig = gen_signature(field, N, seed + b"/sig/" + bytes([t]))
         try:
-            code = signature_to_code(sig, n, r,
+            return signature_to_code(sig, n, r,
                                      seed + b"/blocks/" + bytes([t]))
         except CodeConstructionError:
             continue
-        return KeyPair(variant, decoder, w_enc, field, code.support,
-                       code.gpoly, *code.systematic)
     raise CodeConstructionError(
         "no systemizable dyadic draw in %d attempts" % KEYGEN_ATTEMPTS)
-
-
-def _project(row, positions):
-    if positions == tuple(range(len(positions))):  # dyadic keys: a mask
-        return row & ((1 << len(positions)) - 1)
-    out = 0
-    for j, p in enumerate(positions):
-        out |= (row >> p & 1) << j
-    return out
 
 
 def _wrap(msg, k):
@@ -310,7 +305,7 @@ def encrypt(pk, msg, seed):
     if len(msg) > pk.capacity():
         raise ValueError("payload of %d bytes exceeds capacity %d"
                          % (len(msg), pk.capacity()))
-    c = systematic_encode(pk.colperm, pk.public, _wrap(bytes(msg), pk.k))
+    c = systematic_encode(pk.public, _wrap(bytes(msg), pk.k))
     stream = SeededStream(bytes(seed)).child(b"err")
     for p in stream.sample_distinct(pk.n, pk.w_enc):
         c ^= 1 << p
@@ -334,7 +329,8 @@ def decrypt(sk, ct):
         raise ValueError("ciphertext weight %d does not match the key's %d"
                          % (ct.weight, sk.w_enc))
     pairs = list_decode(sk.code(), ct.vector, sk.w_enc).candidates
-    msgs = [_unwrap(_project(c, sk.colperm[:sk.k]), sk.k) for c, _ in pairs]
+    mask = (1 << sk.k) - 1  # the message bits of [I_k | A]
+    msgs = [_unwrap(c & mask, sk.k) for c, _ in pairs]
     valid = [msg for msg in msgs if msg is not None]
     if not valid:
         raise NoCandidateError("no decoding candidate carries a valid tag")

@@ -35,6 +35,11 @@ def radii(n, t):
     return RadiusReport(t, generic, bernstein, tau2, math.ceil(tau2) - 1)
 
 
+def encryption_weight(n, r, decoder):
+    """Errors per ciphertext: r for "ud", ceil(tau2) - 1 for "ld"."""
+    return radii(n, r).ld_errors if decoder == "ld" else r
+
+
 def _split_costs(n, k, w):
     # l + log2 C(n,w) - log2 C(n-k, w-2p) - log2 C(k+l, 2p) for each
     # admissible p in turn, up to the first one 40 bits past the minimum;

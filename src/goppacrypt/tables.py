@@ -12,7 +12,7 @@ table and m*k for the dyadic ones; gain compares printed keysizes of an
 LD row and its nearest preceding UD row.
 """
 
-from .security import fs_workfactor, gain, keysize, radii
+from .security import encryption_weight, fs_workfactor, gain, keysize
 
 WF_TOLERANCE = 1.0
 
@@ -75,14 +75,10 @@ def table_variant(num):
 def verify_row(variant, row, prev_ud_keysize):
     method, m, n, k, r, p_tau2, p_wf, p_ks, p_gain = row
     bad = []
-    if method == "LD":
-        tau2 = radii(n, r).ld_errors
-        if tau2 != p_tau2:
-            bad.append("tau2")
-        w = tau2
-    else:
-        tau2 = None
-        w = r
+    w = encryption_weight(n, r, method.lower())
+    tau2 = w if method == "LD" else None
+    if tau2 != p_tau2:
+        bad.append("tau2")
     wf = fs_workfactor(n, k, w)
     if abs(wf - p_wf) > WF_TOLERANCE:
         bad.append("wf")

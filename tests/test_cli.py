@@ -331,24 +331,22 @@ def test_hostile_key_files_exit_cleanly(tmp_path, capsys):
                               str(msg), "--seed", "01", "--out", str(ct)])
     assert code == 0
 
-    # a column-order entry past n is refused at load, before encrypt uses it
-    pos = 28 + (kp.n * kp.m + 7) // 8 + ((kp.r + 1) * kp.m + 7) // 8
+    # a version-1 key file, which carried a column order, is refused
     blob = bytearray(key.read_bytes())
-    blob[pos:pos + 2] = (60000).to_bytes(2, "big")
-    wild = tmp_path / "wild.key"
-    wild.write_bytes(bytes(blob))
-    code, _, err = run(capsys, ["encrypt", "--key", str(wild), "--in",
-                                str(msg), "--seed", "01", "--out",
-                                str(tmp_path / "wild.ct")])
+    blob[4] = 1
+    old = tmp_path / "v1.key"
+    old.write_bytes(bytes(blob))
+    code, _, err = run(capsys, ["decrypt", "--key", str(old), "--in",
+                                str(ct), "--out", str(tmp_path / "v1.out")])
     assert code == 1
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and "version 1" in err
+    assert "Traceback" not in err
 
     # a support that holds a root of G is refused when decrypt builds the code
     root = next(a for a in range(kp.field.order) if kp.gpoly.eval(a) == 0)
     rooted = tmp_path / "rooted.key"
     KeyPair(kp.variant, kp.decoder, kp.w_enc, kp.field,
-            (root,) + kp.support[1:], kp.gpoly, kp.colperm,
-            kp.public).save(str(rooted))
+            (root,) + kp.support[1:], kp.gpoly, kp.public).save(str(rooted))
     code, _, err = run(capsys, ["decrypt", "--key", str(rooted), "--in",
                                 str(ct), "--out", str(tmp_path / "out")])
     assert code == 1

@@ -49,8 +49,8 @@ def test_signature_identity_and_distinctness():
         field = make_field(m)
         for s in range(seeds):
             sig = gen_signature(field, N, b"id/%d/%d" % (m, s))
-            assert len(sig.h) == N and all(v for v in sig.h)
-            e = [field.inv(v) for v in sig.h]
+            e = sig.e  # every e_i nonzero, so h_i = 1/e_i exists
+            assert len(e) == N and all(e)
             assert len(set(e)) == N
             for i in range(N):
                 for j in range(N):
@@ -82,9 +82,10 @@ def test_signature_is_cauchy():
     z = sig.roots(r)
     u = sig.points()
     assert not set(z) & set(u)
+    h = [field.inv(v) for v in sig.e]
     for i in range(r):
         for j in range(64):
-            assert field.inv(z[i] ^ u[j]) == sig.h[i ^ j]
+            assert field.inv(z[i] ^ u[j]) == h[i ^ j]
 
 
 def test_signature_determinism():
@@ -93,7 +94,7 @@ def test_signature_determinism():
     b = gen_signature(field, 128, b"det")
     c = gen_signature(field, 128, b"det2")
     assert a == b
-    assert a.h != c.h
+    assert a.e != c.e
 
 
 def test_gen_signature_domain():
@@ -265,18 +266,18 @@ def test_signature_sums_decide_like_rref(counted, m, N, n, r, attempts):
 def test_signature_to_code_shape():
     sig, code = make_dyadic(7, 64, 8, 64, b"shape")
     assert (code.n, code.k, code.r) == (64, 8, 8)
-    assert code.colperm == tuple(range(64))
+    assert code.systematic[0] == tuple(range(64))
     assert code.gpoly.degree == 8
     assert len(set(code.support)) == 64
     G = gen(code)
     for i in range(code.k):
-        assert code.parity_bin.mul_vec(G.row(i)) == 0
-        assert G.row(i) & ((1 << code.k) - 1) == 1 << i
+        assert code.parity_bin.mul_vec(G.bits[i]) == 0
+        assert G.bits[i] & ((1 << code.k) - 1) == 1 << i
     # every r x r block of the redundancy part is dyadic
     r = code.r
     for ublk in range(code.k // r):
         for t in range(code.field.m):
-            block = [[G.row(ublk * r + i) >> (code.k + t * r + j) & 1
+            block = [[G.bits[ublk * r + i] >> (code.k + t * r + j) & 1
                       for j in range(r)] for i in range(r)]
             assert dyadic_check(block)
 
@@ -361,7 +362,7 @@ def test_compact_inverts_expand_on_golden_keys(name):
     kp = keygen(*args, seed=b"golden/" + name.encode())
     m, n, r = kp.m, kp.n, kp.r
     blob = kp.to_bytes()
-    tail = blob[28 + (n * m + 7) // 8 + ((r + 1) * m + 7) // 8 + 2 * n:]
+    tail = blob[28 + (n * m + 7) // 8 + ((r + 1) * m + 7) // 8:]
     assert tail[:4] == b"QDGK"
     assert compact_pubkey(*expand_pubkey(tail)) == tail
     assert expand_pubkey(tail) == (m, r, kp.public)

@@ -3,7 +3,8 @@
 Key files, ciphertexts, the `table 1` CSV and a fixed set of `search`
 CSVs must stay byte-identical across refactors and speedups.  A change
 that has to alter these bytes must bump the file-format version and
-replace the digests on purpose.
+replace the digests on purpose: the key digests below are those of
+KEY_FORMAT_VERSION files, and every golden key must carry that version.
 """
 
 import hashlib
@@ -16,29 +17,32 @@ from goppacrypt.scheme import Cryptogram, KeyPair, decrypt, encrypt, keygen
 
 MESSAGE = b"gold"
 
+# the GPPA version byte of the key files whose digests follow
+KEY_FORMAT_VERSION = 2
+
 # name -> (keygen arguments, key file digest, ciphertext digest)
 GOLDEN = {
     "generic-ud": (
         ("generic", 8, 200, 12, "ud"),
-        "5d1ec5c0a7741fc92cec780128006b04ae62501eec40a16e13d1bda5099aeec2",
-        "4e4173910788ae9959339c78d423a0af57241ff84367114dd72406c990163bc0"),
+        "8bf9128eb5669971d8323fe3ecd6b8b925caea8190f7dfe791a1b4b6e6b69a73",
+        "148f8bd2a7e664b4cc87feab94f145a467ca11f90e0a662ad8b50877e4139789"),
     "generic-ld": (
         ("generic", 8, 144, 8, "ld"),
-        "267cdc218fe6f9e2f76875de2c5d147d6d3cad66396924fcdc1f5787a1cce20e",
-        "125a389c4bdc2f53b29386b58bde63337b5cec9b162acc63f1ad4e291bd30b3f"),
+        "ef79f43fcfe7f27be5c2474cbd1f555ce208250fc3f3da05e905dc67b63f42ef",
+        "8a7bbe6b0e012db3cdac5d90e529160c1eb786a158ee6d2b0def5d982d9afc13"),
     "dyadic-ud": (
         ("dyadic", 10, 256, 16, "ud"),
-        "e80be687bd59ad499a2e8a1e387f5d25c52e169e5f4a70552b4cfe8097a9d17d",
+        "21a40f3f952fa5a85e6c4a9c261db33e467be9448f78de3485d38b67d5be6be3",
         "f9131879bbc7c3bee84672ed0139499d1daf5c9b43696cea81afd25b1c9ea754"),
     # the m = 16 shape: many short blocks
     "dyadic-m16": (
         ("dyadic", 16, 256, 4, "ud"),
-        "d7fe803545febec2bbc25834b695dd7943ac5f7bd8ee164b9acf971e51b8eaf5",
+        "05abc1e8b38f21835579ccf958a3d39fc30f97569fa1b5926af63f72a3b85c33",
         "a32288a9f9b87a4e35f03489288b6eb7fd8a5c69a9488f96774a591143869c39"),
     # w_enc = 17 = r + 1, decrypted by the linear engine
     "dyadic-ld": (
         ("dyadic", 10, 256, 16, "ld"),
-        "ea33433d5cca61c36c95d916af2a1272ef92b31df4e52a8bc85ad998d91e7cbb",
+        "461a0504005b64795074e48b6f74842df81685902ce16876db5fdbea9737d9cb",
         "62c59296cf0dc0c8186ebe7590a2fada3b38c0e1ae3903b771033908a81020a3"),
 }
 
@@ -59,6 +63,7 @@ def test_key_and_ciphertext_digests(name):
     args, key_digest, ct_digest = GOLDEN[name]
     kp = keygen(*args, seed=b"golden/" + name.encode())
     blob = kp.to_bytes()
+    assert blob[4] == KEY_FORMAT_VERSION
     assert sha256(blob) == key_digest
     ct = encrypt(kp, MESSAGE, b"golden-ct/" + name.encode())
     assert sha256(ct.to_bytes()) == ct_digest

@@ -4,15 +4,16 @@ import time
 import pytest
 
 from goppacrypt import goppa, scheme
-from goppacrypt.binmat import BinMatrix
-from goppacrypt.goppa import CodeConstructionError
+from goppacrypt.binmat import BinMatrix, rref
+from goppacrypt.gf2m import make_field, random_monic_irreducible
+from goppacrypt.goppa import CodeConstructionError, build_code
 from goppacrypt.decode import list_decode, patterson_decode
 from goppacrypt.prng import SeededStream
 from goppacrypt.scheme import (
     AmbiguityError, Cryptogram, KeyPair, NoCandidateError,
-    _project, _unwrap, _wrap, decrypt, encrypt, keygen, validate_params,
+    _unwrap, _wrap, decrypt, encrypt, keygen, validate_params,
 )
-from testlib import gen, null_space, project_bitloop
+from testlib import null_space
 from test_golden import GOLDEN
 
 
@@ -114,7 +115,6 @@ def test_roundtrip_dyadic_ud():
     kp = keygen("dyadic", 10, 256, 16, "ud", b"dud10")
     assert (kp.n, kp.k, kp.r, kp.w_enc) == (256, 96, 16, 16)
     assert kp.capacity() == 7
-    assert kp.colperm == tuple(range(256))
     roundtrip(kp, 20, "dud10")
 
 
@@ -137,23 +137,52 @@ def test_table1_row2_roundtrip_at_full_size():
 
 @pytest.mark.parametrize("m,n,r", ((6, 64, 4), (8, 200, 12), (9, 256, 12)))
 def test_generic_public_matrix_matches_null_space(m, n, r, monkeypatch):
-    # the transposed elimination against the null-space basis it replaced;
-    # keygen builds no generator on the way
+    # the transposed elimination against the null-space basis it replaced,
+    # brought to systematic form on the key's support order; keygen
+    # builds no generator on the way
     def refuse(code):
         raise AssertionError("generator built")
     with monkeypatch.context() as patch:
         patch.setattr(goppa.GoppaCode, "gen", property(refuse),
                       raising=False)
         kp = keygen("generic", m, n, r, "ud", b"ns%d" % m)
-    code = kp.code()
-    basis = null_space(code.parity_bin)
+    basis = null_space(kp.code().parity_bin)
     assert basis.rows == kp.k
-    assert kp.colperm == tuple(v.bit_length() - 1 for v in basis.bits) \
-        + tuple(sorted(set(range(n)) - {v.bit_length() - 1
-                                        for v in basis.bits}))
-    assert kp.public.bits == tuple(_project(v, kp.colperm[kp.k:])
-                                   for v in basis.bits)
-    assert gen(code) == basis
+    R, _, pivots = rref(basis)
+    assert pivots == list(range(kp.k))
+    assert R.bits == tuple(1 << i | v << kp.k
+                           for i, v in enumerate(kp.public.bits))
+
+
+@pytest.mark.parametrize("m,n,r", ((6, 64, 4), (8, 144, 8), (9, 256, 12)))
+def test_generic_key_support_is_in_elimination_order(m, n, r):
+    # re-derived from the documented schedule, "goppa" then "support":
+    # the key holds the drawn code's G and A, and its support permuted
+    # by the elimination's column order
+    field = make_field(m)
+    for s in range(3):
+        seed = b"order/%d" % s
+        stream = SeededStream(seed)
+        g = random_monic_irreducible(field, r, stream.child(b"goppa"))
+        support = stream.child(b"support").sample_distinct(field.order, n)
+        colperm, A = build_code(field, support, g).systematic
+        kp = keygen("generic", m, n, r, "ud", seed)
+        assert kp.gpoly == g and kp.public == A
+        assert kp.support == tuple(support[c] for c in colperm)
+        assert colperm != tuple(range(n))  # the order did move
+
+
+@pytest.mark.parametrize("args", [("generic", 8, 200, 12, "ud"),
+                                  ("generic", 8, 144, 8, "ld"),
+                                  ("dyadic", 10, 256, 16, "ud"),
+                                  ("dyadic", 16, 128, 4, "ld")])
+def test_systematic_rows_are_codewords_on_identity_order(args):
+    # [I_k | A] generates the key's code on its own support order, for
+    # both variants, so decrypt's plaintext is the low k bits
+    kp = KeyPair.from_bytes(keygen(*args, seed=b"rows").to_bytes())
+    parity = kp.code().parity_bin
+    for i, v in enumerate(kp.public.bits):
+        assert parity.mul_vec(1 << i | v << kp.k) == 0
 
 
 def test_dyadic_keygen_builds_no_generator(monkeypatch):
@@ -174,23 +203,7 @@ def test_loaded_public_key_is_the_issued_matrix(args):
     assert isinstance(kp.public, BinMatrix)
     assert (kp.public.rows, kp.public.cols) == (kp.k, kp.n - kp.k)
     assert loaded.public == kp.public
-    assert loaded.colperm == kp.colperm
-
-
-def test_project_mask_matches_loop():
-    # dyadic keys keep the identity column order, so their plaintext
-    # projection is a mask; generic keys permute the columns
-    rng = random.Random(31)
-    keys = {"generic": keygen("generic", 8, 200, 12, "ud", b"proj"),
-            "dyadic": keygen("dyadic", 10, 256, 16, "ud", b"proj")}
-    for variant, kp in keys.items():
-        systematic = kp.colperm[:kp.k]
-        assert (systematic == tuple(range(kp.k))) == (variant == "dyadic")
-        for positions in (systematic, kp.colperm[kp.k:]):
-            for _ in range(20):
-                row = rng.getrandbits(kp.n)
-                assert _project(row, positions) == \
-                    project_bitloop(row, positions)
+    assert loaded.support == kp.support
 
 
 def test_beyond_unique_witness():
@@ -354,7 +367,7 @@ def test_from_bytes_bounds_m_before_field_work(small_key_blob):
     assert time.perf_counter() - t0 < 0.1
 
 
-def _colperm_offset(kp):
+def _public_offset(kp):
     return 28 + (kp.n * kp.m + 7) // 8 + ((kp.r + 1) * kp.m + 7) // 8
 
 
@@ -368,7 +381,9 @@ def test_from_bytes_checks_header_before_work(small_key_blob):
         KeyPair.from_bytes(bytes(blob))
     assert time.perf_counter() - t0 < 0.1
     for start, value in ((16, 0),   # r = 0
-                         (12, 51)):  # k != n - m*r
+                         (12, 51),  # k != n - m*r
+                         (20, 0),   # no errors: the plain codeword
+                         (20, 3)):  # w_enc != r for a ud key
         blob = bytearray(small_key_blob)
         blob[start:start + 4] = value.to_bytes(4, "big")
         with pytest.raises(ValueError):
@@ -390,7 +405,7 @@ def test_from_bytes_checks_compact_header_before_expanding(
         raise AssertionError("compact key expanded")
     kp = KeyPair.from_bytes(dyadic_key_blob)
     blob = bytearray(dyadic_key_blob)
-    pos = _colperm_offset(kp) + 2 * kp.n + offset
+    pos = _public_offset(kp) + offset
     assert blob[pos] != value
     blob[pos] = value
     monkeypatch.setattr(scheme, "expand_pubkey", refuse)
@@ -407,22 +422,9 @@ def test_from_bytes_refuses_dyadic_r_not_power_of_two(dyadic_key_blob):
         KeyPair.from_bytes(bytes(blob))
 
 
-@pytest.mark.parametrize("case", ["out-of-range", "duplicate"])
-def test_from_bytes_refuses_bad_column_order(small_key_blob, case):
-    kp = KeyPair.from_bytes(small_key_blob)
-    pos = _colperm_offset(kp)
-    blob = bytearray(small_key_blob)
-    if case == "out-of-range":
-        blob[pos:pos + 2] = (60000).to_bytes(2, "big")
-    else:
-        blob[pos:pos + 2] = blob[pos + 2:pos + 4]
-    with pytest.raises(ValueError):
-        KeyPair.from_bytes(bytes(blob))
-
-
 def _with_support(kp, support):
     return KeyPair(kp.variant, kp.decoder, kp.w_enc, kp.field, support,
-                   kp.gpoly, kp.colperm, kp.public).to_bytes()
+                   kp.gpoly, kp.public).to_bytes()
 
 
 def test_decrypt_refuses_invalid_support():

@@ -9,7 +9,7 @@ the entry-by-entry dyadic signature fill, the dyadic structure check,
 the xor reindexing of a dyadic signature with its bit-loop version, the
 row-by-row compact key expansion, the bit-matrix transpose and
 matrix-vector product, the GF(2) parity check, the syndrome, the locator
-root search, the square root of x mod G and the plaintext projection.
+root search and the square root of x mod G.
 The dyadic generator is checked against elimination over the ring of
 dyadic blocks, and the linear list-decoding engine against the flip
 engine, one degree-2r decode per flip subset.
@@ -101,7 +101,7 @@ def min_distance_exhaustive(code):
     best = code.n + 1
     word = 0
     for i in range(1, 1 << code.k):
-        word ^= gen(code).row((i & -i).bit_length() - 1)
+        word ^= gen(code).bits[(i & -i).bit_length() - 1]
         w = word.bit_count()
         if w < best:
             best = w
@@ -221,7 +221,7 @@ def mul_vec_bitloop(M, x):
     for i in range(M.rows):
         bit = 0
         for j in range(M.cols):
-            bit ^= M.get(i, j) & (x >> j & 1)
+            bit ^= M.bits[i] >> j & x >> j & 1
         out |= bit << i
     return out
 
@@ -475,14 +475,6 @@ def flip_engine(code, y, tau):
                 if dist <= tau:
                     found[c] = dist
     return _sorted_result(code.n, found.items())
-
-
-def project_bitloop(row, positions):
-    """Bit positions[j] of row as bit j, one position at a time."""
-    out = 0
-    for j, p in enumerate(positions):
-        out |= (row >> p & 1) << j
-    return out
 
 
 def locator_roots_horner(code, sigma):
