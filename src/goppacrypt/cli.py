@@ -83,7 +83,12 @@ def _min_feasible(m, r, decoder, target, lo, hi, step):
 
 
 def search_params(target, variant, decoder, countermeasure="none"):
-    """Smallest-key parameter row with WF >= target, or None.
+    """A parameter row with WF >= target, or None.
+
+    A row is the paper's estimate, not a key.  It is the best row the
+    bisection reaches, which is not always the smallest key
+    (_min_feasible).  keygen refuses rows with tau - r > 2 or a dyadic
+    n > 2^(m-1), which search returns when they score best.
 
     Ties break deterministically on (keysize, n, m).  For each m the
     dyadic grid walks r = 2, 4, 8, ... with n stepping by r, the generic

@@ -14,21 +14,23 @@ XORs of table rows, with no evaluation per support point.
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .gf2m import Poly, eea_stop, poly_invmod, poly_sqrt_mod
 from .goppa import CapacityError, encode, syndrome_poly
 from .security import radii
 
 
+# list_decode decodes radii up to r + LD_REACH and refuses any beyond
+LD_REACH = 2
+
+
 class RadiusError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    candidates: tuple  # of (codeword, error_weight), sorted
+# candidates: a sorted tuple of (codeword, error_weight)
+DecodeResult = namedtuple("DecodeResult", "candidates")
 
 
 def _sorted_result(n, pairs):
@@ -154,7 +156,7 @@ def list_decode(code, y, tau):
         raise RadiusError("code too short for a real-valued list radius")
     if tau > limit:
         raise RadiusError("radius %d outside [0, %d]" % (tau, limit))
-    if tau > code.r + 2:
+    if tau > code.r + LD_REACH:
         raise CapacityError("no decoder reaches radius tau = r + %d"
                             % (tau - code.r))
     return _linear_engine(code, y, tau)

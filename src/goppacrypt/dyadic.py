@@ -16,7 +16,7 @@ the first row of each r x r block.  expand_pubkey rebuilds each block
 from that row by doubling, swapping halves of bit groups.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import xor
 
@@ -30,8 +30,7 @@ class SignatureExhaustionError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class DyadicSignature:
+class DyadicSignature(namedtuple("DyadicSignature", "field e omega")):
     """A dyadic signature held as e_i = 1/h_i, with the offset omega.
 
     From gen_signature, e_{i xor j} = e_i + e_j + e_0, so e is e_0 plus
@@ -39,9 +38,7 @@ class DyadicSignature:
     outside V.
     """
 
-    field: object
-    e: tuple
-    omega: int
+    __slots__ = ()
 
     def roots(self, r):
         # z_i = 1/h_i + omega, the Goppa polynomial roots, in e_0 + V + omega

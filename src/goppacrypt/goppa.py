@@ -118,8 +118,8 @@ class GoppaCode:
         return self.systematic[1].rows
 
     def __repr__(self):
-        return "GoppaCode(m=%d, n=%d, k=%d, r=%d)" % (
-            self.field.m, self.n, self.k, self.r)
+        # k would run the elimination behind systematic
+        return "GoppaCode(m=%d, n=%d, r=%d)" % (self.field.m, self.n, self.r)
 
 
 def build_code(field, support, gpoly):

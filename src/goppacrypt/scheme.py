@@ -16,11 +16,12 @@ generator on the support's own order, as it is for dyadic codes.
 """
 
 import binascii
+from collections import namedtuple
 
 from .gf2m import Field, Poly, make_field, random_monic_irreducible
 from .binmat import BinMatrix
 from .goppa import CodeConstructionError, build_code, systematic_encode
-from .decode import list_decode
+from .decode import LD_REACH, list_decode
 from .dyadic import (
     gen_signature, signature_to_code,
     compact_pubkey, expand_pubkey,
@@ -46,12 +47,16 @@ class AmbiguityError(DecryptionError):
 
 
 def validate_params(variant, m, n, r, decoder="ud"):
-    """Shape and countermeasure gate; returns (k, w_enc).
+    """Published-row shape and countermeasure gate; returns (k, w_enc).
 
     This is the instant check: it accepts or refuses a parameter set
     without constructing anything, so it works at full cryptographic
-    sizes.  keygen applies it and may still fail later on seed-specific
-    construction events.
+    sizes, and it accepts every published table row.  keygen applies it
+    and then refuses two more shapes before any draw: w_enc - r past
+    LD_REACH (no decoder reaches that radius), with ValueError, and a
+    dyadic n > 2^(m-1) (more points than the signature pool holds), with
+    CodeConstructionError.  Past those, keygen fails only on
+    seed-specific construction events.
     """
     if variant not in ("generic", "dyadic"):
         raise ValueError("variant must be generic or dyadic")
@@ -188,16 +193,8 @@ class KeyPair:
             return cls.from_bytes(fh.read())
 
 
-class Cryptogram:
-    def __init__(self, n, weight, vector):
-        self.n = n
-        self.weight = weight
-        self.vector = vector
-
-    def __eq__(self, other):
-        return (isinstance(other, Cryptogram) and
-                (self.n, self.weight, self.vector) ==
-                (other.n, other.weight, other.vector))
+class Cryptogram(namedtuple("Cryptogram", "n weight vector")):
+    __slots__ = ()
 
     def to_bytes(self):
         return (b"GCTX" + self.n.to_bytes(4, "big") +
@@ -232,8 +229,9 @@ def keygen(variant, m, n, r, decoder, seed):
     seed schedule.  Construction failures raise CodeConstructionError;
     parameter refusals, w_enc past r + 2 too, raise ValueError first."""
     k, w_enc = validate_params(variant, m, n, r, decoder)
-    if w_enc > r + 2:
-        raise ValueError("decoders reach r + 2; tau - r = %d" % (w_enc - r))
+    if w_enc > r + LD_REACH:
+        raise ValueError("decoders reach r + %d; tau - r = %d"
+                         % (LD_REACH, w_enc - r))
     if not isinstance(seed, (bytes, bytearray)) or not seed:
         raise ValueError("seed must be nonempty bytes")
     seed = bytes(seed)

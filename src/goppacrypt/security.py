@@ -6,23 +6,13 @@ bound on information-set decoding, calibrated to three decimals.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, ROUND_HALF_UP
 
 
-@dataclass(frozen=True)
-class RadiusReport:
-    t: int
-    generic_johnson: float
-    bernstein: float
-    tau2: float
-    ld_errors: int
-
-
-@dataclass(frozen=True)
-class Countermeasures:
-    cm1: bool
-    cm2: bool
+RadiusReport = namedtuple(
+    "RadiusReport", "t generic_johnson bernstein tau2 ld_errors")
+Countermeasures = namedtuple("Countermeasures", "cm1 cm2")
 
 
 def radii(n, t):

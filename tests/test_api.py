@@ -6,6 +6,7 @@ import ast
 import glob
 import os
 import re
+import subprocess
 import sys
 
 import goppacrypt
@@ -63,3 +64,14 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, (path, name)
+
+
+def test_cli_start_up_loads_no_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize on every start-up
+    src = os.path.dirname(os.path.dirname(goppacrypt.__file__))
+    probe = "import sys, goppacrypt.cli; print(sorted(" \
+            "{'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"

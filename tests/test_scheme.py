@@ -322,6 +322,22 @@ def test_serialize_roundtrip():
             Cryptogram.from_bytes(b"YYYY" + ct_blob[4:])
 
 
+def test_cryptogram_is_a_value():
+    ct = Cryptogram.from_bytes(Cryptogram(20, 2, 0b1001).to_bytes())
+    same = Cryptogram(20, 2, 0b1001)
+    assert ct == same and hash(ct) == hash(same) and {ct: 1}[same] == 1
+    assert ct != Cryptogram(20, 2, 0b0110)
+    with pytest.raises(AttributeError):
+        ct.vector = 0
+
+
+def test_repr_of_a_key_code_runs_no_elimination(monkeypatch):
+    kp = KeyPair.from_bytes(
+        keygen("generic", 8, 144, 8, "ud", b"repr").to_bytes())
+    monkeypatch.setattr(goppa, "rref",
+                        lambda M: pytest.fail("repr ran an elimination"))
+    assert repr(kp.code()) == "GoppaCode(m=8, n=144, r=8)"
+
 def test_error_draw_collisions():
     # the documented error schedule: child stream "err", Fisher-Yates
     seen = {}
