@@ -66,14 +66,17 @@ def _feasible(n, m, r, decoder, target):
         return False
 
 
-def _min_feasible(m, r, decoder, target, lo, hi, step):
+def _min_feasible(m, r, decoder, target, lo, hi, step, cap):
     # bisect the grid for the smallest feasible n.  This assumes the
     # workfactor grows with n at fixed (m, r); where it does not, the row
     # is the one this path finds (hi first, then halving), which
-    # test_search_rows_follow_bisection_path pins
+    # test_search_rows_follow_bisection_path pins.  Only n <= cap can
+    # beat the best row so far, so the halving stops once lo passes cap:
+    # the feasible n it then returns, like the full path's, lies above
+    # cap and improves nothing
     if lo > hi or not _feasible(hi, m, r, decoder, target):
         return None
-    while lo < hi:
+    while lo < hi and lo <= cap:
         mid = lo + ((hi - lo) // (2 * step)) * step
         if _feasible(mid, m, r, decoder, target):
             hi = mid
@@ -87,8 +90,9 @@ def search_params(target, variant, decoder, countermeasure="none"):
 
     A row is the paper's estimate, not a key.  It is the best row the
     bisection reaches, which is not always the smallest key
-    (_min_feasible).  keygen refuses rows with tau - r > 2 or a dyadic
-    n > 2^(m-1), which search returns when they score best.
+    (_min_feasible).  validate_params, and so keygen, refuses rows with
+    tau - r > 2 or a dyadic n > 2^(m-1), which search returns when they
+    score best.
 
     Ties break deterministically on (keysize, n, m).  For each m the
     dyadic grid walks r = 2, 4, 8, ... with n stepping by r, the generic
@@ -96,9 +100,12 @@ def search_params(target, variant, decoder, countermeasure="none"):
     restricts to m = 16.  Each m's walk ends once the smallest n with
     k >= 1 exceeds 2^m, or after 25 consecutive values of r that do not
     improve the best row, counted from the first feasible one; a dyadic
-    walk has at most 11 values of r, so it is never cut short.  The
-    search scores the design dimension k = n - mr; key generation still
-    validates per instance.
+    walk has at most 11 values of r, so it is never cut short.  Keysize
+    grows with n at fixed (m, r), so an r whose rows cannot beat the
+    best so far is skipped once its m has a feasible r, and a bisection
+    stops once every n left in it is too large: the rows are those of
+    the full walk.  The search scores the design dimension k = n - mr;
+    key generation still validates per instance.
     """
     if not 60 <= target <= 300:
         raise ValueError("target workfactor must lie in [60, 300]")
@@ -116,7 +123,18 @@ def search_params(target, variant, decoder, countermeasure="none"):
                 break
             if countermeasure == "cm1":
                 hi = min(hi, (r * (r + 1) - 1) // step * step)
-            n = _min_feasible(m, r, decoder, target, lo, hi, step)
+            cap = hi
+            if best is not None:
+                # keysize grows with n at fixed (m, r), so the grid points
+                # whose (keysize, n, m) is below best's form [lo, cap]
+                kmax = best[0] // keysize(variant, m, 1, r)
+                cap = m * r + kmax // step * step
+                if (keysize(variant, m, cap - m * r, r), cap, m) >= best[:3]:
+                    cap -= step
+                if seen_feasible and cap < lo:
+                    misses += 1  # no row here can improve on best
+                    continue
+            n = _min_feasible(m, r, decoder, target, lo, hi, step, cap)
             improved = False
             if n is not None:
                 seen_feasible = True

@@ -47,15 +47,16 @@ class AmbiguityError(DecryptionError):
 
 
 def validate_params(variant, m, n, r, decoder="ud"):
-    """Published-row shape and countermeasure gate; returns (k, w_enc).
+    """Shape, reach and countermeasure gate; returns (k, w_enc).
 
-    This is the instant check: it accepts or refuses a parameter set
-    without constructing anything, so it works at full cryptographic
-    sizes, and it accepts every published table row.  keygen applies it
-    and then refuses two more shapes before any draw: w_enc - r past
-    LD_REACH (no decoder reaches that radius), with ValueError, and a
-    dyadic n > 2^(m-1) (more points than the signature pool holds), with
-    CodeConstructionError.  Past those, keygen fails only on
+    This is the instant check that keygen applies before any draw: it
+    accepts or refuses a parameter set without constructing anything, so
+    it works at full cryptographic sizes.  Besides the shape and the
+    countermeasure it refuses w_enc - r past LD_REACH (no decoder
+    reaches that radius), with ValueError, and a dyadic n > 2^(m-1)
+    (more points than the signature pool holds), with
+    CodeConstructionError; so it refuses some published rows, whose
+    estimates the tables still check.  Past it, keygen fails only on
     seed-specific construction events.
     """
     if variant not in ("generic", "dyadic"):
@@ -78,7 +79,15 @@ def validate_params(variant, m, n, r, decoder="ud"):
         if not (cm.cm1 or cm.cm2):
             raise ValueError(
                 "insecure dyadic parameters: need r(r+1) > n or m >= 16")
-    return k, encryption_weight(n, r, decoder)
+    w_enc = encryption_weight(n, r, decoder)
+    if w_enc > r + LD_REACH:
+        raise ValueError("decoders reach r + %d; tau - r = %d"
+                         % (LD_REACH, w_enc - r))
+    if variant == "dyadic" and n > 1 << (m - 1):
+        raise CodeConstructionError(
+            "support needs %d points but the pool holds %d"
+            % (n, 1 << (m - 1)))
+    return k, w_enc
 
 
 def _dyadic_pool_size(m, n):
@@ -226,12 +235,9 @@ class Cryptogram(namedtuple("Cryptogram", "n weight vector")):
 
 def keygen(variant, m, n, r, decoder, seed):
     """Deterministic key generation; see the module docstring for the
-    seed schedule.  Construction failures raise CodeConstructionError;
-    parameter refusals, w_enc past r + 2 too, raise ValueError first."""
+    seed schedule.  validate_params' refusals come first, before any
+    draw; construction failures raise CodeConstructionError."""
     k, w_enc = validate_params(variant, m, n, r, decoder)
-    if w_enc > r + LD_REACH:
-        raise ValueError("decoders reach r + %d; tau - r = %d"
-                         % (LD_REACH, w_enc - r))
     if not isinstance(seed, (bytes, bytearray)) or not seed:
         raise ValueError("seed must be nonempty bytes")
     seed = bytes(seed)
@@ -254,9 +260,6 @@ def keygen(variant, m, n, r, decoder, seed):
 
 def _dyadic_code(field, n, r, seed):
     N = _dyadic_pool_size(field.m, n)
-    if n > N:
-        raise CodeConstructionError(
-            "support needs %d points but the pool holds %d" % (n, N))
     for t in range(KEYGEN_ATTEMPTS):
         sig = gen_signature(field, N, seed + b"/sig/" + bytes([t]))
         try:

@@ -1,12 +1,17 @@
 import csv
 import io
+import itertools
 import os
+import random
+from collections import Counter
 
 import pytest
 
+from goppacrypt import cli
 from goppacrypt.cli import main, search_params
 from goppacrypt.scheme import KeyPair
 from goppacrypt.security import check_countermeasures
+from testlib import search_params_unpruned
 
 TABLE_HEADER = "method,m,n,k,r,tau2,wf,keysize,gain,status"
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -154,6 +159,37 @@ def test_search_rows_follow_bisection_path(target, row):
     assert tuple(got[f] for f in ("m", "n", "k", "r", "tau2", "keysize")) \
         == row
     assert got["wf"] >= target
+
+
+def test_search_pruning_keeps_every_row(monkeypatch):
+    # the pruned walk against the same walk with every bisection run in
+    # full: identical rows, wf included, and fewer probes on generic
+    # searches.  Probe verdicts are shared through a memo, which leaves
+    # every call counted and every verdict the same
+    rng = random.Random(17)
+    grid = list(itertools.product(range(60, 301, 5), ("generic", "dyadic"),
+                                  ("ud", "ld"), ("none", "cm1", "cm2")))
+    cases = [(t, "generic", "ld", "none") for t in (140, 220, 260, 280)]
+    cases += rng.sample(grid, 26)
+    verdicts = {}
+    probes = Counter()
+    feasible = cli._feasible
+
+    def counted(*args):
+        probes[who] += 1
+        if args not in verdicts:
+            verdicts[args] = feasible(*args)
+        return verdicts[args]
+    monkeypatch.setattr(cli, "_feasible", counted)
+    for case in cases:
+        probes.clear()
+        who = "full"
+        want = search_params_unpruned(*case)
+        who = "pruned"
+        assert repr(search_params(*case)) == repr(want), case
+        if case[1] == "generic":
+            assert probes["pruned"] < probes["full"], case
+    assert sum(case[1] == "generic" for case in cases) >= 10
 
 
 def test_search_params_fields():

@@ -1,5 +1,7 @@
+import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -9,6 +11,7 @@ from goppacrypt.gf2m import make_field, random_monic_irreducible
 from goppacrypt.goppa import CodeConstructionError, build_code
 from goppacrypt.decode import list_decode, patterson_decode
 from goppacrypt.prng import SeededStream
+from goppacrypt.security import encryption_weight
 from goppacrypt.scheme import (
     AmbiguityError, Cryptogram, KeyPair, NoCandidateError,
     _unwrap, _wrap, decrypt, encrypt, keygen, validate_params,
@@ -31,9 +34,16 @@ def test_validate_params():
     assert validate_params("generic", 6, 64, 2) == (52, 2)
     assert validate_params("generic", 6, 64, 2, "ld") == (52, 2)
     assert validate_params("generic", 8, 144, 8, "ld") == (80, 9)
-    # accepted full-size dyadic row: k = 1088, countermeasure r(r+1) > n
-    assert validate_params("dyadic", 11, 1792, 64, "ud") == (1088, 64)
+    # accepted full-size dyadic row: k = 3584, countermeasure r(r+1) > n
+    assert validate_params("dyadic", 15, 11264, 512, "ud") == (3584, 512)
     assert validate_params("dyadic", 16, 5120, 256, "ud")[0] == 1024
+    with pytest.raises(CodeConstructionError) as exc:
+        validate_params("dyadic", 11, 1792, 64, "ud")  # n > 2^(m-1)
+    assert str(exc.value) == \
+        "support needs 1792 points but the pool holds 1024"
+    with pytest.raises(ValueError) as exc:
+        validate_params("generic", 8, 256, 24, "ld")  # tau = r + 3
+    assert str(exc.value) == "decoders reach r + 2; tau - r = 3"
     with pytest.raises(ValueError):
         validate_params("dyadic", 8, 128, 8)  # r(r+1) <= n and m < 16
     with pytest.raises(ValueError):
@@ -66,15 +76,48 @@ def test_keygen_refuses_ld_past_r_plus_2_before_any_work(monkeypatch):
     monkeypatch.setattr(scheme, "gen_signature", draw)
     for variant, m, n, r, excess in (("generic", 8, 256, 24, 3),
                                      ("dyadic", 12, 1024, 64, 5)):
-        assert validate_params(variant, m, n, r, "ld")[1] == r + excess
-        with pytest.raises(ValueError) as exc:
-            keygen(variant, m, n, r, "ld", b"cafe")
-        assert "tau - r = %d" % excess in str(exc.value)
-        assert "r + 2" in str(exc.value)
+        assert encryption_weight(n, r, "ld") == r + excess
+        for refuse, seed in ((validate_params, ()), (keygen, (b"cafe",))):
+            with pytest.raises(ValueError) as exc:
+                refuse(variant, m, n, r, "ld", *seed)
+            assert "tau - r = %d" % excess in str(exc.value)
+            assert "r + 2" in str(exc.value)
         with pytest.raises(Drawn):  # the same shape decoded up to r
             keygen(variant, m, n, r, "ud", b"cafe")
     with pytest.raises(Drawn):  # Table 1 row 8, at tau = r + 2
         keygen("generic", 13, 5269, 96, "ld", b"cafe")
+
+
+def test_keygen_refuses_before_any_draw_iff_validate_params_does(
+        monkeypatch):
+    # one reach rule: keygen refuses a shape, before anything is drawn,
+    # exactly when validate_params does, with the same error
+    class Drawn(Exception):
+        pass
+
+    def draw(*args):
+        raise Drawn
+    monkeypatch.setattr(scheme, "random_monic_irreducible", draw)
+    monkeypatch.setattr(scheme, "gen_signature", draw)
+    seen = Counter()
+    for args in itertools.product(
+            ("generic", "dyadic"), (6, 8, 10), (32, 64, 144, 256, 512),
+            (2, 4, 8, 16, 24), ("ud", "ld")):
+        try:
+            validate_params(*args)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                keygen(*args, b"cafe")
+            assert (type(got.value), str(got.value)) == \
+                (type(exc), str(exc))
+            seen[type(exc).__name__, str(exc).split(" ")[0]] += 1
+        else:
+            with pytest.raises(Drawn):
+                keygen(*args, b"cafe")
+            seen["drawn", args[0]] += 1
+    # the grid reaches each refusal and both variants' draws
+    assert {("ValueError", "decoders"), ("CodeConstructionError", "support"),
+            ("drawn", "generic"), ("drawn", "dyadic")} <= set(seen)
 
 
 def test_wrap_unwrap():

@@ -11,12 +11,14 @@ row-by-row compact key expansion, the bit-matrix transpose and
 matrix-vector product, the GF(2) parity check, the syndrome, the locator
 root search and the square root of x mod G.
 The dyadic generator is checked against elimination over the ring of
-dyadic blocks, and the linear list-decoding engine against the flip
-engine, one degree-2r decode per flip subset.
+dyadic blocks, the linear list-decoding engine against the flip
+engine, one degree-2r decode per flip subset, and the parameter search
+against the same walk with every bisection run in full.
 """
 
 import itertools
 
+from goppacrypt import cli
 from goppacrypt.binmat import BinMatrix, rref, transpose
 from goppacrypt.decode import _g2_from_syndrome, _sorted_result
 from goppacrypt.dyadic import DyadicSignature, SignatureExhaustionError
@@ -25,6 +27,7 @@ from goppacrypt.goppa import (
 )
 from goppacrypt.gf2m import NEG_INF, Poly, _square_mod, poly_gcd
 from goppacrypt.prng import SeededStream
+from goppacrypt.security import encryption_weight, fs_workfactor, keysize
 
 
 def field_div(field, a, b):
@@ -531,3 +534,48 @@ def random_goppa_code(m, n, r, rng, monic=True):
             support.append(a)
     rng.shuffle(support)
     return build_code(field, support, g)
+
+
+def search_params_unpruned(target, variant, decoder, countermeasure="none"):
+    """cli.search_params with every r of each walk bisected in full, on
+    the same grid, tie-breaks and 25-miss stop; it probes through
+    cli._feasible, so a test can count its probes."""
+    dyadic = variant == "dyadic"
+    best = None
+    for m in range(16 if countermeasure == "cm2" else 10, 17):
+        misses = 0
+        seen_feasible = False
+        for r in ((1 << j for j in itertools.count(1)) if dyadic
+                  else itertools.count(1)):
+            step = r if dyadic else 1
+            lo, hi = m * r + step, 1 << m
+            if lo > hi or misses == 25:
+                break
+            if countermeasure == "cm1":
+                hi = min(hi, (r * (r + 1) - 1) // step * step)
+            n = None
+            if lo <= hi and cli._feasible(hi, m, r, decoder, target):
+                while lo < hi:  # hi first, then halving
+                    mid = lo + ((hi - lo) // (2 * step)) * step
+                    if cli._feasible(mid, m, r, decoder, target):
+                        hi = mid
+                    else:
+                        lo = mid + step
+                n = hi
+            improved = False
+            if n is not None:
+                seen_feasible = True
+                k = n - m * r
+                cand = (keysize(variant, m, k, r), n, m, r, k)
+                if best is None or cand[:3] < best[:3]:
+                    best = cand
+                    improved = True
+            if seen_feasible:
+                misses = 0 if improved else misses + 1
+    if best is None:
+        return None
+    ks, n, m, r, k = best
+    w = encryption_weight(n, r, decoder)
+    return {"method": "LD" if decoder == "ld" else "UD", "m": m, "n": n,
+            "k": k, "r": r, "tau2": w if decoder == "ld" else None,
+            "wf": fs_workfactor(n, k, w), "keysize": ks, "gain": None}
