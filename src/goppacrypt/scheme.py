@@ -49,15 +49,16 @@ class AmbiguityError(DecryptionError):
 def validate_params(variant, m, n, r, decoder="ud"):
     """Shape, reach and countermeasure gate; returns (k, w_enc).
 
-    This is the instant check that keygen applies before any draw: it
-    accepts or refuses a parameter set without constructing anything, so
-    it works at full cryptographic sizes.  Besides the shape and the
-    countermeasure it refuses w_enc - r past LD_REACH (no decoder
-    reaches that radius), with ValueError, and a dyadic n > 2^(m-1)
-    (more points than the signature pool holds), with
-    CodeConstructionError; so it refuses some published rows, whose
-    estimates the tables still check.  Past it, keygen fails only on
-    seed-specific construction events.
+    keygen applies it before any draw and KeyPair.from_bytes to a key
+    file's header before building a field: it accepts or refuses a
+    parameter set without constructing anything, so it works at full
+    cryptographic sizes.  Besides the shape and the countermeasure it
+    refuses k <= TAG_BITS (no message fits past the tag) and w_enc - r
+    past LD_REACH (no decoder reaches that radius), with ValueError,
+    and a dyadic n > 2^(m-1) (more points than the signature pool
+    holds), with CodeConstructionError; so it refuses some published
+    rows, whose estimates the tables still check.  Past it, keygen
+    fails only on seed-specific construction events.
     """
     if variant not in ("generic", "dyadic"):
         raise ValueError("variant must be generic or dyadic")
@@ -70,8 +71,9 @@ def validate_params(variant, m, n, r, decoder="ud"):
     if r < 1:
         raise ValueError("r must be positive")
     k = n - m * r
-    if k < 1:
-        raise ValueError("parameters leave no dimension")
+    if k <= TAG_BITS:
+        raise ValueError("k = %d leaves no message bits past the %d-bit tag"
+                         % (k, TAG_BITS))
     if variant == "dyadic":
         if r & (r - 1) or n % r:
             raise ValueError("dyadic needs a power-of-two r dividing n")
@@ -105,11 +107,9 @@ class KeyPair:
     the support and the Goppa polynomial.
     """
 
-    def __init__(self, variant, decoder, w_enc, field, support, gpoly,
-                 public):
+    def __init__(self, variant, decoder, field, support, gpoly, public):
         self.variant = variant
         self.decoder = decoder
-        self.w_enc = w_enc
         self.field = field
         self.m = field.m
         self.support = tuple(support)
@@ -118,6 +118,7 @@ class KeyPair:
         self.n = len(self.support)
         self.r = gpoly.degree
         self.k = self.n - self.m * self.r
+        self.w_enc = encryption_weight(self.n, self.r, decoder)
         self._code = None
 
     def code(self):
@@ -163,21 +164,21 @@ class KeyPair:
         n, k, r, w_enc = (int.from_bytes(blob[8 + 4 * i:12 + 4 * i], "big")
                           for i in range(4))
         modulus = int.from_bytes(blob[24:28], "big")
-        field = Field(m, modulus)
-        #  the header sizes everything below: check it before any work
-        if (r < 1 or n > field.order or k < 1 or k != n - m * r
-                or variant == "dyadic" and (r & (r - 1) or k % r)):
-            raise ValueError("inconsistent key dimensions")
-        if w_enc != encryption_weight(n, r, decoder):  # as keygen issues
-            raise ValueError("encryption weight does not match the decoder")
+        #  the header sizes everything below: keygen's gate first
+        if (k, w_enc) != validate_params(variant, m, n, r, decoder):
+            raise ValueError("k or encryption weight in the key header "
+                             "differs from what its parameters give")
         span = (9 + k // r * m * ((r + 7) // 8) if variant == "dyadic"
                 else (k * (n - k) + 7) // 8)
         mid = 28 + (n * m + 7) // 8
         pos = mid + ((r + 1) * m + 7) // 8
         if len(blob) != pos + span:
             raise ValueError("key file length does not match its header")
+        field = Field(m, modulus)
         support = BinMatrix.from_bytes(n, m, blob[28:mid]).bits
-        coeffs = BinMatrix.from_bytes(r + 1, m, blob[mid:pos]).bits
+        gpoly = Poly(field, BinMatrix.from_bytes(r + 1, m, blob[mid:pos]).bits)
+        if gpoly.degree != r:
+            raise ValueError("Goppa polynomial degree differs from r")
         body = blob[pos:]
         if variant == "dyadic":
             head = body[5], 1 << body[6], body[7] << 8 | body[8]
@@ -186,11 +187,7 @@ class KeyPair:
             public = expand_pubkey(body)[2]  # validates structure
         else:
             public = BinMatrix.from_bytes(k, n - k, body)
-        kp = cls(variant, decoder, w_enc, field, support,
-                 Poly(field, coeffs), public)
-        if kp.r != r:
-            raise ValueError("inconsistent key dimensions")
-        return kp
+        return cls(variant, decoder, field, support, gpoly, public)
 
     def save(self, path):
         with open(path, "wb") as fh:
@@ -237,7 +234,7 @@ def keygen(variant, m, n, r, decoder, seed):
     """Deterministic key generation; see the module docstring for the
     seed schedule.  validate_params' refusals come first, before any
     draw; construction failures raise CodeConstructionError."""
-    k, w_enc = validate_params(variant, m, n, r, decoder)
+    k = validate_params(variant, m, n, r, decoder)[0]
     if not isinstance(seed, (bytes, bytearray)) or not seed:
         raise ValueError("seed must be nonempty bytes")
     seed = bytes(seed)
@@ -254,7 +251,7 @@ def keygen(variant, m, n, r, decoder, seed):
     # the support in the elimination's column order makes [I_k | A] a
     # generator on the identity order, which a dyadic code's order is
     colperm, A = code.systematic
-    return KeyPair(variant, decoder, w_enc, field,
+    return KeyPair(variant, decoder, field,
                    [code.support[c] for c in colperm], code.gpoly, A)
 
 

@@ -82,6 +82,7 @@ def verify_row(variant, row, prev_ud_keysize):
     wf = fs_workfactor(n, k, w)
     if abs(wf - p_wf) > WF_TOLERANCE:
         bad.append("wf")
+    # k(n-k), not security.keysize's m*k*r: the n = 2868 row has n-k != m*r
     ks = k * (n - k) if variant == "generic" else keysize("dyadic", m, k)
     if ks != p_ks:
         bad.append("keysize")

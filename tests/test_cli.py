@@ -329,8 +329,8 @@ def test_capacity_error_exits_cleanly(tmp_path, capsys):
     assert not key.exists()
     # the LD key an earlier keygen issued there is the UD key with the
     # decoder byte set and w_enc = r + 3 (the seed schedule ignores the
-    # decoder); decrypt reaches the decoder's CapacityError and reports it
-    # in one line
+    # decoder); loading it applies the same gate, so encrypt refuses it in
+    # one line and writes no ciphertext
     code, _, _ = run(capsys, ["keygen", "--variant", "generic",
                               "--decoder", "ud", "-m", "8", "-n", "256",
                               "-r", "24", "--seed", "cafe", "--out",
@@ -344,14 +344,12 @@ def test_capacity_error_exits_cleanly(tmp_path, capsys):
     msg = tmp_path / "msg.bin"
     msg.write_bytes(b"hi")
     ct = tmp_path / "msg.ct"
-    code, _, _ = run(capsys, ["encrypt", "--key", str(key), "--in",
-                              str(msg), "--seed", "01", "--out", str(ct)])
-    assert code == 0
-    code, _, err = run(capsys, ["decrypt", "--key", str(key), "--in",
-                                str(ct), "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert err.startswith("error: ") and "r + 3" in err
-    assert "Traceback" not in err
+    code, out, err = run(capsys, ["encrypt", "--key", str(key), "--in",
+                                  str(msg), "--seed", "01", "--out", str(ct)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "r + 2" in err and "Traceback" not in err
+    assert not ct.exists()
 
 
 def test_hostile_key_files_exit_cleanly(tmp_path, capsys):
@@ -381,8 +379,8 @@ def test_hostile_key_files_exit_cleanly(tmp_path, capsys):
     # a support that holds a root of G is refused when decrypt builds the code
     root = next(a for a in range(kp.field.order) if kp.gpoly.eval(a) == 0)
     rooted = tmp_path / "rooted.key"
-    KeyPair(kp.variant, kp.decoder, kp.w_enc, kp.field,
-            (root,) + kp.support[1:], kp.gpoly, kp.public).save(str(rooted))
+    KeyPair(kp.variant, kp.decoder, kp.field, (root,) + kp.support[1:],
+            kp.gpoly, kp.public).save(str(rooted))
     code, _, err = run(capsys, ["decrypt", "--key", str(rooted), "--in",
                                 str(ct), "--out", str(tmp_path / "out")])
     assert code == 1

@@ -477,13 +477,65 @@ def test_from_bytes_refuses_dyadic_r_not_power_of_two(dyadic_key_blob):
     blob = bytearray(dyadic_key_blob)
     for start, value in ((8, 240), (12, 120), (16, 12)):
         blob[start:start + 4] = value.to_bytes(4, "big")
-    with pytest.raises(ValueError, match="inconsistent key dimensions"):
+    with pytest.raises(ValueError, match="power-of-two r"):
         KeyPair.from_bytes(bytes(blob))
 
 
+def _patched_header(blob, variant, m, n, r, decoder):
+    out = bytearray(blob)
+    out[5:8] = bytes([variant == "dyadic", decoder == "ld", m])
+    for i, v in enumerate((n, max(n - m * r, 0), r, r)):
+        out[8 + 4 * i:12 + 4 * i] = v.to_bytes(4, "big")
+    return bytes(out)
+
+
+@pytest.mark.parametrize("params", [
+    ("generic", 8, 256, 24, "ld"),  # tau - r = 3
+    ("dyadic", 8, 128, 8, "ud"),  # r(r+1) <= n and m < 16
+    ("dyadic", 8, 192, 16, "ud"),  # n > 2^(m-1)
+    ("dyadic", 10, 480, 24, "ud"),  # r not a power of two
+    ("generic", 17, 256, 8, "ud"),  # m = 17
+    ("generic", 7, 78, 6, "ud"),  # k = 36
+])
+def test_from_bytes_applies_keygen_gate(dyadic_key_blob, monkeypatch,
+                                        params):
+    # each kind of validate_params refusal, from the header alone
+    def refuse(m, modulus):
+        raise AssertionError("field built")
+    with pytest.raises(ValueError) as want:
+        validate_params(*params)
+    monkeypatch.setattr(scheme, "Field", refuse)
+    with pytest.raises(ValueError) as got:
+        KeyPair.from_bytes(_patched_header(dyadic_key_blob, *params))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_from_bytes_refuses_an_insecure_dyadic_key():
+    # a dyadic (8, 128, 8) code, which keygen refuses, built past its gate
+    field = make_field(8)
+    code = scheme._dyadic_code(field, 128, 8, b"insecure")
+    colperm, A = code.systematic
+    blob = KeyPair("dyadic", "ud", field, [code.support[c] for c in colperm],
+                   code.gpoly, A).to_bytes()
+    with pytest.raises(ValueError, match="insecure dyadic parameters"):
+        KeyPair.from_bytes(blob)
+
+
+def test_keys_need_room_past_the_tag():
+    # k = 36 holds the tag alone; k = 37 carries the empty message
+    with pytest.raises(ValueError, match="36-bit tag"):
+        keygen("generic", 7, 78, 6, "ud", b"floor")
+    kp = keygen("generic", 7, 79, 6, "ud", b"floor")
+    assert (kp.k, kp.capacity()) == (37, 0)
+    assert decrypt(kp, encrypt(kp, b"", b"floor")) == b""
+    assert decrypt(KeyPair.from_bytes(kp.to_bytes()),
+                   encrypt(kp, b"", b"again")) == b""
+
+
 def _with_support(kp, support):
-    return KeyPair(kp.variant, kp.decoder, kp.w_enc, kp.field, support,
-                   kp.gpoly, kp.public).to_bytes()
+    return KeyPair(kp.variant, kp.decoder, kp.field, support, kp.gpoly,
+                   kp.public).to_bytes()
 
 
 def test_decrypt_refuses_invalid_support():
