@@ -13,14 +13,9 @@ import csv
 import sys
 from itertools import count
 
-from .goppa import CapacityError, CodeConstructionError
-from .scheme import (
-    Cryptogram, DecryptionError, KeyPair, decrypt, encrypt, keygen,
-)
 from .security import (
     encryption_weight, fs_reaches, fs_workfactor, keysize, radii,
 )
-from .tables import verify_table
 
 ROW_FIELDS = ("method", "m", "n", "k", "r", "tau2", "wf", "keysize", "gain")
 
@@ -42,6 +37,7 @@ def _fmt_row(row):
 
 
 def cmd_table(args):
+    from .tables import verify_table
     rows = verify_table(args.table)
     with _out_writer(args) as w:
         if args.table == 4:
@@ -192,6 +188,7 @@ def _seed(text):
 
 
 def cmd_keygen(args):
+    from .scheme import keygen
     kp = keygen(args.variant, args.m, args.n, args.r, args.decoder,
                 _seed(args.seed))
     kp.save(args.out)
@@ -202,6 +199,7 @@ def cmd_keygen(args):
 
 
 def cmd_encrypt(args):
+    from .scheme import KeyPair, encrypt
     kp = KeyPair.load(args.key)
     with open(args.infile, "rb") as fh:
         msg = fh.read()
@@ -210,6 +208,7 @@ def cmd_encrypt(args):
 
 
 def cmd_decrypt(args):
+    from .scheme import Cryptogram, KeyPair, decrypt
     kp = KeyPair.load(args.key)
     msg = decrypt(kp, Cryptogram.load(args.infile))
     with open(args.out, "wb") as fh:
@@ -276,12 +275,20 @@ def build_parser():
     return p
 
 
+def _errors():
+    # an except clause evaluates this only once an exception arrives, so
+    # table, search and bounds never load the code and crypto layers
+    from .goppa import CapacityError, CodeConstructionError
+    from .scheme import DecryptionError
+    return (ValueError, CodeConstructionError, DecryptionError,
+            CapacityError, OSError)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CodeConstructionError, DecryptionError,
-            CapacityError, OSError) as exc:
+    except _errors() as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

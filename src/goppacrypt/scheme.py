@@ -49,10 +49,11 @@ class AmbiguityError(DecryptionError):
 def validate_params(variant, m, n, r, decoder="ud"):
     """Shape, reach and countermeasure gate; returns (k, w_enc).
 
-    keygen applies it before any draw and KeyPair.from_bytes to a key
-    file's header before building a field: it accepts or refuses a
-    parameter set without constructing anything, so it works at full
-    cryptographic sizes.  Besides the shape and the countermeasure it
+    keygen applies it before any draw, KeyPair.from_bytes to a key
+    file's header before building a field, and KeyPair to its own shape,
+    so no key object saves a file that cannot load.  It accepts or
+    refuses a parameter set without constructing anything, so it works
+    at full cryptographic sizes.  Besides the shape and the countermeasure it
     refuses k <= TAG_BITS (no message fits past the tag) and w_enc - r
     past LD_REACH (no decoder reaches that radius), with ValueError,
     and a dyadic n > 2^(m-1) (more points than the signature pool
@@ -117,8 +118,8 @@ class KeyPair:
         self.public = public
         self.n = len(self.support)
         self.r = gpoly.degree
-        self.k = self.n - self.m * self.r
-        self.w_enc = encryption_weight(self.n, self.r, decoder)
+        self.k, self.w_enc = validate_params(variant, self.m, self.n,
+                                             self.r, decoder)
         self._code = None
 
     def code(self):

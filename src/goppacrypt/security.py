@@ -2,12 +2,13 @@
 
 All quantities here are arithmetic on code parameters; nothing touches
 actual codes.  Workfactors are log2 costs of the Finiasz-Sendrier lower
-bound on information-set decoding, calibrated to three decimals.
+bound on information-set decoding, calibrated to three decimals.  One
+scan over the attack's split sizes serves both fs_workfactor (its
+minimum) and fs_reaches (which stops at the first cost below target).
 """
 
 import math
 from collections import namedtuple
-from decimal import Decimal, ROUND_HALF_UP
 
 
 RadiusReport = namedtuple(
@@ -30,10 +31,11 @@ def encryption_weight(n, r, decoder):
     return radii(n, r).ld_errors if decoder == "ld" else r
 
 
-def _split_costs(n, k, w):
+def _scan(n, k, w, target=-math.inf):
     # l + log2 C(n,w) - log2 C(n-k, w-2p) - log2 C(k+l, 2p) for each
-    # admissible p in turn, up to the first one 40 bits past the minimum;
-    # p = 0 is always admissible, and w - 2p never leaves [0, n - k]
+    # admissible p in turn, up to the first one 40 bits past the minimum:
+    # the least such cost, or the first one below target; p = 0 is always
+    # admissible, and w - 2p never leaves [0, n - k]
     if k <= 0 or w <= 0 or w >= n - k:
         raise ValueError("need k > 0 and 0 < w < n - k")
     lg, ln2 = math.lgamma, math.log(2)
@@ -57,9 +59,12 @@ def _split_costs(n, k, w):
                - (lg_nk - lg(wp + 1) - lg(n - k - wp + 1)) / ln2
                - (lg(kl + 1) - lg(2 * p + 1) - lg(kl - 2 * p + 1)) / ln2)
         if val > best + 40:
-            return  # past the minimum and diverging
-        best = min(best, val)
-        yield val
+            break  # past the minimum and diverging
+        if val < target:
+            return val
+        if val < best:
+            best = val
+    return best
 
 
 def fs_workfactor(n, k, w):
@@ -69,13 +74,13 @@ def fs_workfactor(n, k, w):
          - log2 C(k+l, 2p), with l the fixed point of
          l = log2 C((k+l)/2, p).
     """
-    return min(_split_costs(n, k, w))
+    return _scan(n, k, w)
 
 
 def fs_reaches(n, k, w, target):
     """fs_workfactor(n, k, w) >= target, decided at the first split cost
     below target; the same ValueError outside the estimator's domain."""
-    return all(cost >= target for cost in _split_costs(n, k, w))
+    return _scan(n, k, w, target) >= target
 
 
 def keysize(variant, m, k, r=None):
@@ -99,6 +104,7 @@ def check_countermeasures(m, n, r):
 
 def gain(ud_keysize, ld_keysize):
     """Percent keysize reduction, rounded half-up to 2 decimals."""
+    from decimal import Decimal, ROUND_HALF_UP
     if ud_keysize <= 0:
         raise ValueError("reference keysize must be positive")
     pct = Decimal(100 * (ud_keysize - ld_keysize)) / Decimal(ud_keysize)

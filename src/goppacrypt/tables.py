@@ -5,11 +5,12 @@ keysize, gain) with tau2/gain None on UD rows.  verify_table recomputes
 every derived column and marks the row MATCH or MISMATCH; known-bad
 printed rows are flagged, never silently corrected.
 
-Recomputation rules: tau2 column is ceil(tau2)-1 from the radius
-formula; WF re-runs the estimator at w = r (UD) or the recomputed list
-radius (LD), tolerance 1.0 bits; keysize is (n-k)*k for the generic
-table and m*k for the dyadic ones; gain compares printed keysizes of an
-LD row and its nearest preceding UD row.
+Recomputation rules: the printed r must satisfy n - k = m*r; tau2
+column is ceil(tau2)-1 from the radius formula; WF re-runs the
+estimator at w = r (UD) or the recomputed list radius (LD), tolerance
+1.0 bits; keysize is (n-k)*k for the generic table and m*k for the
+dyadic ones; gain compares printed keysizes of an LD row and its
+nearest preceding UD row.
 """
 
 from .security import encryption_weight, fs_workfactor, gain, keysize
@@ -74,7 +75,7 @@ def table_variant(num):
 
 def verify_row(variant, row, prev_ud_keysize):
     method, m, n, k, r, p_tau2, p_wf, p_ks, p_gain = row
-    bad = []
+    bad = [] if n - k == m * r else ["r"]
     w = encryption_weight(n, r, method.lower())
     tau2 = w if method == "LD" else None
     if tau2 != p_tau2:

@@ -1,13 +1,17 @@
-"""The public API: every exported name resolves, the README's "Python
-API" section names nothing that is not exported and its example runs,
-and the package imports nothing outside the standard library."""
+"""The public API: every exported name resolves to its module's object,
+the README's "Python API" section names nothing that is not exported and
+its example runs, the package imports nothing outside the standard
+library, and a cold command loads only the modules it runs."""
 
 import ast
 import glob
+import json
 import os
 import re
 import subprocess
 import sys
+
+import pytest
 
 import goppacrypt
 
@@ -75,3 +79,59 @@ def test_cli_start_up_loads_no_dataclasses():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == "[]"
+
+
+def test_exports_are_their_modules_objects(monkeypatch):
+    for name in goppacrypt.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(goppacrypt, name)
+        assert obj.__module__.startswith("goppacrypt."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    namespace = {}
+    exec("from goppacrypt import *", namespace)
+    assert set(goppacrypt.__all__) <= set(namespace)
+    assert set(goppacrypt.__all__) <= set(dir(goppacrypt))
+    with pytest.raises(AttributeError):
+        goppacrypt.no_such_name
+    # nothing is cached in the package, so a patch shows through it
+    patched = lambda n, k, w: 0.0  # noqa: E731
+    monkeypatch.setattr(goppacrypt.security, "fs_workfactor", patched)
+    assert goppacrypt.fs_workfactor is patched
+
+
+def _run_fresh(args):
+    src = os.path.dirname(os.path.dirname(goppacrypt.__file__))
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error"] + args,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_cold_commands_load_only_what_they_run():
+    probe = "\n".join((
+        "import contextlib, io, json, sys",
+        "from goppacrypt import cli",
+        "def loaded():",
+        "    return sorted(m for m in sys.modules",
+        "                  if m.split('.')[0] == 'goppacrypt')",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    cli.main(['search', '128', '--variant', 'dyadic', '--decoder',",
+        "              'ld', '--countermeasure', 'cm1'])",
+        "    searched = loaded()",
+        "    cli.main(['table', '1'])",
+        "    tabled = loaded()",
+        "import goppacrypt",
+        "print(json.dumps([searched, tabled, goppacrypt.gf2m.__name__]))",
+    ))
+    out = _run_fresh(["-c", probe])
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    searched, tabled, gf2m = json.loads(out.stdout)
+    assert searched == ["goppacrypt", "goppacrypt.cli", "goppacrypt.security"]
+    assert tabled == searched + ["goppacrypt.tables"]
+    assert gf2m == "goppacrypt.gf2m"  # a layer still loads on first use
+
+
+def test_cli_module_runs_without_warnings():
+    out = _run_fresh(["-m", "goppacrypt.cli", "table", "4"])
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.startswith("level,dlp,mceliece,ratio\n")

@@ -7,6 +7,7 @@ from goppacrypt.cli import _feasible
 from goppacrypt.security import (
     radii, fs_reaches, fs_workfactor, keysize, check_countermeasures, gain,
 )
+from testlib import _split_costs
 
 # fs_workfactor(n, k, w).hex() as first recorded: every distinct (n, k, w)
 # of Tables 1-3 (w = r on UD rows, the list radius on LD rows), two small
@@ -141,6 +142,31 @@ def test_search_feasibility_matches_workfactor():
                        math.nextafter(wf, math.inf)):
             assert _feasible(n, m, r, decoder, target) == (wf >= target)
     assert inside >= 140 and outside >= 20
+
+
+def test_scan_matches_the_split_cost_generator():
+    # one loop for both estimators against the generator it replaced: the
+    # minimum bit for bit, and the verdict at each workfactor, one ulp
+    # either side of it and at a split cost between the least and the last
+    rng = random.Random(19)
+    between = 0
+    for _ in range(300):
+        n = rng.randrange(64, 12000)
+        k = rng.randrange(1, n - 2)
+        w = rng.randrange(1, min(n - k, 700))
+        costs = list(_split_costs(n, k, w))
+        wf = min(costs)
+        assert fs_workfactor(n, k, w).hex() == wf.hex()
+        targets = [wf, math.nextafter(wf, -math.inf),
+                   math.nextafter(wf, math.inf)]
+        mids = sorted(c for c in set(costs) if wf < c < costs[-1])
+        if mids:
+            targets.append(mids[len(mids) // 2])
+            between += 1
+        for target in targets:
+            assert fs_reaches(n, k, w, target) == \
+                all(cost >= target for cost in _split_costs(n, k, w))
+    assert between >= 100
 
 
 def test_keysize():

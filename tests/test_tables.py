@@ -8,8 +8,8 @@ from goppacrypt.tables import (
 # rows whose printed values the recomputation cannot reproduce, keyed by
 # (table, n, method): the verifier must flag exactly these, nothing else
 KNOWN_BAD = {
-    (1, 2868, "LD"): ("wf",),
-    (2, 2816, "LD"): ("keysize",),
+    (1, 2868, "LD"): ("r", "wf"),
+    (2, 2816, "LD"): ("r", "keysize"),
     (3, 5120, "LD"): ("tau2",),
     (3, 5632, "LD"): ("wf",),
 }
@@ -54,9 +54,10 @@ def test_table1_recomputation():
     assert abs(first["wf"] - 80.025) <= 1.0
     second = out[1]
     assert second["tau2"] == 41 and second["gain"] == 4.43
-    # the flagged row: keysize and tau2 still agree, only WF is off
+    # the flagged row: keysize and tau2 still agree; r and WF are off,
+    # since n - k = 672 = 12*56 while the row prints r = 58
     bad = out[3]
-    assert bad["mismatches"] == ("wf",)
+    assert bad["mismatches"] == ("r", "wf")
     assert bad["tau2"] == 59 and bad["keysize"] == 1475712
     assert bad["wf"] - 112.026 > 1.0
 

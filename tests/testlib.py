@@ -12,11 +12,13 @@ matrix-vector product, the GF(2) parity check, the syndrome, the locator
 root search and the square root of x mod G.
 The dyadic generator is checked against elimination over the ring of
 dyadic blocks, the linear list-decoding engine against the flip
-engine, one degree-2r decode per flip subset, and the parameter search
-against the same walk with every bisection run in full.
+engine, one degree-2r decode per flip subset, the parameter search
+against the same walk with every bisection run in full, and the
+workfactor scan against the generator of split costs it replaced.
 """
 
 import itertools
+import math
 
 from goppacrypt import cli
 from goppacrypt.binmat import BinMatrix, rref, transpose
@@ -579,3 +581,35 @@ def search_params_unpruned(target, variant, decoder, countermeasure="none"):
     return {"method": "LD" if decoder == "ld" else "UD", "m": m, "n": n,
             "k": k, "r": r, "tau2": w if decoder == "ld" else None,
             "wf": fs_workfactor(n, k, w), "keysize": ks, "gain": None}
+
+
+def _split_costs(n, k, w):
+    # l + log2 C(n,w) - log2 C(n-k, w-2p) - log2 C(k+l, 2p) for each
+    # admissible p in turn, up to the first one 40 bits past the minimum;
+    # p = 0 is always admissible, and w - 2p never leaves [0, n - k]
+    if k <= 0 or w <= 0 or w >= n - k:
+        raise ValueError("need k > 0 and 0 < w < n - k")
+    lg, ln2 = math.lgamma, math.log(2)
+    total = (lg(n + 1) - lg(w + 1) - lg(n - w + 1)) / ln2
+    lg_nk = lg(n - k + 1)
+    best = math.inf
+    for p in range(w // 2 + 1):
+        # l = log2 C((k + l)/2, p), iterated from l = 0
+        lg_p, l = lg(p + 1), 0.0
+        for _ in range(500):
+            h = (k + l) / 2
+            if h < p:
+                break
+            l, prev = (lg(h + 1) - lg_p - lg(h - p + 1)) / ln2, l
+            if abs(l - prev) < 0.01:
+                break
+        if h < p or k + l < 2 * p:
+            continue
+        kl, wp = k + l, w - 2 * p
+        val = (l + total
+               - (lg_nk - lg(wp + 1) - lg(n - k - wp + 1)) / ln2
+               - (lg(kl + 1) - lg(2 * p + 1) - lg(kl - 2 * p + 1)) / ln2)
+        if val > best + 40:
+            return  # past the minimum and diverging
+        best = min(best, val)
+        yield val
