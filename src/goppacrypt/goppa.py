@@ -88,8 +88,7 @@ class GoppaCode:
         key = ("values", modulus.c)
         values = self._cache.get(key)
         if values is None:
-            values = self._cache[key] = [modulus.eval(a)
-                                         for a in self.support]
+            values = self._cache[key] = modulus.eval_all(self.support)
         return values
 
     @property

@@ -2,11 +2,15 @@ import random
 
 import pytest
 
-from goppacrypt.binmat import BinMatrix, rref, transpose
+from goppacrypt.binmat import STRIP, BinMatrix, rref, transpose
+from goppacrypt.dyadic import gen_signature
+from goppacrypt.gf2m import make_field
+from goppacrypt.goppa import build_code
+from goppacrypt.scheme import keygen
 from testlib import (
-    RankDeficiencyError, from_bytes_shiftloop, from_entries, identity,
-    mul_vec_bitloop, null_space, permute_cols, systematic_form,
-    to_bytes_shiftloop, transpose_bitloop, vstack,
+    RankDeficiencyError, dyadic_support, from_bytes_shiftloop, from_entries,
+    identity, mul_vec_bitloop, null_space, permute_cols, rref_gauss_jordan,
+    systematic_form, to_bytes_shiftloop, transpose_bitloop, vstack,
 )
 
 
@@ -168,6 +172,46 @@ def test_rref_properties():
             assert col[i] == 1 and sum(col) == 1
         for i in range(rank, R.rows):
             assert R.bits[i] == 0
+
+
+def test_rref_matches_gauss_jordan():
+    # the Four-Russians strips give Gauss-Jordan's R, rank and pivots
+    rng = random.Random(29)
+    cases = [BinMatrix(0, 9), BinMatrix(9, 0), BinMatrix(0, 0)]
+    for rows, cols in ((1, 1), (3, 50), (6, 6), (12, 7), (40, 9), (13, 13),
+                       (25, 90), (90, 25), (7, 2 * STRIP + 1)):
+        cases.append(random_matrix(rng, rows, cols))
+        # rank-deficient: sums of a few base rows, with repeated rows
+        base = [rng.getrandbits(cols) for _ in range(max(1, rows // 3))]
+        sums = [0]
+        for _ in range(rows - 1):
+            sums.append(sums[-1] if rng.random() < 0.3 else
+                        sums[-1] ^ rng.choice(base))
+        cases.append(BinMatrix(rows, cols, sums))
+        cases.append(BinMatrix(rows, cols, [  # sparse
+            rng.getrandbits(cols) & rng.getrandbits(cols)
+            & rng.getrandbits(cols) for _ in range(rows)]))
+    # columns with no pivot inside a strip: 2 is zero and STRIP + 3 is
+    # the sum of STRIP + 1 and 4, so neither is a pivot
+    hole = STRIP + 3
+    M = random_matrix(rng, 20, 30)
+    M = BinMatrix(20, 30, [v & ~(1 << 2 | 1 << hole)
+                           | ((v >> 4 ^ v >> (STRIP + 1)) & 1) << hole
+                           for v in M.bits])
+    assert not {2, hole} & set(rref(M)[2])
+    cases.append(M)
+    # the parity checks of a generic key and of a dyadic code's rotated
+    # support, as signature_to_code eliminates it
+    cases.append(keygen("generic", 9, 256, 12, "ud",
+                        b"rref/generic").code().parity_bin)
+    field = make_field(10)
+    sig = gen_signature(field, 512, b"rref/sig")
+    gpoly, support = dyadic_support(sig, 256, 16, b"rref/blocks")
+    k = 256 - 10 * 16
+    cases.append(build_code(field, support[k:] + support[:k],
+                            gpoly).parity_bin)
+    for M in cases:
+        assert rref(M) == rref_gauss_jordan(M)
 
 
 def test_systematic_form_identity_block():

@@ -205,6 +205,25 @@ LINEAR_GRID = ((5, 32, 3, 24, 12), (5, 32, 5, 24, 12), (6, 64, 6, 12, 3),
                (7, 100, 6, 12, 2), (8, 144, 8, 12, 1))
 
 
+def test_key_equation_kernel_matches_poly_form():
+    # the list kernel with log-term pivots against its Poly form, on
+    # real syndromes mod G^2 (G irreducible and split) and on zero and
+    # random right-hand sides
+    rng = random.Random(47)
+    for m, n, r, split in ((5, 32, 3, False), (6, 60, 4, True),
+                           (8, 144, 8, False), (8, 120, 6, True)):
+        code = make_code(m, n, r, b"kernel/%d/%d" % (n, r), split)
+        field, g2 = code.field, code.gpoly.square()
+        rhs = [Poly.zero(field), Poly(field, [rng.randrange(field.order)
+                                              for _ in range(2 * r)])]
+        rhs += [syndrome_poly(code, rng.randrange(1 << n), g2)
+                for _ in range(4)]
+        for s2 in rhs:
+            for tau in (0, 1, r, r + 1, r + 2):
+                assert decode._key_equation_kernel(s2, g2, tau) == \
+                    testlib.key_equation_kernel_poly(s2, g2, tau)
+
+
 def test_linear_engine_matches_flip_oracle(monkeypatch):
     kernel = decode._key_equation_kernel
     kernels = []  # the calls made while decoding the current word

@@ -12,7 +12,8 @@ from goppacrypt.gf2m import (
 )
 from goppacrypt.prng import SeededStream
 from testlib import (
-    field_pow, poly_powmod, rabin_irreducible, sqrt_x_mod_solve,
+    divmod_poly, eea_stop_poly, field_pow, poly_gcd_poly, poly_powmod,
+    rabin_irreducible, sqrt_x_mod_solve,
 )
 
 
@@ -296,6 +297,63 @@ def test_gcd_divides_and_is_monic():
         assert d.c[-1] == 1
 
 
+def test_euclid_matches_poly_forms():
+    # the list Euclid against the Poly forms it replaced: division, gcd,
+    # square-freeness and the early-stopped EEA, on zero, constant and
+    # non-monic operands, G irreducible and split, dstop 0 and deg G - 1
+    rng = random.Random(41)
+    for m in (2, 4, 8, 11):
+        field = make_field(m)
+
+        def rand_poly(length, monic=False):
+            c = [rng.choice((0, rng.randrange(field.order)))
+                 for _ in range(length)]
+            return Poly(field, c + [1 if monic else
+                                    rng.randrange(1, field.order)])
+        for r in (1, 2, 5, 8):
+            irred = random_monic_irreducible(
+                field, r, SeededStream(b"euclid/%d/%d" % (m, r)))
+            roots = rng.sample(range(field.order), min(r, field.order))
+            split = Poly.from_roots(field, roots)
+            # a factor of the split G, times a non-monic linear factor
+            shared = Poly.from_roots(field, roots[:2]) * rand_poly(1)
+            for G in (irred, split, irred.scale(rng.randrange(2, field.order))):
+                Ts = [Poly.zero(field), Poly.one(field),
+                      Poly(field, (rng.randrange(1, field.order),)),
+                      rand_poly(r - 1), rand_poly(r - 1, monic=True),
+                      rand_poly(r + 2), shared]
+                for T in Ts:
+                    if not T.is_zero():
+                        assert divmod(G, T) == divmod_poly(G, T)
+                        assert G % T == divmod_poly(G, T)[1]
+                    assert divmod(T, G) == divmod_poly(T, G)
+                    assert poly_gcd(G, T) == poly_gcd_poly(G, T)
+                    assert poly_gcd(T, G) == poly_gcd_poly(T, G)
+                    if not T.is_zero():
+                        assert is_squarefree(T) == (
+                            T.degree == 0
+                            or poly_gcd_poly(T, T.deriv()).degree == 0)
+                    for dstop in sorted({0, G.degree - 1,
+                                         rng.randrange(G.degree)}):
+                        assert eea_stop(G, T, dstop) == \
+                            eea_stop_poly(G, T, dstop)
+    zero = Poly.zero(make_field(4))
+    assert poly_gcd(zero, zero) == poly_gcd_poly(zero, zero) == zero
+
+
+def test_eval_all_matches_eval():
+    rng = random.Random(43)
+    for m in (2, 5, 9, 16):
+        field = make_field(m)
+        points = [0, 1, 0] + [rng.randrange(field.order) for _ in range(40)]
+        for length in (0, 1, 2, 3, 9):
+            f = Poly(field, [rng.randrange(field.order)
+                             for _ in range(length)])
+            for g in (f, Poly(field, [0] * length + [1])):  # x^length
+                assert g.eval_all(points) == [g.eval(a) for a in points]
+                assert g.eval_all([]) == []
+
+
 def test_eval_and_deriv():
     field = make_field(4)
     x0 = 0x9
@@ -479,16 +537,18 @@ def test_ben_or_equals_rabin_on_seeded_candidates():
 
 
 def test_ben_or_on_crafted_reducibles(monkeypatch):
+    # one Euclid per Ben-Or step, counted at the list kernel
     gcds = []
-    real_gcd = gf2m.poly_gcd
-    monkeypatch.setattr(gf2m, "poly_gcd",
-                        lambda f, g: gcds.append(f) or real_gcd(f, g))
+    real_gcd = gf2m._gcd
+    monkeypatch.setattr(gf2m, "_gcd", lambda a, b, exp, log:
+                        gcds.append(a) or real_gcd(a, b, exp, log))
 
     def check(G, want, steps=None):
         gcds.clear()
-        assert is_irreducible(G) is want and rabin_irreducible(G) is want
+        assert is_irreducible(G) is want
         if steps is not None:
             assert len(gcds) == steps
+        assert rabin_irreducible(G) is want  # its gcds are not counted
     for m, half in ((4, 3), (6, 4), (9, 5), (11, 8)):
         field = make_field(m)
         a = random_monic_irreducible(field, half, SeededStream(b"a%d" % m))

@@ -96,10 +96,11 @@ def test_g_evaluated_once_per_support_point(monkeypatch):
     # of G share one evaluation of G per support point
     field = make_field(8)
     g = random_monic_irreducible(field, 12, SeededStream(b"evals"))
+    # (one evaluation pass, counted per point)
     calls = []
-    real_eval = Poly.eval
-    monkeypatch.setattr(Poly, "eval",
-                        lambda self, a: calls.append(a) or real_eval(self, a))
+    real_eval_all = Poly.eval_all
+    monkeypatch.setattr(Poly, "eval_all", lambda self, points: calls.extend(
+        points) or real_eval_all(self, points))
     code = build_code(field, full_support(field), g)
     assert code.parity_bin.rows == 8 * 12
     assert sorted(calls) == list(range(256))

@@ -14,7 +14,10 @@ The dyadic generator is checked against elimination over the ring of
 dyadic blocks, the linear list-decoding engine against the flip
 engine, one degree-2r decode per flip subset, the parameter search
 against the same walk with every bisection run in full, and the
-workfactor scan against the generator of split costs it replaced.
+workfactor scan against the generator of split costs it replaced.  The
+list kernels are checked against the versions they replaced: the
+Four-Russians rref against Gauss-Jordan, and the list Euclid, the early
+stopped EEA and the key equation kernel against their Poly forms.
 """
 
 import itertools
@@ -613,3 +616,85 @@ def _split_costs(n, k, w):
             return  # past the minimum and diverging
         best = min(best, val)
         yield val
+
+
+def rref_gauss_jordan(M):
+    """Reduced row echelon form by plain Gauss-Jordan, one column at a time."""
+    work = list(M.bits)
+    pivots = []
+    rank = 0
+    for col in range(M.cols):
+        bit = 1 << col
+        sel = None
+        for i in range(rank, M.rows):
+            if work[i] & bit:
+                sel = i
+                break
+        if sel is None:
+            continue
+        work[rank], work[sel] = work[sel], work[rank]
+        for i in range(M.rows):
+            if i != rank and work[i] & bit:
+                work[i] ^= work[rank]
+        pivots.append(col)
+        rank += 1
+        if rank == M.rows:
+            break
+    return BinMatrix(M.rows, M.cols, work), rank, pivots
+
+
+def divmod_poly(f, g):
+    """(quotient, remainder) as Polys, both built at every division."""
+    if not g.c:
+        raise ZeroDivisionError("polynomial division by zero")
+    field = f.field
+    exp, log = field.exp, field.log
+    db = len(g.c) - 1
+    llead = log[g.c[-1]]
+    terms = [(j, log[b]) for j, b in enumerate(g.c[:-1]) if b]
+    rem = list(f.c)
+    quo = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        a = rem[i]
+        if a:
+            lq = log[a] - llead  # may be negative: exp wraps
+            base = i - db
+            quo[base] = exp[lq]
+            for j, lb in terms:
+                rem[base + j] ^= exp[lq + lb]
+            rem[i] = 0
+    return Poly(field, quo), Poly(field, rem)
+
+
+def poly_gcd_poly(f, g):
+    """Monic greatest common divisor, Euclid on Poly quotient and remainder."""
+    while not g.is_zero():
+        f, g = g, divmod_poly(f, g)[1]
+    return f.monic() if not f.is_zero() else f
+
+
+def eea_stop_poly(G, T, dstop):
+    """gf2m.eea_stop on Poly objects: a quotient Poly and b update per step."""
+    field = G.field
+    r0, r1 = G, T
+    b0, b1 = Poly.zero(field), Poly.one(field)
+    while r1.degree > dstop:
+        q, r2 = divmod_poly(r0, r1)
+        r0, r1 = r1, r2
+        b0, b1 = b1, b0 + q * b1
+    return r1, b1
+
+
+def key_equation_kernel_poly(s2, g2, tau):
+    """decode._key_equation_kernel on Poly columns and monic Poly pivots."""
+    field = g2.field
+    pivots = {}  # leading degree -> monic reduced column
+    col = s2  # x^t * s2 mod g2
+    for t in range(tau + 1):
+        img = col + Poly(field, [0] * (t - 1) + [1]) if t & 1 else col
+        v = Poly(field, [0] * t + [1] + [0] * (tau - t) + list(img.c))
+        while v.degree in pivots:
+            v = v + pivots[v.degree].scale(v.c[-1])
+        pivots[v.degree] = v.monic()
+        col = divmod_poly(Poly(field, (0,) + col.c), g2)[1]
+    return [v for d, v in pivots.items() if d <= tau]
