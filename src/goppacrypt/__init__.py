@@ -16,10 +16,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "gf2m": ("Field", "Poly", "make_field", "eea_stop", "poly_sqrt_mod"),
     "binmat": ("BinMatrix",),
-    "goppa": ("GoppaCode", "build_code", "encode", "syndrome_poly",
-              "verify_prop1", "CodeConstructionError", "CapacityError"),
+    "goppa": ("GoppaCode", "build_code", "syndrome_poly",
+              "CodeConstructionError", "CapacityError"),
     "decode": ("DecodeResult", "RadiusError", "patterson_decode",
-               "g2_decode", "list_decode", "sphere_oracle"),
+               "g2_decode", "list_decode"),
     "dyadic": ("DyadicSignature", "SignatureExhaustionError",
                "gen_signature", "signature_to_code",
                "compact_pubkey", "expand_pubkey"),

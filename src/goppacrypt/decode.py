@@ -3,8 +3,7 @@
 Three layers: Patterson unique decoding up to r errors, a decoder on the
 degree-2r view (Gamma(L,G) = Gamma(L,G^2)) that backs it up, and list
 decoding at radii r+1 and r+2 from one linear key equation.  list_decode
-is the one entry for every radius; no radius past r + 2 is decoded.  A
-brute-force sphere oracle is the ground truth for the list decoders.
+is the one entry for every radius; no radius past r + 2 is decoded.
 
 Syndromes and error-locator roots both come from the code's bit-sliced
 alternant table for the decoding modulus (GoppaCode.alternant): the
@@ -12,12 +11,10 @@ roots of a locator over the whole support are one n-bit mask, built from
 XORs of table rows, with no evaluation per support point.
 """
 
-import itertools
-import math
 from collections import Counter, namedtuple
 
 from .gf2m import Poly, _reduce, eea_stop, poly_invmod, poly_sqrt_mod
-from .goppa import CapacityError, encode, syndrome_poly
+from .goppa import CapacityError, syndrome_poly
 from .security import radii
 
 
@@ -34,10 +31,11 @@ DecodeResult = namedtuple("DecodeResult", "candidates")
 
 
 def _sorted_result(n, pairs):
-    def key(pair):
-        c, w = pair
-        return (w, tuple(c >> j & 1 for j in range(n)))
-    return DecodeResult(tuple(sorted(pairs, key=key)))
+    # by weight, then by the word's bits from bit 0 up: its n digits
+    # reversed, read as an integer of the same length
+    spec = "0%db" % n
+    return DecodeResult(tuple(sorted(
+        pairs, key=lambda p: (p[1], int(format(p[0], spec)[::-1], 2)))))
 
 
 # the set bits of each byte value, lowest first
@@ -54,17 +52,19 @@ def _locator_roots(code, sigma, modulus):
     by the bits of rho_i * alpha^beta.  L_j is a root iff all m output
     slices are clear at j, since M(L_j) != 0.
     """
-    q, rho = divmod(sigma, modulus)
-    if q.degree > 0:
-        raise ValueError("locator degree exceeds the modulus degree")
     field = code.field
     exp, log = field.exp, field.log
+    quotient = []
+    rho = _reduce(list(sigma.c), modulus.c, exp, log, quotient)
+    if any(i for i, _ in quotient):
+        raise ValueError("locator degree exceeds the modulus degree")
+    q = exp[quotient[0][1]] if quotient else 0
     m = field.m
     table = code.alternant(modulus).bits
     full = (1 << code.n) - 1
-    out = [full if q[0] >> g & 1 else 0 for g in range(m)]
+    out = [full if q >> g & 1 else 0 for g in range(m)]
     unit = [log[1 << beta] for beta in range(m)]
-    for i, c in enumerate(rho.c):
+    for i, c in enumerate(rho):
         if c:
             lc = log[c]
             for row, lu in zip(table[i * m:(i + 1) * m], unit):
@@ -255,34 +255,3 @@ def _anchored_pencils(field, basis, vals, count):
         yield tuple(basis[h] + basis[i].scale(c) for h, c in pair) + (
             _ratios(field, *([v ^ mul(c, w) for v, w in zip(vals[h], vals[i])]
                              for h, c in pair)),)
-
-
-def sphere_oracle(code, y, tau):
-    """Brute-force list of all codewords within distance tau of y."""
-    n = code.n
-    tau = min(tau, n)
-    patterns = sum(math.comb(n, i) for i in range(tau + 1))
-    by_pattern = patterns <= 10 ** 7
-    by_codeword = code.k <= 20
-    if not by_pattern and not by_codeword:
-        raise CapacityError("both enumeration bounds exceeded")
-    out = []
-    if by_codeword and (not by_pattern or (1 << code.k) <= patterns):
-        rows = [encode(code, 1 << i) for i in range(code.k)]
-        word = 0
-        if (word ^ y).bit_count() <= tau:
-            out.append((word, (word ^ y).bit_count()))
-        for i in range(1, 1 << code.k):
-            word ^= rows[(i & -i).bit_length() - 1]
-            dist = (word ^ y).bit_count()
-            if dist <= tau:
-                out.append((word, dist))
-    else:
-        for w in range(tau + 1):
-            for positions in itertools.combinations(range(n), w):
-                word = y
-                for p in positions:
-                    word ^= 1 << p
-                if code.parity_bin.mul_vec(word) == 0:
-                    out.append((word, w))
-    return _sorted_result(n, out)

@@ -13,13 +13,14 @@ The polynomial hot loops look up the logs of their fixed operand once per
 call and index the tables directly.  Polynomials are immutable coefficient
 tuples, lowest degree first, with the zero polynomial carrying degree
 minus-infinity.  Division runs on coefficient lists in one routine,
-_reduce, which serves divmod and mod, a remainder-only Euclid for gcds
-and square-freeness, and the early-stopped EEA, which keeps only each
-quotient's log terms to update its multiplier; no step builds a Poly.
-eval_all evaluates at many points in one pass, one Horner step per
-coefficient across all of them.  Modular square roots, for Patterson
-decoding, use no linear algebra: the square root of x mod G is G0/G1,
-where G = G0^2 + x*G1^2.  Irreducibility is Ben-Or's test, squaring on
+_reduce, which serves mod, a remainder-only Euclid for square-freeness
+and irreducibility, the early-stopped EEA, which keeps only each
+quotient's log terms to update its multiplier, and the locator split in
+decoding; no step builds a Poly.  eval_all is the one evaluator: it
+evaluates at many points in one pass, one Horner step per coefficient
+across all of them.  Modular square roots, for Patterson decoding, use
+no linear algebra: the square root of x mod G is G0/G1, where
+G = G0^2 + x*G1^2.  Irreducibility is Ben-Or's test, squaring on
 a per-G table of x^(2i) mod G; exact like Rabin's test, it decides every
 G alike, so seeded draws are unchanged.
 """
@@ -163,10 +164,6 @@ class Poly:
         self.c = tuple(c)
 
     @classmethod
-    def zero(cls, field):
-        return cls(field)
-
-    @classmethod
     def one(cls, field):
         return cls(field, (1,))
 
@@ -225,15 +222,6 @@ class Poly:
                     out[i + j] ^= exp[la + lb]
         return Poly(self.field, out)
 
-    def __divmod__(self, other):
-        field = self.field
-        terms = []
-        rem = _reduce(list(self.c), other.c, field.exp, field.log, terms)
-        quo = [0] * max(len(self.c) - len(other.c) + 1, 0)
-        for i, lq in terms:
-            quo[i] = field.exp[lq]
-        return Poly(field, quo), Poly(field, rem)
-
     def __mod__(self, other):
         field = self.field
         return Poly(field, _reduce(list(self.c), other.c,
@@ -251,18 +239,8 @@ class Poly:
             return self
         return self.scale(self.field.inv(self.c[-1]))
 
-    def eval(self, x0):
-        if not x0:
-            return self.c[0] if self.c else 0
-        exp, log = self.field.exp, self.field.log
-        lx = log[x0]
-        r = 0
-        for a in reversed(self.c):
-            r = exp[log[r] + lx] ^ a if r else a
-        return r
-
     def eval_all(self, points):
-        """[self.eval(a) for a in points], one Horner step per coefficient
+        """The value at each of points, one Horner step per coefficient
         across all points.  A zero point steps by x = 1 until the last
         step, which multiplies by x = 0 and leaves the constant term."""
         c = self.c
@@ -327,20 +305,14 @@ def _gcd(a, b, exp, log):
     return a
 
 
-def poly_gcd(f, g):
-    """Monic greatest common divisor."""
-    field = f.field
-    return Poly(field, _gcd(list(f.c), list(g.c), field.exp,
-                            field.log)).monic()
-
-
 def is_squarefree(f):
     """True iff gcd(f, f') is a nonzero constant (f itself must be nonzero)."""
     if f.is_zero():
         return False
     if f.degree == 0:
         return True
-    return poly_gcd(f, f.deriv()).degree == 0
+    field = f.field
+    return len(_gcd(list(f.c), list(f.deriv().c), field.exp, field.log)) == 1
 
 
 def poly_invmod(f, g):
@@ -376,10 +348,6 @@ def eea_stop(G, T, dstop):
     return Poly(field, r1), Poly(field, b1)
 
 
-def _square_mod(f, G):
-    return f.square() % G
-
-
 @functools.lru_cache(maxsize=64)
 def _sqrt_x_mod(G):
     """Square root of x in GF(2^m)[x]/(G), for square-free G.
@@ -411,7 +379,7 @@ def poly_sqrt_mod(t, G):
     even = Poly(field, [field.sqrt(a) for a in t.c[0::2]])
     odd = Poly(field, [field.sqrt(a) for a in t.c[1::2]])
     out = (even + _sqrt_x_mod(G) * odd) % G
-    if _square_mod(out, G) != t:
+    if out.square() % G != t:
         raise ArithmeticError("modular square root inconsistency")
     return out
 

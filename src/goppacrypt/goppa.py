@@ -154,19 +154,6 @@ def systematic_encode(A, msg):
     return msg | red << A.rows
 
 
-def encode(code, msg):
-    """Codeword (as an n-bit int) for a k-bit message int.
-
-    Bit j of the systematic codeword lands at position colperm[j].
-    """
-    colperm, A = code.systematic
-    word, out = systematic_encode(A, msg), 0
-    for j, p in enumerate(colperm):
-        if word >> j & 1:
-            out |= 1 << p
-    return out
-
-
 def syndrome_poly(code, y, modulus):
     """s(x) = sum over set bits j of y of 1/(x - L_j), mod modulus.
 
@@ -192,14 +179,3 @@ def syndrome_poly(code, y, modulus):
                 if lm is not None:
                     acc[i] ^= exp[ls + lm]
     return Poly(field, acc)
-
-
-def verify_prop1(field, support, gpoly):
-    """True iff Gamma(L, G) and Gamma(L, G^2) are the same code.
-
-    Gamma(L, G^2) is always inside Gamma(L, G), since a sum that vanishes
-    mod G^2 vanishes mod G, so equal dimension is equality.  build_code
-    validates L and G; G^2 has the same roots, so it needs no checks.
-    """
-    one = build_code(field, support, gpoly)
-    return one.k == GoppaCode(field, one.support, gpoly.square()).k

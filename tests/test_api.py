@@ -1,7 +1,8 @@
 """The public API: every exported name resolves to its module's object,
 the README's "Python API" section names nothing that is not exported and
 its example runs, the package imports nothing outside the standard
-library, and a cold command loads only the modules it runs."""
+library, holds no routine that only the tests use, and a cold command
+loads only the modules it runs."""
 
 import ast
 import glob
@@ -38,7 +39,7 @@ def test_all_names_resolve():
 
 def test_readme_api_names_are_exported():
     names = readme_api_names()
-    assert {"keygen", "build_code", "sphere_oracle", "SeededStream"} <= names
+    assert {"keygen", "build_code", "list_decode", "SeededStream"} <= names
     assert names <= set(goppacrypt.__all__)
 
 
@@ -68,6 +69,63 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, (path, name)
+
+
+def unused_definitions(package):
+    """What the package at directory package defines and never uses.
+
+    Rule 1: each module-level function or class, and each method, that
+    nothing names outside its own definition and that is not exported:
+    a function or class as a name, an attribute or a string, a method as
+    an attribute or a string.  Rule 2: each export that no module but
+    __init__.py names outside its own definition.  Dunders are left out:
+    the interpreter calls them.
+    """
+    refs, defs = [], []  # (module, name, is a bare name, line)
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        module = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((module, node.id, True, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((module, node.attr, False, node.lineno))
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                refs.append((module, node.value, False, node.lineno))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(node.name, node, True)]
+            if isinstance(node, ast.ClassDef):
+                members += [(node.name + "." + item.name, item, False)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+            defs += [(label, item.name, by_name,
+                      (module, item.lineno, item.end_lineno))
+                     for label, item, by_name in members
+                     if not item.name.startswith("__")]
+
+    def used(name, by_name, span, modules):
+        home, first, last = span
+        return any(ref == name and (by_name or not bare) and mod in modules
+                   and not (mod == home and first <= line <= last)
+                   for mod, ref, bare, line in refs)
+    modules = {ref[0] for ref in refs}
+    exported = set(goppacrypt.__all__) - {"__version__"}
+    dead = {label for label, name, by_name, span in defs
+            if label not in exported
+            and not used(name, by_name, span, modules)}
+    spans = {label: span for label, _, _, span in defs}
+    unused = {name for name in exported
+              if not used(name, True, spans.get(name, (None, 0, 0)),
+                          modules - {"__init__.py"})}
+    return dead, unused
+
+
+def test_package_holds_no_unused_routine():
+    assert unused_definitions(PACKAGE) == (set(), set())
 
 
 def test_cli_start_up_loads_no_dataclasses():

@@ -377,7 +377,7 @@ def test_hostile_key_files_exit_cleanly(tmp_path, capsys):
     assert "Traceback" not in err
 
     # a support that holds a root of G is refused when decrypt builds the code
-    root = next(a for a in range(kp.field.order) if kp.gpoly.eval(a) == 0)
+    root = kp.gpoly.eval_all(range(kp.field.order)).index(0)
     rooted = tmp_path / "rooted.key"
     KeyPair(kp.variant, kp.decoder, kp.field, (root,) + kp.support[1:],
             kp.gpoly, kp.public).save(str(rooted))

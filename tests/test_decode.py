@@ -7,14 +7,16 @@ from goppacrypt import decode
 from goppacrypt.gf2m import (
     Poly, make_field, poly_invmod, random_monic_irreducible,
 )
-from goppacrypt.goppa import CapacityError, build_code, encode, syndrome_poly
+from goppacrypt.goppa import CapacityError, build_code, syndrome_poly
 from goppacrypt.decode import (
-    RadiusError, patterson_decode, g2_decode, list_decode, sphere_oracle,
-    _locator_roots,
+    RadiusError, patterson_decode, g2_decode, list_decode, _locator_roots,
 )
 from goppacrypt.prng import SeededStream
 from goppacrypt.security import radii
-from testlib import flip_engine, locator_roots_horner, random_goppa_code
+from testlib import (
+    bit_tuple_key, encode, flip_engine, locator_roots_horner,
+    random_goppa_code, sphere_oracle,
+)
 
 
 def make_code(m, n, r, tag, split=False):
@@ -23,7 +25,7 @@ def make_code(m, n, r, tag, split=False):
     if split:
         roots = stream.sample_distinct(field.order, r)
         g = Poly.from_roots(field, roots)
-        pool = [a for a in range(field.order) if g.eval(a)]
+        pool = [a for a, v in enumerate(g.eval_all(range(field.order))) if v]
         support = tuple(pool[i] for i in stream.sample_distinct(len(pool), n))
     else:
         g = random_monic_irreducible(field, r, stream)
@@ -214,8 +216,8 @@ def test_key_equation_kernel_matches_poly_form():
                            (8, 144, 8, False), (8, 120, 6, True)):
         code = make_code(m, n, r, b"kernel/%d/%d" % (n, r), split)
         field, g2 = code.field, code.gpoly.square()
-        rhs = [Poly.zero(field), Poly(field, [rng.randrange(field.order)
-                                              for _ in range(2 * r)])]
+        rhs = [Poly(field), Poly(field, [rng.randrange(field.order)
+                                         for _ in range(2 * r)])]
         rhs += [syndrome_poly(code, rng.randrange(1 << n), g2)
                 for _ in range(4)]
         for s2 in rhs:
@@ -303,6 +305,20 @@ def test_sphere_oracle_basics():
     assert ordered == sorted(ordered)
 
 
+def test_sorted_result_matches_bit_tuple_order():
+    # the integer key orders words as the bit tuple from bit 0 up does,
+    # ties in weight and repeated words included, at short and long n
+    rng = random.Random(29)
+    for n in (1, 3, 8, 64, 1024):
+        for _ in range(20):
+            words = [rng.choice((0, 1 << rng.randrange(n),
+                                 rng.randrange(1 << n)))
+                     for _ in range(rng.randrange(40))]
+            pairs = [(c, rng.randrange(3)) for c in words]
+            assert decode._sorted_result(n, pairs).candidates == \
+                tuple(sorted(pairs, key=bit_tuple_key(n)))
+
+
 def test_sphere_oracle_capacity_guard():
     field = make_field(5)
     g = Poly.from_roots(field, [7])
@@ -322,7 +338,7 @@ def test_locator_roots_match_horner_scan(m, n, r):
     code = random_goppa_code(m, n, r, rng)
     field = code.field
     for modulus in (code.gpoly, code.gpoly.square()):
-        zero = Poly.zero(field)
+        zero = Poly(field)
         assert _locator_roots(code, zero, modulus) == (1 << n) - 1
         for d in range(modulus.degree + 1):
             for _ in range(3):

@@ -6,7 +6,7 @@ import pytest
 from goppacrypt import binmat, dyadic, goppa
 from goppacrypt.gf2m import make_field
 from goppacrypt.binmat import BinMatrix, rref
-from goppacrypt.goppa import CodeConstructionError, build_code, encode
+from goppacrypt.goppa import CodeConstructionError, build_code
 from goppacrypt.decode import patterson_decode, g2_decode, list_decode
 from goppacrypt.dyadic import (
     SignatureExhaustionError, gen_signature,
@@ -16,7 +16,7 @@ from goppacrypt.prng import SeededStream
 from goppacrypt.scheme import KEYGEN_ATTEMPTS, keygen
 from testlib import (
     block_invertible, block_mul, block_systemized_generator, dyadic_check,
-    dyadic_support, expand_pubkey_rowloop, gen, gen_signature_filled,
+    dyadic_support, encode, expand_pubkey_rowloop, gen, gen_signature_filled,
     random_goppa_code, xor_permute, xor_permute_bitloop,
 )
 from test_golden import GOLDEN

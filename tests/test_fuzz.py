@@ -94,7 +94,7 @@ def decoding_fields(kp):
     yield _with_gpoly(kp, list(g.c))
     # G + G(a) has the support point a as a root
     c = list(kp.gpoly.c)
-    c[0] ^= kp.gpoly.eval(a)
+    c[0] ^= kp.gpoly.eval_all([a])[0]
     yield _with_gpoly(kp, c)
     # G of the wrong degree: the leading coefficient cleared, and G = 0
     yield _with_gpoly(kp, list(kp.gpoly.c[:-1]) + [0])

@@ -9,7 +9,10 @@ the entry-by-entry dyadic signature fill, the dyadic structure check,
 the xor reindexing of a dyadic signature with its bit-loop version, the
 row-by-row compact key expansion, the bit-matrix transpose and
 matrix-vector product, the GF(2) parity check, the syndrome, the locator
-root search and the square root of x mod G.
+root search and the square root of x mod G.  Also here: the
+codeword encoder by message int, Proposition 1's check, a Horner
+evaluator at one point, and the brute-force sphere oracle, the ground
+truth for the list decoders, with the bit-tuple order of their results.
 The dyadic generator is checked against elimination over the ring of
 dyadic blocks, the linear list-decoding engine against the flip
 engine, one degree-2r decode per flip subset, the parameter search
@@ -25,12 +28,13 @@ import math
 
 from goppacrypt import cli
 from goppacrypt.binmat import BinMatrix, rref, transpose
-from goppacrypt.decode import _g2_from_syndrome, _sorted_result
+from goppacrypt.decode import DecodeResult, _g2_from_syndrome, _sorted_result
 from goppacrypt.dyadic import DyadicSignature, SignatureExhaustionError
 from goppacrypt.goppa import (
-    CapacityError, CodeConstructionError, syndrome_poly,
+    CapacityError, CodeConstructionError, GoppaCode, build_code,
+    syndrome_poly, systematic_encode,
 )
-from goppacrypt.gf2m import NEG_INF, Poly, _square_mod, poly_gcd
+from goppacrypt.gf2m import NEG_INF, Poly
 from goppacrypt.prng import SeededStream
 from goppacrypt.security import encryption_weight, fs_workfactor, keysize
 
@@ -90,9 +94,9 @@ def rabin_irreducible(G):
     for i in range(1, r + 1):
         #  t <- t^(2^m) mod G, one Frobenius step, via m squarings
         for _ in range(field.m):
-            t = _square_mod(t, G)
+            t = t.square() % G
         if i in need:
-            if poly_gcd(t + x, G).degree != 0:
+            if poly_gcd_poly(t + x, G).degree != 0:
                 return False
         if i == r:
             return t == x % G
@@ -410,7 +414,7 @@ def block_systemized_generator(code, sig):
 def parity_bin_loop(code):
     """GF(2) parity check rows, one bit per support point."""
     field, support = code.field, code.support
-    row = [field.inv(code.gpoly.eval(a)) for a in support]
+    row = [field.inv(poly_eval(code.gpoly, a)) for a in support]
     bits = []
     for _ in range(code.r):
         for beta in range(field.m):
@@ -439,7 +443,7 @@ def inv_x_minus(modulus, a):
     1/(x + a) = (modulus(x) + modulus(a)) / (x + a), scaled by 1/modulus(a).
     """
     field = modulus.field
-    va = modulus.eval(a)
+    va = poly_eval(modulus, a)
     quot = [0] * modulus.degree
     acc = 0
     for i in range(modulus.degree, 0, -1):
@@ -488,7 +492,7 @@ def flip_engine(code, y, tau):
 def locator_roots_horner(code, sigma):
     """Mask of the support points where sigma vanishes, one eval each."""
     return sum(1 << j for j, a in enumerate(code.support)
-               if sigma.eval(a) == 0)
+               if poly_eval(sigma, a) == 0)
 
 
 def sqrt_x_mod_solve(G):
@@ -524,7 +528,6 @@ def random_goppa_code(m, n, r, rng, monic=True):
     """Gamma(L, G) with a random square-free G of degree r, not always
     irreducible, and a random support of n points that includes 0."""
     from goppacrypt.gf2m import is_squarefree, make_field
-    from goppacrypt.goppa import build_code
     field = make_field(m)
     while True:
         g = Poly(field, [rng.randrange(1, field.order)]
@@ -535,7 +538,7 @@ def random_goppa_code(m, n, r, rng, monic=True):
     support = [0]
     while len(support) < n:
         a = rng.randrange(1, field.order)
-        if a not in support and g.eval(a):
+        if a not in support and poly_eval(g, a):
             support.append(a)
     rng.shuffle(support)
     return build_code(field, support, g)
@@ -677,7 +680,7 @@ def eea_stop_poly(G, T, dstop):
     """gf2m.eea_stop on Poly objects: a quotient Poly and b update per step."""
     field = G.field
     r0, r1 = G, T
-    b0, b1 = Poly.zero(field), Poly.one(field)
+    b0, b1 = Poly(field), Poly.one(field)
     while r1.degree > dstop:
         q, r2 = divmod_poly(r0, r1)
         r0, r1 = r1, r2
@@ -698,3 +701,75 @@ def key_equation_kernel_poly(s2, g2, tau):
         pivots[v.degree] = v.monic()
         col = divmod_poly(Poly(field, (0,) + col.c), g2)[1]
     return [v for d, v in pivots.items() if d <= tau]
+
+
+def poly_eval(f, x0):
+    """f(x0) by Horner's rule, one field multiplication per coefficient."""
+    r = 0
+    for a in reversed(f.c):
+        r = f.field.mul(r, x0) ^ a
+    return r
+
+
+def encode(code, msg):
+    """Codeword (as an n-bit int) for a k-bit message int.
+
+    Bit j of the systematic codeword lands at position colperm[j].
+    """
+    colperm, A = code.systematic
+    word, out = systematic_encode(A, msg), 0
+    for j, p in enumerate(colperm):
+        if word >> j & 1:
+            out |= 1 << p
+    return out
+
+
+def verify_prop1(field, support, gpoly):
+    """True iff Gamma(L, G) and Gamma(L, G^2) are the same code.
+
+    Gamma(L, G^2) is always inside Gamma(L, G), since a sum that vanishes
+    mod G^2 vanishes mod G, so equal dimension is equality.  build_code
+    validates L and G; G^2 has the same roots, so it needs no checks.
+    """
+    one = build_code(field, support, gpoly)
+    return one.k == GoppaCode(field, one.support, gpoly.square()).k
+
+
+def bit_tuple_key(n):
+    """The order of decode's results: weight, then the word's n bits from
+    bit 0 up, as a tuple."""
+    def key(pair):
+        c, w = pair
+        return (w, tuple(c >> j & 1 for j in range(n)))
+    return key
+
+
+def sphere_oracle(code, y, tau):
+    """Brute-force list of all codewords within distance tau of y."""
+    n = code.n
+    tau = min(tau, n)
+    patterns = sum(math.comb(n, i) for i in range(tau + 1))
+    by_pattern = patterns <= 10 ** 7
+    by_codeword = code.k <= 20
+    if not by_pattern and not by_codeword:
+        raise CapacityError("both enumeration bounds exceeded")
+    out = []
+    if by_codeword and (not by_pattern or (1 << code.k) <= patterns):
+        rows = [encode(code, 1 << i) for i in range(code.k)]
+        word = 0
+        if (word ^ y).bit_count() <= tau:
+            out.append((word, (word ^ y).bit_count()))
+        for i in range(1, 1 << code.k):
+            word ^= rows[(i & -i).bit_length() - 1]
+            dist = (word ^ y).bit_count()
+            if dist <= tau:
+                out.append((word, dist))
+    else:
+        for w in range(tau + 1):
+            for positions in itertools.combinations(range(n), w):
+                word = y
+                for p in positions:
+                    word ^= 1 << p
+                if code.parity_bin.mul_vec(word) == 0:
+                    out.append((word, w))
+    return DecodeResult(tuple(sorted(out, key=bit_tuple_key(n))))
