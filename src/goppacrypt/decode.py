@@ -5,16 +5,18 @@ degree-2r view (Gamma(L,G) = Gamma(L,G^2)) that backs it up, and list
 decoding at radii r+1 and r+2 from one linear key equation.  list_decode
 is the one entry for every radius; no radius past r + 2 is decoded.
 
-Syndromes and error-locator roots both come from the code's bit-sliced
-alternant table for the decoding modulus (GoppaCode.alternant): the
-roots of a locator over the whole support are one n-bit mask, built from
-XORs of table rows, with no evaluation per support point.
+Syndromes and error-locator roots both come from one bit-sliced table
+per decoding modulus: the alternant table, or for G the Cauchy table of a
+code that holds G's roots, where Patterson runs pointwise.  The roots of
+a locator over the whole support are one n-bit mask of table row XORs.
 """
 
 from collections import Counter, namedtuple
+from functools import reduce
+from operator import xor
 
 from .gf2m import Poly, _reduce, eea_stop, poly_invmod, poly_sqrt_mod
-from .goppa import CapacityError, syndrome_poly
+from .goppa import CapacityError, _fold, syndrome_poly
 from .security import radii
 
 
@@ -47,10 +49,10 @@ def _locator_roots(code, sigma, modulus):
     """Support positions where sigma vanishes, as an n-bit mask.
 
     Needs deg sigma <= deg M, M = modulus.  Then sigma = q*M + rho with a
-    constant q, and sigma(L_j)/M(L_j) = sum_i rho_i H[i][j] + q on the
-    alternant table: each output bit slice is an XOR of table rows picked
-    by the bits of rho_i * alpha^beta.  L_j is a root iff all m output
-    slices are clear at j, since M(L_j) != 0.
+    constant q, and sigma(L_j)/M(L_j) = q + sum_i c_i T[i][j], c_i = rho_i
+    on the alternant table; on the Cauchy table, times G' = G_1, it is
+    G_1 q + sum_i rho(z_i)/(z_i + L_j).  Output bit slices XOR the rows
+    picked by the bits of c_i * alpha^beta; L_j is a root iff all are 0.
     """
     field = code.field
     exp, log = field.exp, field.log
@@ -60,7 +62,11 @@ def _locator_roots(code, sigma, modulus):
         raise ValueError("locator degree exceeds the modulus degree")
     q = exp[quotient[0][1]] if quotient else 0
     m = field.m
-    table = code.alternant(modulus).bits
+    if code.roots and modulus == code.gpoly:
+        table, q = code.parity_bin.bits, field.mul(q, modulus.c[1])
+        rho = Poly(field, rho).eval_all(code.roots)
+    else:
+        table = code.alternant(modulus).bits
     full = (1 << code.n) - 1
     out = [full if q >> g & 1 else 0 for g in range(m)]
     unit = [log[1 << beta] for beta in range(m)]
@@ -86,26 +92,51 @@ def _apply_locator(code, y, sigma, modulus):
     if roots.bit_count() != sigma.degree:
         return DecodeResult(())
     word = y ^ roots
-    # s_i = sum over k > i of G_k S_(k-1-i) is triangular with G's leading
-    # coefficient on its diagonal: s = 0 iff every alternant syndrome is 0
+    # s = 0 iff every syndrome is: s_i = sum_(k>i) G_k S_(k-1-i), or s(z_i)
     if code.parity_bin.mul_vec(word):
         return DecodeResult(())
     return DecodeResult(((word, sigma.degree),))
+
+
+def _sqrt_at_roots(code, par):
+    """R = sqrt(1/s + x) mod G from the values s(z_i) in the Cauchy
+    syndromes par, or None if one is 0 (s is not invertible).  Lagrange
+    at the roots: R = sum_i R(z_i) G(x)/((x + z_i) G_1), a fold."""
+    field, G = code.field, code.gpoly
+    exp, log, m = field.exp, field.log, field.m
+    s = [par >> i * m & (1 << m) - 1 for i in range(code.r)]
+    if 0 in s:
+        return None
+    vals = [field.sqrt(exp[-log[v]] ^ z) for v, z in zip(s, code.roots)]
+    lz, sums = [log[z] for z in code.roots], []  # None at z = 0
+    for _ in lz:
+        sums.append(reduce(xor, vals))
+        vals = [exp[log[v] + lx] if v and lx is not None else 0
+                for v, lx in zip(vals, lz)]
+    return _fold(field, sums, G).scale(field.inv(G.c[1]))
 
 
 def patterson_decode(code, y):
     """Unique decoding up to r errors; empty result signals weight > r."""
     G = code.gpoly
     x = Poly.x(code.field)
-    s = syndrome_poly(code, y, G)
-    if s.is_zero():
-        return DecodeResult(((y, 0),))
-    T = poly_invmod(s, G)
-    if T is None:
-        return DecodeResult(())
-    try:
-        R = poly_sqrt_mod(T + x, G)
-    except ArithmeticError:
+    if code.roots:
+        if y < 0 or y >> code.n:
+            raise ValueError("received word does not fit in %d bits" % code.n)
+        par = code.parity_bin.mul_vec(y)  # bit i*m + beta: beta of s(z_i)
+        if not par:
+            return DecodeResult(((y, 0),))
+        R = _sqrt_at_roots(code, par)
+    else:
+        s = syndrome_poly(code, y, G)
+        if s.is_zero():
+            return DecodeResult(((y, 0),))
+        T = poly_invmod(s, G)
+        try:
+            R = None if T is None else poly_sqrt_mod(T + x, G)
+        except ArithmeticError:
+            R = None
+    if R is None:
         return DecodeResult(())
     a, b = eea_stop(G, R, G.degree // 2)
     sigma = a.square() + x * b.square()

@@ -13,7 +13,8 @@ residue map is the parity, so the signature sums of the last m support
 blocks decide it, and a singular draw is refused before any matrix is
 built.  A is the public key, and compact_pubkey packs it into m*k bits:
 the first row of each r x r block.  expand_pubkey rebuilds each block
-from that row by doubling, swapping halves of bit groups.
+from that row by doubling, swapping halves of bit groups; cauchy_code
+doubles a key's Cauchy parity check from its support and G alone.
 """
 
 from collections import namedtuple
@@ -22,7 +23,7 @@ from operator import xor
 
 from .gf2m import Poly
 from .binmat import BinMatrix
-from .goppa import GoppaCode, CodeConstructionError, build_code
+from .goppa import GoppaCode, CodeConstructionError, _bit_slices, build_code
 from .prng import SeededStream
 
 
@@ -190,12 +191,11 @@ def compact_pubkey(m, r, A):
 def expand_pubkey(blob):
     """Inverse of compact_pubkey: returns (m, r, A) with A the k x mr part.
 
-    Row i of a dyadic block has bit j of row 0 at position j xor i, so for
-    i < b, row i + b is row i with the halves of every 2b-wide group
-    swapped.  Each block doubles from row 0, its m signatures side by
-    side, for b = 1, 2, ..., r/2: one masked shift per row for all planes.
-    m outside 2..16 or m*r >= 2^16 is refused before any allocation: no
-    support of at most 2^16 points leaves room for that parity part.
+    Row i of a dyadic block has bit j of row 0 at position j xor i, so
+    each block doubles from row 0, its m signatures side by side, with
+    one masked shift per row for all planes (_double).  m outside 2..16
+    or m*r >= 2^16 is refused before any allocation: no support of at
+    most 2^16 points leaves room for that parity part.
     """
     if len(blob) < 9 or blob[:5] != b"QDGK\x01":
         raise ValueError("not a compact dyadic key")
@@ -211,14 +211,57 @@ def expand_pubkey(blob):
             for pos in range(0, len(body), span)]
     if any(sig >> r for sig in sigs):
         raise ValueError("signature bits beyond r")
-    full = (1 << m * r) - 1
-    # the low b bits of every 2b-wide group, shared by all planes and blocks
-    masks = [(b, full // ((1 << 2 * b) - 1) * ((1 << b) - 1))
-             for b in (1 << j for j in range(blob[6]))]
     rows = []
     for pos in range(0, len(sigs), m):
-        block = [sum(sig << t * r for t, sig in enumerate(sigs[pos:pos + m]))]
-        for b, mask in masks:
-            block += [(v & mask) << b | v >> b & mask for v in block]
-        rows += block
+        row = sum(sig << t * r for t, sig in enumerate(sigs[pos:pos + m]))
+        rows += _double([row], m * r, r)
     return m, r, BinMatrix(len(rows), m * r, rows)
+
+
+def _double(rows, width, r):
+    """rows, then each read at bit j xor i for 0 < i < r, by half-swaps."""
+    full = (1 << width) - 1
+    for b in (1 << j for j in range(r.bit_length() - 1)):
+        mask = full // ((1 << 2 * b) - 1) * ((1 << b) - 1)  # low b of each 2b
+        rows += [(v & mask) << b | v >> b & mask for v in rows]
+    return rows
+
+
+def cauchy_code(field, support, gpoly):
+    """Gamma(L, G) holding G's roots z_i and their Cauchy table, the bit
+    planes of 1/(z_i + L_j), derived from a quasi-dyadic (L, G) alone.
+
+    G + G(0) has terms only at x^(2^k), so it is GF(2)-linear: one m x m
+    GF(2) system gives a root z_0 and the kernel V, the roots are z_0 + V,
+    and G' = G_1.  Each support block c has the differences L_{cr+t} +
+    L_{cr} = d_t of block 0, linear in t and spanning V, so with
+    z_i = z_0 + d_i entry (i, t) of block c is entry (0, t xor i), and
+    row 0, n inversions, doubles into all r.  Other keys, and a support
+    point that is a root of G, raise CodeConstructionError.
+    """
+    n, r, m, q = len(support), gpoly.degree, field.m, field.order
+    if len(set(support)) != n or not 0 <= min(support) <= max(support) < q:
+        raise CodeConstructionError("support points are not distinct")
+    # G(0) << m reduces by rows (G(alpha^k) + G(0)) << m | 2^k to a root
+    g = gpoly.eval_all([0] + [1 << k for k in range(m)])
+    basis, z0, V = [], g[0] << m, [0]
+    for k in range(m):  # every row is kept, and those with no G part span V
+        _independent(basis, (g[k + 1] ^ g[0]) << m | 1 << k)
+        z0 = min(z0, z0 ^ basis[-1])
+        V += [] if basis[-1] >> m else [v ^ basis[-1] for v in V]
+    if z0 >> m or len(V) != r or any(
+            c for k, c in enumerate(gpoly.c) if k & (k - 1)):
+        raise CodeConstructionError("G is not L_V(x) + c on r roots")
+    if not {z0 ^ v for v in V}.isdisjoint(support):
+        raise CodeConstructionError("support element is a root of G")
+    d = [0]
+    for b in range(r.bit_length() - 1):
+        d += [v ^ support[1 << b] ^ support[0] for v in d]
+    if set(d) != set(V) or any([v ^ support[c] for v in support[c:c + r]]
+                               != d for c in range(0, n, r)):
+        raise CodeConstructionError("support blocks are not cosets of V")
+    exp, log = field.exp, field.log
+    table = _double(_bit_slices([exp[-log[z0 ^ v]] for v in support], m),
+                    n, r)
+    return GoppaCode(field, support, gpoly, cauchy=(
+        tuple(z0 ^ v for v in d), BinMatrix(len(table), n, table)))

@@ -3,10 +3,10 @@
 A code Gamma(L, G) over GF(2^m) is the set of binary words c with
 sum_j c_j/(x - L_j) = 0 mod G.  A code object holds the support, G and
 the per-modulus tables that decoding needs; build_code validates them and
-does no matrix work.  Decoding works on one bit-sliced table per modulus
-M: the alternant matrix H[t][j] = L_j^t / M(L_j), t < deg M, expanded
-over GF(2), one n-bit int per row.  Syndromes are parities of its rows
-against the received word, and for M = G it is the GF(2) parity check.
+does no matrix work.  Decoding reads one bit-sliced table per modulus M,
+the alternant matrix L_j^t / M(L_j), t < deg M, or for G the Cauchy
+matrix 1/(z_i + L_j) if the code holds G's roots z_i (dyadic.cauchy_code),
+one n-bit int per row; syndromes are parities of its rows against y.
 A code's systematic form (colperm, A) makes [I_k | A] a generator on
 the column order colperm; dyadic codes are built with it, others get it
 from one elimination of the parity check on first use.  Keys store the
@@ -47,18 +47,19 @@ class GoppaCode:
 
     A caller that already holds the systematic form (colperm, A), colperm
     a tuple, passes it; otherwise one elimination of parity_bin builds it
-    on first use.
+    on first use.  cauchy = (roots, Cauchy table) holds G's roots, a tuple.
     """
 
-    __slots__ = ("field", "support", "gpoly", "n", "r",
-                 "_systematic", "_cache")
+    __slots__ = ("field", "support", "gpoly", "n", "r", "roots",
+                 "_parity", "_systematic", "_cache")
 
-    def __init__(self, field, support, gpoly, systematic=None):
+    def __init__(self, field, support, gpoly, systematic=None, cauchy=None):
         self.field = field
         self.support = tuple(support)
         self.gpoly = gpoly
         self.n = len(self.support)
         self.r = gpoly.degree
+        self.roots, self._parity = cauchy or (None, None)
         self._systematic = systematic
         self._cache = {}
 
@@ -93,8 +94,8 @@ class GoppaCode:
 
     @property
     def parity_bin(self):
-        """GF(2) parity check: the alternant table of G."""
-        return self.alternant(self.gpoly)
+        """GF(2) parity check: the Cauchy table, else the alternant of G."""
+        return self._parity or self.alternant(self.gpoly)
 
     @property
     def systematic(self):
@@ -159,20 +160,24 @@ def syndrome_poly(code, y, modulus):
 
     The alternant syndromes S_t = sum_j y_j L_j^t / M(L_j) are parities
     of the rows of code.alternant(M) against y, and
-    1/(x - a) = (M(x) - M(a)) / ((x - a) M(a)) mod M turns them into
-    s_i = sum over k > i of M_k S_(k-1-i).
+    1/(x - a) = (M(x) - M(a)) / ((x - a) M(a)) mod M turns them into s
+    by _fold.
     """
     if y < 0 or y >> code.n:
         raise ValueError("received word does not fit in %d bits" % code.n)
-    field = code.field
-    exp, log = field.exp, field.log
-    m, d = field.m, modulus.degree
     par = code.alternant(modulus).mul_vec(y)  # bit t*m + beta: beta of S_t
+    m = code.field.m
+    return _fold(code.field, [par >> t * m & (1 << m) - 1
+                              for t in range(modulus.degree)], modulus)
+
+
+def _fold(field, sums, modulus):
+    """sum_i x^i sum_(k>i) M_k S_(k-1-i), from S_t for t < deg M: for
+    S_t = sum_j v_j a_j^t, that is sum_j v_j (M(x) - M(a_j))/(x - a_j)."""
+    exp, log = field.exp, field.log
     lead = [log[c] for c in modulus.c[1:]]  # log M_k at k - 1; None at 0
-    mask = (1 << m) - 1
-    acc = [0] * d
-    for t in range(d):
-        st = par >> (t * m) & mask
+    acc = [0] * len(lead)
+    for t, st in enumerate(sums):
         if st:
             ls = log[st]
             for i, lm in enumerate(lead[t:]):

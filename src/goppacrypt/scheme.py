@@ -24,7 +24,7 @@ from .goppa import CodeConstructionError, build_code, systematic_encode
 from .decode import LD_REACH, list_decode
 from .dyadic import (
     gen_signature, signature_to_code,
-    compact_pubkey, expand_pubkey,
+    compact_pubkey, expand_pubkey, cauchy_code,
 )
 from .security import check_countermeasures, encryption_weight
 from .prng import SeededStream
@@ -123,9 +123,10 @@ class KeyPair:
         self._code = None
 
     def code(self):
-        """The decoding view: validated support and G, no matrix work."""
+        """The decoding view, built on first use (dyadic: cauchy_code)."""
         if self._code is None:
-            self._code = build_code(self.field, self.support, self.gpoly)
+            build = cauchy_code if self.variant == "dyadic" else build_code
+            self._code = build(self.field, self.support, self.gpoly)
         return self._code
 
     def capacity(self):

@@ -4,20 +4,23 @@ from collections import Counter
 import pytest
 
 from goppacrypt import binmat, dyadic, goppa
-from goppacrypt.gf2m import make_field
+from goppacrypt.gf2m import Poly, make_field
 from goppacrypt.binmat import BinMatrix, rref
-from goppacrypt.goppa import CodeConstructionError, build_code
+from goppacrypt.goppa import (
+    CodeConstructionError, build_code, syndrome_poly, systematic_encode,
+)
 from goppacrypt.decode import patterson_decode, g2_decode, list_decode
 from goppacrypt.dyadic import (
     SignatureExhaustionError, gen_signature,
-    signature_to_code, compact_pubkey, expand_pubkey,
+    signature_to_code, compact_pubkey, expand_pubkey, cauchy_code,
 )
 from goppacrypt.prng import SeededStream
-from goppacrypt.scheme import KEYGEN_ATTEMPTS, keygen
+from goppacrypt.scheme import KEYGEN_ATTEMPTS, KeyPair, keygen
 from testlib import (
     block_invertible, block_mul, block_systemized_generator, dyadic_check,
     dyadic_support, encode, expand_pubkey_rowloop, gen, gen_signature_filled,
-    random_goppa_code, xor_permute, xor_permute_bitloop,
+    patterson_alternant, poly_eval, random_goppa_code, xor_permute,
+    xor_permute_bitloop,
 )
 from test_golden import GOLDEN
 
@@ -449,3 +452,106 @@ def test_expand_refuses_header_dimensions(m, logr):
     # m outside 2..16 or m*r >= 2^16, before anything is allocated
     with pytest.raises(ValueError, match="out of range"):
         expand_pubkey(b"QDGK\x01" + bytes((m, logr)) + b"\0\0")
+
+
+GOLDEN_DYADIC = sorted(name for name in GOLDEN if name.startswith("dyadic"))
+
+
+def golden_key(name):
+    args = GOLDEN[name][0]
+    return KeyPair.from_bytes(
+        keygen(*args, seed=b"golden/" + name.encode()).to_bytes())
+
+
+@pytest.mark.parametrize("name", GOLDEN_DYADIC + ["big"])
+def test_cauchy_table_is_the_cauchy_matrix(name):
+    # G's roots come from the support and G alone, and row i*m + beta
+    # holds bit beta of 1/(z_i + L_j), one field inversion per entry
+    kp = keygen("dyadic", 12, 1024, 64, "ud", b"cauchy/big") \
+        if name == "big" else golden_key(name)
+    code = cauchy_code(kp.field, kp.support, kp.gpoly)
+    field, m, r = kp.field, kp.m, kp.r
+    assert len(set(code.roots)) == r
+    assert all(poly_eval(kp.gpoly, z) == 0 for z in code.roots)
+    rng = random.Random(r)
+    bits = code.parity_bin.bits
+    assert len(bits) == m * r
+    for _ in range(200):
+        i, j = rng.randrange(r), rng.randrange(kp.n)
+        v = field.inv(code.roots[i] ^ kp.support[j])
+        assert [bits[i * m + beta] >> j & 1 for beta in range(m)] == \
+            [v >> beta & 1 for beta in range(m)]
+
+
+@pytest.mark.parametrize("name", GOLDEN_DYADIC)
+def test_patterson_at_roots_matches_alternant_table(name):
+    # the key's code decodes pointwise at G's roots on its Cauchy table;
+    # Patterson on the alternant table of G is the oracle, on words of
+    # every weight 0..r and on random words: the same candidates, the
+    # same fallback to g2, and Cauchy syndromes that are s(z_i)
+    kp = golden_key(name)
+    code = kp.code()
+    plain = build_code(kp.field, kp.support, kp.gpoly)
+    assert code.roots is not None and plain.roots is None
+    m, r, mask = kp.m, kp.r, (1 << kp.m) - 1
+    rng = random.Random(len(name))
+    words = [systematic_encode(kp.public, rng.randrange(1 << kp.k))
+             ^ sum(1 << p for p in rng.sample(range(kp.n), w))
+             for w in range(r + 1) for _ in range(3)]
+    words += [rng.randrange(1 << kp.n) for _ in range(40)]
+    fallbacks = 0
+    for y in words:
+        par = code.parity_bin.mul_vec(y)
+        assert [par >> i * m & mask for i in range(r)] == \
+            syndrome_poly(plain, y, kp.gpoly).eval_all(code.roots)
+        got = patterson_decode(code, y)
+        assert got == patterson_alternant(plain, y)
+        assert got == patterson_decode(plain, y)
+        fallbacks += not got.candidates
+        assert list_decode(code, y, r) == list_decode(plain, y, r)
+    assert fallbacks >= 40  # every random word is beyond r of the code
+    # errors whose syndrome vanishes at some root but not at all: s is
+    # not invertible mod G, both Patterson paths give up, and g2 decodes
+    hits = 0
+    while m <= 10 and hits < 3:
+        e = sum(1 << p for p in rng.sample(range(kp.n),
+                                           rng.randrange(1, r + 1)))
+        par = code.parity_bin.mul_vec(e)
+        if par and any(par >> i * m & mask == 0 for i in range(r)):
+            hits += 1
+            assert not patterson_decode(code, e).candidates
+            assert not patterson_alternant(plain, e).candidates
+            assert list_decode(code, e, r).candidates == \
+                ((0, e.bit_count()),) == list_decode(plain, e, r).candidates
+    if kp.decoder == "ld":
+        for y in words[::7]:
+            assert list_decode(code, y, kp.w_enc) == \
+                list_decode(plain, y, kp.w_enc)
+
+
+def test_cauchy_code_takes_any_coset_and_refuses_the_rest():
+    kp = golden_key("dyadic-ud")
+    field, support = kp.field, list(kp.support)
+    with pytest.raises(CodeConstructionError, match="not distinct"):
+        cauchy_code(field, support[:-1] + support[:1], kp.gpoly)
+    # G + t is L_V(x) + c for another c: its roots are another coset of
+    # V, which is a code of its own unless it meets the support
+    outcomes = Counter()
+    for t in range(1, 40):
+        g = kp.gpoly + Poly(field, [t])
+        try:
+            code = cauchy_code(field, support, g)
+        except CodeConstructionError as exc:
+            outcomes[str(exc)] += 1
+            continue
+        outcomes["code"] += 1
+        assert all(poly_eval(g, z) == 0 for z in code.roots)
+        assert code.roots[0] ^ code.roots[1] == support[0] ^ support[1]
+    assert outcomes["code"] and outcomes["support element is a root of G"]
+    assert set(outcomes) <= {"code", "support element is a root of G",
+                             "G is not L_V(x) + c on r roots"}
+    # dropping G's x term makes G' = 0: G is a square, with r/2 roots
+    c = list(kp.gpoly.c)
+    c[1] = 0
+    with pytest.raises(CodeConstructionError, match="L_V"):
+        cauchy_code(field, support, Poly(field, c))

@@ -3,13 +3,14 @@
 Truncations, extensions, bit flips and patched header fields go through
 KeyPair.from_bytes, encrypt, decrypt and the CLI, together with key
 fields that reach decoding: a G with a repeated root, a support point
-that is a root of G, and a G of the wrong degree.  Every case must end
-in a result or a documented exception: ValueError (CodeConstructionError
-and RadiusError among them), DecryptionError or CapacityError.  The CLI
-must exit 0 or 1 and print no traceback.  A key that loads must encrypt
-at the weight its decoder defines, so that no patched header can make
-encrypt add fewer errors.  The case count is fixed and each case is
-timed.
+that is a root of G, and a G of the wrong degree; and dyadic keys that
+load but lack the structure that decoding derives G's roots from.
+Every case must end in a result or a documented exception: ValueError
+(CodeConstructionError and RadiusError among them), DecryptionError or
+CapacityError.  The CLI must exit 0 or 1 and print no traceback.  A key
+that loads must encrypt at the weight its decoder defines, so that no
+patched header can make encrypt add fewer errors.  The case count is
+fixed and each case is timed.
 """
 
 import random
@@ -20,7 +21,7 @@ import pytest
 from goppacrypt.binmat import BinMatrix
 from goppacrypt.cli import main
 from goppacrypt.gf2m import Poly
-from goppacrypt.goppa import CapacityError
+from goppacrypt.goppa import CapacityError, CodeConstructionError
 from goppacrypt.scheme import (
     Cryptogram, DecryptionError, KeyPair, decrypt, encrypt, keygen,
 )
@@ -165,3 +166,63 @@ def test_fuzz_cli_prints_no_traceback(keys, tmp_path, capsys):
                 assert code in (0, 1)
                 assert "Traceback" not in err
                 assert (code == 1) == err.startswith("error: ")
+
+
+def _span(basis):
+    span = [0]
+    for b in basis:
+        span += [v ^ b for v in span]
+    return span
+
+
+def hostile_dyadic(kp):
+    """(reason, support, G): dyadic key fields that load, and that
+    decoding refuses before it decodes anything."""
+    field, r, L = kp.field, kp.r, list(kp.support)
+    # blocks 0 and 1 trade a point, so they no longer share differences
+    swapped = L[:]
+    swapped[1], swapped[r + 1] = swapped[r + 1], swapped[1]
+    yield "cosets", swapped, kp.gpoly
+    # an x^3 term: G + G(0) is not GF(2)-linear, G is not L_V + c
+    c = list(kp.gpoly.c)
+    c[3] ^= 1
+    yield "L_V", L, Poly(field, c)
+    # G = L_W + c, its roots a coset of a subspace W other than the V of
+    # the support's blocks, and none of them on the support
+    V = [L[1 << b] ^ L[0] for b in range(r.bit_length() - 1)]
+    z0 = kp.gpoly.eval_all(range(field.order)).index(0)
+    for w in range(1, field.order):
+        roots = [z0 ^ v for v in _span([w] + V[1:])]
+        if w not in _span(V) and not set(roots) & set(L):
+            break
+    yield "cosets", L, Poly.from_roots(field, roots)
+    # G + G(L_0): the whole block of L_0 is G's roots
+    c = list(kp.gpoly.c)
+    c[0] ^= kp.gpoly.eval_all([L[0]])[0]
+    yield "root of G", L, Poly(field, c)
+
+
+def test_hostile_dyadic_keys_are_refused_at_decrypt(keys, tmp_path, capsys):
+    # each loads, as loading does no structure work, and encrypts; decrypt
+    # and the CLI refuse it with a typed error, never a plaintext
+    kp = keys[2]
+    assert kp.variant == "dyadic"
+    paths = {name: tmp_path / name for name in ("k", "ct", "out")}
+    for reason, support, gpoly in hostile_dyadic(kp):
+        blob = KeyPair(kp.variant, kp.decoder, kp.field, support, gpoly,
+                       kp.public).to_bytes()
+        loaded = KeyPair.from_bytes(blob)
+        ct = encrypt(loaded, b"h", b"hostile")
+        t0 = time.perf_counter()
+        with pytest.raises(CodeConstructionError, match=reason):
+            decrypt(loaded, ct)
+        assert time.perf_counter() - t0 < CASE_SECONDS
+        paths["k"].write_bytes(blob)
+        paths["ct"].write_bytes(ct.to_bytes())
+        t0 = time.perf_counter()
+        code = main(["decrypt", "--key", str(paths["k"]), "--in",
+                     str(paths["ct"]), "--out", str(paths["out"])])
+        assert time.perf_counter() - t0 < CASE_SECONDS
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and reason in err
+        assert not paths["out"].exists()

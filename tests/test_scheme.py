@@ -5,9 +5,9 @@ from collections import Counter
 
 import pytest
 
-from goppacrypt import goppa, scheme
+from goppacrypt import decode, gf2m, goppa, scheme
 from goppacrypt.binmat import BinMatrix, rref
-from goppacrypt.gf2m import make_field, random_monic_irreducible
+from goppacrypt.gf2m import Poly, make_field, random_monic_irreducible
 from goppacrypt.goppa import CodeConstructionError, build_code
 from goppacrypt.decode import list_decode, patterson_decode
 from goppacrypt.prng import SeededStream
@@ -226,6 +226,42 @@ def test_systematic_rows_are_codewords_on_identity_order(args):
     parity = kp.code().parity_bin
     for i, v in enumerate(kp.public.bits):
         assert parity.mul_vec(1 << i | v << kp.k) == 0
+
+
+@pytest.mark.parametrize("args", [("dyadic", 10, 256, 16, "ud"),
+                                  ("dyadic", 11, 1024, 32, "ud")])
+def test_cold_dyadic_decrypt_reads_only_the_cauchy_table(args, monkeypatch):
+    # loading a dyadic key does no structure work; a fresh decrypt that
+    # needs no g2 fallback derives G's roots and reads their Cauchy table,
+    # and builds no alternant table, evaluates nothing at the support and
+    # inverts nothing, not even x, mod G
+    kp = keygen(*args, seed=b"count")
+    blob = kp.to_bytes()
+    msgs = [b"%d" % i for i in range(6)]
+    cts = [encrypt(kp, msg, b"count/%d" % i) for i, msg in enumerate(msgs)]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def eval_all(poly, points, real=Poly.eval_all):
+        calls["eval_all on the support" if len(points) == kp.n
+              else "eval_all"] += 1
+        return real(poly, points)
+    monkeypatch.setattr(Poly, "eval_all", eval_all)
+    for owner, name in ((goppa.GoppaCode, "alternant"),
+                        (decode, "poly_invmod"), (gf2m, "_sqrt_x_mod"),
+                        (decode, "g2_decode"), (scheme, "cauchy_code")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    loaded = [KeyPair.from_bytes(blob) for _ in cts]
+    assert not calls
+    for key, ct, msg in zip(loaded, cts, msgs):
+        assert decrypt(key, ct) == msg
+    # one root solve per key, one locator evaluation at the roots per word
+    assert calls == {"cauchy_code": len(cts), "eval_all": 2 * len(cts)}
 
 
 def test_dyadic_keygen_builds_no_generator(monkeypatch):

@@ -9,7 +9,9 @@ the entry-by-entry dyadic signature fill, the dyadic structure check,
 the xor reindexing of a dyadic signature with its bit-loop version, the
 row-by-row compact key expansion, the bit-matrix transpose and
 matrix-vector product, the GF(2) parity check, the syndrome, the locator
-root search and the square root of x mod G.  Also here: the
+root search and the square root of x mod G, and Patterson on the
+alternant table of G, the oracle of Patterson at G's roots on the
+Cauchy table of a dyadic key's code.  Also here: the
 codeword encoder by message int, Proposition 1's check, a Horner
 evaluator at one point, and the brute-force sphere oracle, the ground
 truth for the list decoders, with the bit-tuple order of their results.
@@ -34,7 +36,7 @@ from goppacrypt.goppa import (
     CapacityError, CodeConstructionError, GoppaCode, build_code,
     syndrome_poly, systematic_encode,
 )
-from goppacrypt.gf2m import NEG_INF, Poly
+from goppacrypt.gf2m import NEG_INF, Poly, poly_invmod, poly_sqrt_mod
 from goppacrypt.prng import SeededStream
 from goppacrypt.security import encryption_weight, fs_workfactor, keysize
 
@@ -493,6 +495,32 @@ def locator_roots_horner(code, sigma):
     """Mask of the support points where sigma vanishes, one eval each."""
     return sum(1 << j for j, a in enumerate(code.support)
                if poly_eval(sigma, a) == 0)
+
+
+def patterson_alternant(code, y):
+    """Patterson decoding on the alternant table of G, for any code.
+
+    s from the alternant syndromes, T = 1/s and R = sqrt(T + x) mod G on
+    coefficients, the key equation by the Poly EEA, the locator's roots
+    by one evaluation per support point, and the result checked against
+    the alternant syndromes: the decoding that every code had before a
+    code could hold G's roots, and the oracle of the pointwise one.
+    """
+    G = code.gpoly
+    x = Poly.x(code.field)
+    s = syndrome_poly(code, y, G)
+    if s.is_zero():
+        return DecodeResult(((y, 0),))
+    T = poly_invmod(s, G)
+    if T is None:
+        return DecodeResult(())
+    a, b = eea_stop_poly(G, poly_sqrt_mod(T + x, G), G.degree // 2)
+    sigma = a.square() + x * b.square()
+    roots = locator_roots_horner(code, sigma)
+    if roots.bit_count() != sigma.degree or \
+            not syndrome_poly(code, y ^ roots, G).is_zero():
+        return DecodeResult(())
+    return DecodeResult(((y ^ roots, sigma.degree),))
 
 
 def sqrt_x_mod_solve(G):
