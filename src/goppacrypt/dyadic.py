@@ -14,7 +14,8 @@ blocks decide it, and a singular draw is refused before any matrix is
 built.  A is the public key, and compact_pubkey packs it into m*k bits:
 the first row of each r x r block.  expand_pubkey rebuilds each block
 from that row by doubling, swapping halves of bit groups; cauchy_code
-doubles a key's Cauchy parity check from its support and G alone.
+doubles a code's Cauchy parity check from its support and G alone, the
+one table that keygen eliminates and decrypt reads.
 """
 
 from collections import namedtuple
@@ -23,7 +24,7 @@ from operator import xor
 
 from .gf2m import Poly
 from .binmat import BinMatrix
-from .goppa import GoppaCode, CodeConstructionError, _bit_slices, build_code
+from .goppa import GoppaCode, CodeConstructionError, _bit_slices
 from .prng import SeededStream
 
 
@@ -114,14 +115,14 @@ def signature_to_code(sig, n, r, seed):
     code's systematic form is [I_k | A] on the identity column order,
     with every r x r block of A dyadic; every binary parity check of
     Gamma(L, G) has the code as its null space, so that form is unique
-    when it exists.  A is read off the systematic form of the same code
-    on the support with its last m*r points moved first, whose one
-    elimination must pivot on exactly those points; otherwise no
-    systematic form exists and CodeConstructionError is raised.  No
-    generator or null space is built.
+    when it exists.  A is read off one elimination of the Cauchy table
+    (cauchy_code) of the support with its last m*r points moved first,
+    which must pivot on exactly those points; otherwise no systematic
+    form exists and CodeConstructionError is raised.  The code holds
+    that table with its columns rotated back, as decrypt builds it.
 
     Singular draws are refused from the signature sums first, before
-    build_code.  In the Cauchy parity check, support block c is pool
+    cauchy_code.  In the Cauchy parity check, support block c is pool
     block b_c read at offset p_c, and its bit plane beta is the binary
     dyadic matrix of bit beta of h_{b_c*r + (x xor p_c)}.  Binary r x r
     dyadic matrices form the group ring GF(2)[(Z/2)^s], r = 2^s, which is
@@ -159,10 +160,13 @@ def signature_to_code(sig, n, r, seed):
     # on the rotated support, column j < k sits at mr + j; if the
     # elimination pivots on columns 0..mr-1, its A is that of the
     # identity order
-    colperm, A = build_code(field, support[k:] + support[:k], gpoly).systematic
+    code = cauchy_code(field, support[k:] + support[:k], gpoly)
+    colperm, A = code.systematic
     if colperm[k:] != tuple(range(n - k)):
         raise CodeConstructionError("the last m*r parity columns are singular")
-    return GoppaCode(field, support, gpoly, (tuple(range(n)), A))
+    table = [v << k | v >> n - k for v in code.parity_bin.bits]  # key order
+    return GoppaCode(field, support, gpoly, (tuple(range(n)), A),
+                     (code.roots, BinMatrix(len(table), n, table)))
 
 
 def compact_pubkey(m, r, A):

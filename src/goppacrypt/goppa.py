@@ -8,9 +8,9 @@ the alternant matrix L_j^t / M(L_j), t < deg M, or for G the Cauchy
 matrix 1/(z_i + L_j) if the code holds G's roots z_i (dyadic.cauchy_code),
 one n-bit int per row; syndromes are parities of its rows against y.
 A code's systematic form (colperm, A) makes [I_k | A] a generator on
-the column order colperm; dyadic codes are built with it, others get it
-from one elimination of the parity check on first use.  Keys store the
-support in that order, so their [I_k | A] needs no column order.
+the column order colperm, from one elimination of the parity check
+(for a dyadic key, signature_to_code's, on a rotated support).  Keys
+store the support in that order: their [I_k | A] has no column order.
 """
 
 import struct
@@ -43,7 +43,7 @@ def _bit_slices(values, m):
 
 
 class GoppaCode:
-    """Immutable code object; see build_code for the canonical constructor.
+    """Immutable code object, from build_code or dyadic.cauchy_code.
 
     A caller that already holds the systematic form (colperm, A), colperm
     a tuple, passes it; otherwise one elimination of parity_bin builds it

@@ -15,12 +15,12 @@ from goppacrypt.dyadic import (
     signature_to_code, compact_pubkey, expand_pubkey, cauchy_code,
 )
 from goppacrypt.prng import SeededStream
-from goppacrypt.scheme import KEYGEN_ATTEMPTS, KeyPair, keygen
+from goppacrypt.scheme import KEYGEN_ATTEMPTS, KeyPair, _dyadic_code, keygen
 from testlib import (
     block_invertible, block_mul, block_systemized_generator, dyadic_check,
     dyadic_support, encode, expand_pubkey_rowloop, gen, gen_signature_filled,
-    patterson_alternant, poly_eval, random_goppa_code, xor_permute,
-    xor_permute_bitloop,
+    patterson_alternant, poly_eval, random_goppa_code,
+    signature_to_code_alternant, xor_permute, xor_permute_bitloop,
 )
 from test_golden import GOLDEN
 
@@ -169,21 +169,21 @@ def test_block_invertible_matches_rank():
 
 @pytest.fixture
 def counted(monkeypatch):
-    # the rref and build_code calls that signature_to_code makes
+    # the rref and cauchy_code calls that signature_to_code makes
     calls = []
-    real_build_code = dyadic.build_code
+    real_cauchy_code = dyadic.cauchy_code
 
     def counted_rref(M):
         calls.append("rref")
         return rref(M)
 
-    def counted_build_code(*args):
-        calls.append("build_code")
-        return real_build_code(*args)
+    def counted_cauchy_code(*args):
+        calls.append("cauchy_code")
+        return real_cauchy_code(*args)
 
     monkeypatch.setattr(binmat, "rref", counted_rref)
     monkeypatch.setattr(goppa, "rref", counted_rref)
-    monkeypatch.setattr(dyadic, "build_code", counted_build_code)
+    monkeypatch.setattr(dyadic, "cauchy_code", counted_cauchy_code)
     return calls
 
 
@@ -193,7 +193,7 @@ def test_generator_matches_block_elimination(counted, m, N, n, r):
     # every attempt of keygen's schedule for a few seeds: the same accept
     # or reject decision and the same generator as elimination over the
     # ring of dyadic blocks; an accepted attempt makes one rref and one
-    # build_code, and a refused one neither, since the signature sums
+    # cauchy_code, and a refused one neither, since the signature sums
     # refuse it first
     field = make_field(m)
     rejected = 0
@@ -206,7 +206,7 @@ def test_generator_matches_block_elimination(counted, m, N, n, r):
                 code = signature_to_code(sig, n, r, blk_seed)
             except CodeConstructionError:
                 code = None
-            assert counted == ([] if code is None else ["build_code", "rref"])
+            assert counted == ([] if code is None else ["cauchy_code", "rref"])
             gpoly, support = dyadic_support(sig, n, r, blk_seed)
             try:
                 want = block_systemized_generator(
@@ -250,7 +250,7 @@ def test_signature_sums_decide_like_rref(counted, m, N, n, r, attempts):
             by_sums = True
         except CodeConstructionError:
             by_sums = False
-        assert counted == (["build_code", "rref"] if by_sums else [])
+        assert counted == (["cauchy_code", "rref"] if by_sums else [])
         gpoly, support = dyadic_support(sig, n, r, blk_seed)
         code = build_code(field, support, gpoly)
         _, _, pivots = rref(BinMatrix(mr, n, [
@@ -263,6 +263,39 @@ def test_signature_sums_decide_like_rref(counted, m, N, n, r, attempts):
             by_blocks = False
         assert by_sums == by_rref == by_blocks
         verdicts.append(by_sums)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("m, N, n, r, attempts", [
+    (8, 128, 128, 1, 12), (8, 64, 64, 2, 12), (7, 64, 64, 8, 12),
+    (10, 512, 256, 16, 12), (12, 2048, 1024, 64, 8)])
+def test_cauchy_elimination_matches_alternant_construction(m, N, n, r,
+                                                           attempts):
+    # a seeded grid of attempts: one elimination of the Cauchy table on
+    # the rotated support accepts and refuses exactly where the first
+    # construction, the alternant table of G with no signature sums,
+    # does, with the same A, and its rotated-back table is the Cauchy
+    # table of the key's own support order
+    field = make_field(m)
+    verdicts = []
+    for t in range(attempts):
+        sig = gen_signature(field, N, b"alt/sig/%d" % t)
+        blk_seed = b"alt/blocks/%d" % t
+        try:
+            code = signature_to_code(sig, n, r, blk_seed)
+        except CodeConstructionError:
+            code = None
+        try:
+            want = signature_to_code_alternant(sig, n, r, blk_seed)
+        except CodeConstructionError:
+            want = None
+        assert (code is None) == (want is None)
+        verdicts.append(code is not None)
+        if code is not None:
+            assert code.systematic == (tuple(range(n)), want)
+            plain = cauchy_code(field, code.support, code.gpoly)
+            assert code.roots == plain.roots
+            assert code.parity_bin == plain.parity_bin
     assert any(verdicts) and not all(verdicts)
 
 
@@ -527,6 +560,25 @@ def test_patterson_at_roots_matches_alternant_table(name):
         for y in words[::7]:
             assert list_decode(code, y, kp.w_enc) == \
                 list_decode(plain, y, kp.w_enc)
+
+
+@pytest.mark.parametrize("name", GOLDEN_DYADIC)
+def test_keygen_code_is_the_decrypt_code(name):
+    # one path per dyadic code: the code keygen eliminates is the one a
+    # reloaded key decodes with, the same roots and the same Cauchy table
+    _, m, n, r, _ = GOLDEN[name][0]
+    kp = golden_key(name)
+    issued = _dyadic_code(make_field(m), n, r, b"golden/" + name.encode())
+    code = kp.code()
+    assert issued.support == code.support == kp.support
+    assert issued.roots == code.roots
+    assert issued.parity_bin == code.parity_bin
+    assert issued.systematic == (tuple(range(n)), kp.public)
+    rng, tau = random.Random(name), kp.w_enc
+    for w in (0, r // 2, r, tau):
+        y = systematic_encode(kp.public, rng.randrange(1 << kp.k)) ^ sum(
+            1 << p for p in rng.sample(range(n), w))
+        assert list_decode(issued, y, tau) == list_decode(code, y, tau)
 
 
 def test_cauchy_code_takes_any_coset_and_refuses_the_rest():

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from goppacrypt import decode, gf2m, goppa, scheme
+from goppacrypt import decode, dyadic, gf2m, goppa, scheme
 from goppacrypt.binmat import BinMatrix, rref
 from goppacrypt.gf2m import Poly, make_field, random_monic_irreducible
 from goppacrypt.goppa import CodeConstructionError, build_code
@@ -18,6 +18,17 @@ from goppacrypt.scheme import (
 )
 from testlib import null_space
 from test_golden import GOLDEN
+
+
+def count_calls(monkeypatch, targets):
+    """A Counter of the calls to each (owner, name) of targets, by name."""
+    calls = Counter()
+    for owner, name in targets:
+        def wrapper(*args, fn=getattr(owner, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 def roundtrip(kp, trials, tag):
@@ -239,29 +250,37 @@ def test_cold_dyadic_decrypt_reads_only_the_cauchy_table(args, monkeypatch):
     blob = kp.to_bytes()
     msgs = [b"%d" % i for i in range(6)]
     cts = [encrypt(kp, msg, b"count/%d" % i) for i, msg in enumerate(msgs)]
-    calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    calls = count_calls(monkeypatch, (
+        (goppa.GoppaCode, "alternant"), (decode, "poly_invmod"),
+        (gf2m, "_sqrt_x_mod"), (decode, "g2_decode"),
+        (scheme, "cauchy_code")))
 
     def eval_all(poly, points, real=Poly.eval_all):
         calls["eval_all on the support" if len(points) == kp.n
               else "eval_all"] += 1
         return real(poly, points)
     monkeypatch.setattr(Poly, "eval_all", eval_all)
-    for owner, name in ((goppa.GoppaCode, "alternant"),
-                        (decode, "poly_invmod"), (gf2m, "_sqrt_x_mod"),
-                        (decode, "g2_decode"), (scheme, "cauchy_code")):
-        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     loaded = [KeyPair.from_bytes(blob) for _ in cts]
     assert not calls
     for key, ct, msg in zip(loaded, cts, msgs):
         assert decrypt(key, ct) == msg
     # one root solve per key, one locator evaluation at the roots per word
     assert calls == {"cauchy_code": len(cts), "eval_all": 2 * len(cts)}
+
+
+@pytest.mark.parametrize("args", [("dyadic", 10, 256, 16, "ud"),
+                                  ("dyadic", 12, 1024, 64, "ud")])
+def test_dyadic_keygen_eliminates_only_the_cauchy_table(args, monkeypatch):
+    # keygen builds its code as decrypt does: one cauchy_code and one rref
+    # for the accepted attempt, and no alternant table of G, evaluation of
+    # G on the support or square-free test
+    want = keygen(*args, seed=b"count").to_bytes()
+    calls = count_calls(monkeypatch, (
+        (goppa.GoppaCode, "alternant"), (goppa, "build_code"),
+        (scheme, "build_code"), (goppa, "is_squarefree"),
+        (dyadic, "cauchy_code"), (goppa, "rref")))
+    assert keygen(*args, seed=b"count").to_bytes() == want
+    assert calls == {"cauchy_code": 1, "rref": 1}
 
 
 def test_dyadic_keygen_builds_no_generator(monkeypatch):

@@ -16,10 +16,12 @@ codeword encoder by message int, Proposition 1's check, a Horner
 evaluator at one point, and the brute-force sphere oracle, the ground
 truth for the list decoders, with the bit-tuple order of their results.
 The dyadic generator is checked against elimination over the ring of
-dyadic blocks, the linear list-decoding engine against the flip
-engine, one degree-2r decode per flip subset, the parameter search
-against the same walk with every bisection run in full, and the
-workfactor scan against the generator of split costs it replaced.  The
+dyadic blocks and against its first construction, one elimination of
+the alternant parity check of G on the rotated support, the linear
+list-decoding engine against the flip engine, one degree-2r decode per
+flip subset, the parameter search against the same walk with every
+bisection run in full, and the workfactor scan against the generator
+of split costs it replaced.  The
 list kernels are checked against the versions they replaced: the
 Four-Russians rref against Gauss-Jordan, and the list Euclid, the early
 stopped EEA and the key equation kernel against their Poly forms.
@@ -313,7 +315,8 @@ def block_invertible(a):
 
 def dyadic_support(sig, n, r, seed):
     """(G, support) of dyadic.signature_to_code's draw, rebuilt here so
-    that attempts the package refuses before build_code can be built."""
+    that attempts the package refuses from the signature sums can be
+    built."""
     points = sig.points()
     stream = SeededStream(seed)
     blocks = stream.sample_distinct(len(sig.e) // r, n // r)
@@ -321,6 +324,20 @@ def dyadic_support(sig, n, r, seed):
     return (Poly.from_roots(sig.field, sig.roots(r)),
             [points[b * r + (s ^ p)] for b, p in zip(blocks, offsets)
              for s in range(r)])
+
+
+def signature_to_code_alternant(sig, n, r, seed):
+    """A of dyadic.signature_to_code's draw as first built, with no
+    signature sums: build_code on the support with its last m*r points
+    moved first, one elimination of the alternant parity check of G, and
+    CodeConstructionError unless it pivots on exactly those points."""
+    gpoly, support = dyadic_support(sig, n, r, seed)
+    k = n - sig.field.m * r
+    colperm, A = build_code(sig.field, support[k:] + support[:k],
+                            gpoly).systematic
+    if colperm[k:] != tuple(range(n - k)):
+        raise CodeConstructionError("the last m*r parity columns are singular")
+    return A
 
 
 def gen_signature_filled(field, N, seed, refusals):
