@@ -5,18 +5,17 @@ degree-2r view (Gamma(L,G) = Gamma(L,G^2)) that backs it up, and list
 decoding at radii r+1 and r+2 from one linear key equation.  list_decode
 is the one entry for every radius; no radius past r + 2 is decoded.
 
-Syndromes and error-locator roots both come from one bit-sliced table
-per decoding modulus: the alternant table, or for G the Cauchy table of a
-code that holds G's roots, where Patterson runs pointwise.  The roots of
-a locator over the whole support are one n-bit mask of table row XORs.
+Syndromes and error-locator roots both come from the code's one
+bit-sliced table, the alternant table of G or the Cauchy table of G's
+roots, where Patterson runs pointwise; s mod G^2 is derived from s mod
+G.  The roots of a locator of degree <= r over the whole support are one
+n-bit mask of table row XORs.
 """
 
 from collections import Counter, namedtuple
-from functools import reduce
-from operator import xor
 
 from .gf2m import Poly, _reduce, eea_stop, poly_invmod, poly_sqrt_mod
-from .goppa import CapacityError, _fold, syndrome_poly
+from .goppa import CapacityError, _interpolate, _syndromes, syndrome_poly
 from .security import radii
 
 
@@ -45,28 +44,26 @@ _BIT_POSITIONS = tuple(tuple(b for b in range(8) if v >> b & 1)
                        for v in range(256))
 
 
-def _locator_roots(code, sigma, modulus):
+def _locator_roots(code, sigma):
     """Support positions where sigma vanishes, as an n-bit mask.
 
-    Needs deg sigma <= deg M, M = modulus.  Then sigma = q*M + rho with a
-    constant q, and sigma(L_j)/M(L_j) = q + sum_i c_i T[i][j], c_i = rho_i
-    on the alternant table; on the Cauchy table, times G' = G_1, it is
+    Needs deg sigma <= r.  Then sigma = q*G + rho with a constant q, and
+    sigma(L_j)/G(L_j) = q + sum_i c_i T[i][j], c_i = rho_i on the
+    alternant table; on the Cauchy table, times G' = G_1, it is
     G_1 q + sum_i rho(z_i)/(z_i + L_j).  Output bit slices XOR the rows
     picked by the bits of c_i * alpha^beta; L_j is a root iff all are 0.
     """
-    field = code.field
+    field, G = code.field, code.gpoly
     exp, log = field.exp, field.log
     quotient = []
-    rho = _reduce(list(sigma.c), modulus.c, exp, log, quotient)
+    rho = _reduce(list(sigma.c), G.c, exp, log, quotient)
     if any(i for i, _ in quotient):
-        raise ValueError("locator degree exceeds the modulus degree")
+        raise ValueError("locator degree exceeds the degree of G")
     q = exp[quotient[0][1]] if quotient else 0
-    m = field.m
-    if code.roots and modulus == code.gpoly:
-        table, q = code.parity_bin.bits, field.mul(q, modulus.c[1])
+    m, table = field.m, code.parity_bin.bits
+    if code.roots:
+        q = field.mul(q, G.c[1])
         rho = Poly(field, rho).eval_all(code.roots)
-    else:
-        table = code.alternant(modulus).bits
     full = (1 << code.n) - 1
     out = [full if q >> g & 1 else 0 for g in range(m)]
     unit = [log[1 << beta] for beta in range(m)]
@@ -86,9 +83,10 @@ def _locator_roots(code, sigma, modulus):
     return full ^ nonroots
 
 
-def _apply_locator(code, y, sigma, modulus):
-    """Flip the locator's roots in y; empty result on any inconsistency."""
-    roots = _locator_roots(code, sigma, modulus)
+def _apply_locator(code, y, sigma, roots=None):
+    """Flip the locator's roots in y (a mask, if the caller holds it);
+    empty result on any inconsistency."""
+    roots = _locator_roots(code, sigma) if roots is None else roots
     if roots.bit_count() != sigma.degree:
         return DecodeResult(())
     word = y ^ roots
@@ -98,37 +96,20 @@ def _apply_locator(code, y, sigma, modulus):
     return DecodeResult(((word, sigma.degree),))
 
 
-def _sqrt_at_roots(code, par):
-    """R = sqrt(1/s + x) mod G from the values s(z_i) in the Cauchy
-    syndromes par, or None if one is 0 (s is not invertible).  Lagrange
-    at the roots: R = sum_i R(z_i) G(x)/((x + z_i) G_1), a fold."""
-    field, G = code.field, code.gpoly
-    exp, log, m = field.exp, field.log, field.m
-    s = [par >> i * m & (1 << m) - 1 for i in range(code.r)]
-    if 0 in s:
-        return None
-    vals = [field.sqrt(exp[-log[v]] ^ z) for v, z in zip(s, code.roots)]
-    lz, sums = [log[z] for z in code.roots], []  # None at z = 0
-    for _ in lz:
-        sums.append(reduce(xor, vals))
-        vals = [exp[log[v] + lx] if v and lx is not None else 0
-                for v, lx in zip(vals, lz)]
-    return _fold(field, sums, G).scale(field.inv(G.c[1]))
-
-
 def patterson_decode(code, y):
     """Unique decoding up to r errors; empty result signals weight > r."""
-    G = code.gpoly
-    x = Poly.x(code.field)
+    G, field = code.gpoly, code.field
+    x = Poly.x(field)
     if code.roots:
-        if y < 0 or y >> code.n:
-            raise ValueError("received word does not fit in %d bits" % code.n)
-        par = code.parity_bin.mul_vec(y)  # bit i*m + beta: beta of s(z_i)
-        if not par:
+        s = _syndromes(code, y)  # the values s(z_i)
+        if not any(s):
             return DecodeResult(((y, 0),))
-        R = _sqrt_at_roots(code, par)
+        # R = sqrt(1/s + x) at each root, unless s is not invertible mod G
+        exp, log = field.exp, field.log
+        R = None if 0 in s else _interpolate(code, [
+            field.sqrt(exp[-log[v]] ^ z) for v, z in zip(s, code.roots)])
     else:
-        s = syndrome_poly(code, y, G)
+        s = syndrome_poly(code, y)
         if s.is_zero():
             return DecodeResult(((y, 0),))
         T = poly_invmod(s, G)
@@ -140,14 +121,23 @@ def patterson_decode(code, y):
         return DecodeResult(())
     a, b = eea_stop(G, R, G.degree // 2)
     sigma = a.square() + x * b.square()
-    return _apply_locator(code, y, sigma, G)
+    return _apply_locator(code, y, sigma)
+
+
+def _g2_syndrome(code, s):
+    """s mod G^2 from s mod G: the syndrome S of a binary word has
+    S' = S^2, so s mod G^2 = s + G*t has s' + G'*t = s^2 (mod G), and G'
+    is invertible mod the square-free G: t = (s^2 + s')/G' mod G."""
+    G = code.gpoly
+    t = (s.square() + s.deriv()) % G * poly_invmod(G.deriv(), G) % G
+    return s + G * t
 
 
 def _g2_from_syndrome(code, y, s2, g2):
     if s2.is_zero():
         return DecodeResult(((y, 0),))
     _, sigma = eea_stop(g2, s2, code.r - 1)
-    return _apply_locator(code, y, sigma, g2)
+    return _apply_locator(code, y, sigma)
 
 
 def g2_decode(code, y):
@@ -157,7 +147,8 @@ def g2_decode(code, y):
     Patterson in the cases where the syndrome is not invertible mod G.
     """
     g2 = code.gpoly.square()
-    return _g2_from_syndrome(code, y, syndrome_poly(code, y, g2), g2)
+    return _g2_from_syndrome(
+        code, y, _g2_syndrome(code, syndrome_poly(code, y)), g2)
 
 
 def list_decode(code, y, tau):
@@ -206,11 +197,12 @@ def _linear_engine(code, y, tau):
     5,272 checks made (tau = r+1, r+2; six shapes from (5,32,3) to
     (8,200,10), G irreducible or not), and any other raises CapacityError.
     The roots of p + lambda*q share lambda = p/q, so a histogram of that
-    ratio finds every member of a pencil with more than r roots.
+    ratio finds every member of a pencil with more than r roots: the
+    points whose ratio is lambda or undefined.
     """
     r, field = code.r, code.field
     g2 = code.gpoly.square()
-    s2 = syndrome_poly(code, y, g2)
+    s2 = _g2_syndrome(code, syndrome_poly(code, y))
     found = dict(_g2_from_syndrome(code, y, s2, g2).candidates)
     if any(d <= 2 * r - tau for d in found.values()):
         return _sorted_result(code.n, found.items())
@@ -225,7 +217,9 @@ def _linear_engine(code, y, tau):
         common = counts.pop(None, 0)  # roots of every member
         for lam in [lam for lam, k in counts.items() if k + common > r]:
             sigma = q if lam == field.order else p + q.scale(lam)
-            found.update(_apply_locator(code, y, sigma, g2).candidates)
+            roots = sum(1 << j for j, k in enumerate(keys)
+                        if k == lam or k is None)
+            found.update(_apply_locator(code, y, sigma, roots).candidates)
     return _sorted_result(code.n, found.items())
 
 

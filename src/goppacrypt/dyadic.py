@@ -165,8 +165,8 @@ def signature_to_code(sig, n, r, seed):
     if colperm[k:] != tuple(range(n - k)):
         raise CodeConstructionError("the last m*r parity columns are singular")
     table = [v << k | v >> n - k for v in code.parity_bin.bits]  # key order
-    return GoppaCode(field, support, gpoly, (tuple(range(n)), A),
-                     (code.roots, BinMatrix(len(table), n, table)))
+    return GoppaCode(field, support, gpoly, BinMatrix(len(table), n, table),
+                     code.roots, (tuple(range(n)), A))
 
 
 def compact_pubkey(m, r, A):
@@ -267,5 +267,5 @@ def cauchy_code(field, support, gpoly):
     exp, log = field.exp, field.log
     table = _double(_bit_slices([exp[-log[z0 ^ v]] for v in support], m),
                     n, r)
-    return GoppaCode(field, support, gpoly, cauchy=(
-        tuple(z0 ^ v for v in d), BinMatrix(len(table), n, table)))
+    return GoppaCode(field, support, gpoly, BinMatrix(len(table), n, table),
+                     tuple(z0 ^ v for v in d))

@@ -2,18 +2,21 @@
 
 A code Gamma(L, G) over GF(2^m) is the set of binary words c with
 sum_j c_j/(x - L_j) = 0 mod G.  A code object holds the support, G and
-the per-modulus tables that decoding needs; build_code validates them and
-does no matrix work.  Decoding reads one bit-sliced table per modulus M,
-the alternant matrix L_j^t / M(L_j), t < deg M, or for G the Cauchy
-matrix 1/(z_i + L_j) if the code holds G's roots z_i (dyadic.cauchy_code),
-one n-bit int per row; syndromes are parities of its rows against y.
-A code's systematic form (colperm, A) makes [I_k | A] a generator on
-the column order colperm, from one elimination of the parity check
-(for a dyadic key, signature_to_code's, on a rotated support).  Keys
-store the support in that order: their [I_k | A] has no column order.
+one bit-sliced table, one n-bit int per row, that every decode reads:
+build_code validates (L, G) and builds the alternant table
+L_j^t / G(L_j), t < r, and dyadic.cauchy_code the Cauchy table
+1/(z_i + L_j) of G's roots z_i.  Syndromes are parities of its rows
+against y, and syndrome_poly gives s mod G from either; decoding needs
+no table of G^2, as s mod G^2 is a function of s mod G.  A code's
+systematic form (colperm, A) makes [I_k | A] a generator on the column
+order colperm, from one elimination of the table (for a dyadic key,
+signature_to_code's, on a rotated support).  Keys store the support in
+that order: their [I_k | A] has no column order.
 """
 
 import struct
+from functools import reduce
+from operator import xor
 
 from .gf2m import Poly, is_squarefree
 from .binmat import BinMatrix, rref, transpose
@@ -45,57 +48,25 @@ def _bit_slices(values, m):
 class GoppaCode:
     """Immutable code object, from build_code or dyadic.cauchy_code.
 
-    A caller that already holds the systematic form (colperm, A), colperm
-    a tuple, passes it; otherwise one elimination of parity_bin builds it
-    on first use.  cauchy = (roots, Cauchy table) holds G's roots, a tuple.
+    parity_bin is its one table: G's alternant table, or the Cauchy table
+    of G's roots, a tuple, if roots is given.  A caller that holds the
+    systematic form (colperm, A), colperm a tuple, passes it; otherwise
+    one elimination of parity_bin builds it on first use.
     """
 
-    __slots__ = ("field", "support", "gpoly", "n", "r", "roots",
-                 "_parity", "_systematic", "_cache")
+    __slots__ = ("field", "support", "gpoly", "n", "r", "parity_bin",
+                 "roots", "_systematic")
 
-    def __init__(self, field, support, gpoly, systematic=None, cauchy=None):
+    def __init__(self, field, support, gpoly, parity_bin, roots=None,
+                 systematic=None):
         self.field = field
         self.support = tuple(support)
         self.gpoly = gpoly
         self.n = len(self.support)
         self.r = gpoly.degree
-        self.roots, self._parity = cauchy or (None, None)
+        self.parity_bin = parity_bin
+        self.roots = roots
         self._systematic = systematic
-        self._cache = {}
-
-    def alternant(self, modulus):
-        """Bit slices of H[t][j] = L_j^t / M(L_j) for t < deg M, M = modulus.
-
-        A BinMatrix whose row t*m + beta is bit beta of row t of H (alpha^0
-        first).  Built once per modulus and kept with the code.
-        """
-        key = ("alternant", modulus.c)  # over self.field, c names M
-        table = self._cache.get(key)
-        if table is None:
-            field = self.field
-            exp, log = field.exp, field.log
-            logs = [log[a] for a in self.support]  # None at a = 0
-            row = [field.inv(v) for v in self._values(modulus)]
-            bits = []
-            for _ in range(modulus.degree):
-                bits += _bit_slices(row, field.m)
-                row = [0 if la is None else exp[log[v] + la]
-                       for v, la in zip(row, logs)]
-            table = self._cache[key] = BinMatrix(len(bits), self.n, bits)
-        return table
-
-    def _values(self, modulus):
-        """M(L_j) for every support point j, evaluated once per modulus."""
-        key = ("values", modulus.c)
-        values = self._cache.get(key)
-        if values is None:
-            values = self._cache[key] = modulus.eval_all(self.support)
-        return values
-
-    @property
-    def parity_bin(self):
-        """GF(2) parity check: the Cauchy table, else the alternant of G."""
-        return self._parity or self.alternant(self.gpoly)
 
     @property
     def systematic(self):
@@ -138,10 +109,18 @@ def build_code(field, support, gpoly):
         raise CodeConstructionError("repeated support element")
     if not is_squarefree(gpoly):
         raise CodeConstructionError("Goppa polynomial is not square-free")
-    code = GoppaCode(field, support, gpoly)
-    if 0 in code._values(gpoly):  # alternant(G) reuses these values
+    values = gpoly.eval_all(support)
+    if 0 in values:
         raise CodeConstructionError("support element is a root of G")
-    return code
+    # the alternant table: row t holds L_j^t / G(L_j)
+    exp, log = field.exp, field.log
+    logs = [log[a] for a in support]  # None at a = 0
+    row, bits = [field.inv(v) for v in values], []
+    for _ in range(r):
+        bits += _bit_slices(row, field.m)
+        row = [0 if la is None else exp[log[v] + la]
+               for v, la in zip(row, logs)]
+    return GoppaCode(field, support, gpoly, BinMatrix(len(bits), n, bits))
 
 
 def systematic_encode(A, msg):
@@ -155,27 +134,47 @@ def systematic_encode(A, msg):
     return msg | red << A.rows
 
 
-def syndrome_poly(code, y, modulus):
-    """s(x) = sum over set bits j of y of 1/(x - L_j), mod modulus.
-
-    The alternant syndromes S_t = sum_j y_j L_j^t / M(L_j) are parities
-    of the rows of code.alternant(M) against y, and
-    1/(x - a) = (M(x) - M(a)) / ((x - a) M(a)) mod M turns them into s
-    by _fold.
-    """
+def _syndromes(code, y):
+    """The r field values of y against the code's table: the alternant
+    syndromes S_t = sum_j y_j L_j^t / G(L_j), or the values s(z_i)."""
     if y < 0 or y >> code.n:
         raise ValueError("received word does not fit in %d bits" % code.n)
-    par = code.alternant(modulus).mul_vec(y)  # bit t*m + beta: beta of S_t
+    par = code.parity_bin.mul_vec(y)  # bit t*m + beta: beta of value t
     m = code.field.m
-    return _fold(code.field, [par >> t * m & (1 << m) - 1
-                              for t in range(modulus.degree)], modulus)
+    return [par >> t * m & (1 << m) - 1 for t in range(code.r)]
 
 
-def _fold(field, sums, modulus):
-    """sum_i x^i sum_(k>i) M_k S_(k-1-i), from S_t for t < deg M: for
-    S_t = sum_j v_j a_j^t, that is sum_j v_j (M(x) - M(a_j))/(x - a_j)."""
+def syndrome_poly(code, y):
+    """s(x) = sum over set bits j of y of 1/(x - L_j), mod G.
+
+    From the alternant syndromes, 1/(x - a) = (G(x) - G(a)) / ((x - a) G(a))
+    mod G gives s by _fold; from the values s(z_i), s is their
+    interpolation at the roots.
+    """
+    s = _syndromes(code, y)
+    return _interpolate(code, s) if code.roots else _fold(code, s)
+
+
+def _interpolate(code, vals):
+    """The polynomial of degree < r with value vals[i] at root z_i, by
+    Lagrange: sum_i vals[i] G(x)/((x + z_i) G_1), as G' = G_1 at every
+    root, which is _fold of the power sums of vals at the roots."""
+    field, G = code.field, code.gpoly
     exp, log = field.exp, field.log
-    lead = [log[c] for c in modulus.c[1:]]  # log M_k at k - 1; None at 0
+    lz, sums = [log[z] for z in code.roots], []  # None at z = 0
+    for _ in lz:
+        sums.append(reduce(xor, vals))
+        vals = [exp[log[v] + lx] if v and lx is not None else 0
+                for v, lx in zip(vals, lz)]
+    return _fold(code, sums).scale(field.inv(G.c[1]))
+
+
+def _fold(code, sums):
+    """sum_i x^i sum_(k>i) G_k S_(k-1-i), from S_t for t < r: for
+    S_t = sum_j v_j a_j^t, that is sum_j v_j (G(x) - G(a_j))/(x - a_j)."""
+    field = code.field
+    exp, log = field.exp, field.log
+    lead = [log[c] for c in code.gpoly.c[1:]]  # log G_k at k - 1; None at 0
     acc = [0] * len(lead)
     for t, st in enumerate(sums):
         if st:

@@ -123,7 +123,8 @@ class KeyPair:
         self._code = None
 
     def code(self):
-        """The decoding view, built on first use (dyadic: cauchy_code)."""
+        """The decoding view: keygen's code if it holds the key's support,
+        else built on first use (dyadic: cauchy_code)."""
         if self._code is None:
             build = cauchy_code if self.variant == "dyadic" else build_code
             self._code = build(self.field, self.support, self.gpoly)
@@ -253,8 +254,11 @@ def keygen(variant, m, n, r, decoder, seed):
     # the support in the elimination's column order makes [I_k | A] a
     # generator on the identity order, which a dyadic code's order is
     colperm, A = code.systematic
-    return KeyPair(variant, decoder, field,
-                   [code.support[c] for c in colperm], code.gpoly, A)
+    kp = KeyPair(variant, decoder, field,
+                 [code.support[c] for c in colperm], code.gpoly, A)
+    if kp.support == code.support:  # decrypt reads the code keygen built
+        kp._code = code
+    return kp
 
 
 def _dyadic_code(field, n, r, seed):

@@ -12,6 +12,7 @@ from goppacrypt.decode import (
     RadiusError, patterson_decode, g2_decode, list_decode, _locator_roots,
 )
 from goppacrypt.prng import SeededStream
+from goppacrypt.scheme import keygen
 from goppacrypt.security import radii
 from testlib import (
     bit_tuple_key, encode, flip_engine, locator_roots_horner,
@@ -87,9 +88,31 @@ def test_patterson_single_error_at_support_point_zero():
             code = build_code(code.field, support, code.gpoly)
             c = encode(code, rng.randrange(1 << code.k))
             y = c ^ 1 << support.index(0)
-            s = syndrome_poly(code, y, code.gpoly)
+            s = syndrome_poly(code, y)
             assert poly_invmod(s, code.gpoly) == Poly.x(code.field)
             assert patterson_decode(code, y).candidates == ((c, 1),)
+
+
+def test_g2_syndrome_matches_bit_loop():
+    # s mod G^2 derived from s mod G equals the sum of 1/(x - L_j) mod G^2
+    # taken bit by bit, on generic codes (G irreducible and split) and on
+    # dyadic keys' codes (Cauchy table) with the same key on G's
+    # alternant table
+    rng = random.Random(48)
+    codes = [make_code(5, 30, 3, b"g2s/a"), make_code(8, 144, 8, b"g2s/b"),
+             make_code(6, 60, 4, b"g2s/c", split=True)]
+    for args in (("dyadic", 10, 256, 16, "ud"), ("dyadic", 16, 128, 4, "ld")):
+        kp = keygen(*args, seed=b"g2s")
+        assert kp.code().roots
+        codes += [kp.code(), build_code(kp.field, kp.support, kp.gpoly)]
+    for code in codes:
+        n, r, g2 = code.n, code.r, code.gpoly.square()
+        words = [sum(1 << p for p in rng.sample(range(n), w))
+                 for w in (0, 1, r, r + 1, r + 2) for _ in range(3)]
+        words += [rng.randrange(1 << n) for _ in range(6)]
+        for y in words:
+            assert decode._g2_syndrome(code, syndrome_poly(code, y)) == \
+                testlib.syndrome_poly_bitloop(code, y, g2)
 
 
 def test_g2_matches_patterson_on_irreducible():
@@ -218,8 +241,8 @@ def test_key_equation_kernel_matches_poly_form():
         field, g2 = code.field, code.gpoly.square()
         rhs = [Poly(field), Poly(field, [rng.randrange(field.order)
                                          for _ in range(2 * r)])]
-        rhs += [syndrome_poly(code, rng.randrange(1 << n), g2)
-                for _ in range(4)]
+        rhs += [decode._g2_syndrome(code, syndrome_poly(
+            code, rng.randrange(1 << n))) for _ in range(4)]
         for s2 in rhs:
             for tau in (0, 1, r, r + 1, r + 2):
                 assert decode._key_equation_kernel(s2, g2, tau) == \
@@ -332,30 +355,29 @@ def test_sphere_oracle_capacity_guard():
 @pytest.mark.parametrize("m,n,r", ((4, 12, 2), (6, 50, 4), (8, 200, 5),
                                    (11, 300, 4), (16, 64, 3)))
 def test_locator_roots_match_horner_scan(m, n, r):
-    # every degree 0..deg M, for M = G and M = G^2, with a planted share
-    # of support roots; the support holds 0
+    # every degree 0..r on G's table, with a planted share of support
+    # roots; the support holds 0
     rng = random.Random(m * 100 + r)
     code = random_goppa_code(m, n, r, rng)
     field = code.field
-    for modulus in (code.gpoly, code.gpoly.square()):
-        zero = Poly(field)
-        assert _locator_roots(code, zero, modulus) == (1 << n) - 1
-        for d in range(modulus.degree + 1):
-            for _ in range(3):
-                roots = rng.sample(code.support, rng.randrange(d + 1))
-                rest = Poly(field, [rng.randrange(field.order)
-                                    for _ in range(d - len(roots))]
-                            + [rng.randrange(1, field.order)])
-                sigma = Poly.from_roots(field, roots) * rest
-                assert sigma.degree == d
-                assert _locator_roots(code, sigma, modulus) == \
-                    locator_roots_horner(code, sigma)
-        with pytest.raises(ValueError):
-            _locator_roots(code, modulus * Poly.x(field), modulus)
+    zero = Poly(field)
+    assert _locator_roots(code, zero) == (1 << n) - 1
+    for d in range(r + 1):
+        for _ in range(6):
+            roots = rng.sample(code.support, rng.randrange(d + 1))
+            rest = Poly(field, [rng.randrange(field.order)
+                                for _ in range(d - len(roots))]
+                        + [rng.randrange(1, field.order)])
+            sigma = Poly.from_roots(field, roots) * rest
+            assert sigma.degree == d
+            assert _locator_roots(code, sigma) == \
+                locator_roots_horner(code, sigma)
+    with pytest.raises(ValueError):
+        _locator_roots(code, code.gpoly * Poly.x(field))
 
 
 def test_unique_decoding_builds_no_syndrome_inverses(monkeypatch):
-    # Patterson and the degree-2r decoder work from the alternant tables
+    # Patterson and the degree-2r decoder work from the alternant table of G
     def refuse(modulus, a):
         raise AssertionError("syndrome inverse built")
     monkeypatch.setattr(testlib, "inv_x_minus", refuse)

@@ -250,10 +250,14 @@ def test_cold_dyadic_decrypt_reads_only_the_cauchy_table(args, monkeypatch):
     blob = kp.to_bytes()
     msgs = [b"%d" % i for i in range(6)]
     cts = [encrypt(kp, msg, b"count/%d" % i) for i, msg in enumerate(msgs)]
+    # a ciphertext whose syndrome vanishes at some root z_i stops Patterson
+    fallback = next(ct for ct in (encrypt(kp, b"fall", b"fall/%d" % i)
+                                  for i in range(2000))
+                    if 0 in goppa._syndromes(kp.code(), ct.vector))
     calls = count_calls(monkeypatch, (
-        (goppa.GoppaCode, "alternant"), (decode, "poly_invmod"),
-        (gf2m, "_sqrt_x_mod"), (decode, "g2_decode"),
-        (scheme, "cauchy_code")))
+        (scheme, "build_code"), (goppa, "_bit_slices"),
+        (decode, "poly_invmod"), (gf2m, "_sqrt_x_mod"),
+        (decode, "g2_decode"), (scheme, "cauchy_code")))
 
     def eval_all(poly, points, real=Poly.eval_all):
         calls["eval_all on the support" if len(points) == kp.n
@@ -266,6 +270,38 @@ def test_cold_dyadic_decrypt_reads_only_the_cauchy_table(args, monkeypatch):
         assert decrypt(key, ct) == msg
     # one root solve per key, one locator evaluation at the roots per word
     assert calls == {"cauchy_code": len(cts), "eval_all": 2 * len(cts)}
+    # g2_decode takes s mod G^2 from s mod G on the same Cauchy table, with
+    # one inverse of G' mod G, and builds no alternant table, of G or G^2
+    calls.clear()
+    assert decrypt(KeyPair.from_bytes(blob), fallback) == b"fall"
+    assert calls == {"cauchy_code": 1, "g2_decode": 1, "poly_invmod": 1,
+                     "eval_all": 2}
+
+
+def test_generic_ld_decrypt_builds_one_table(monkeypatch):
+    # the list decoders read G's alternant table, which build_code makes
+    # once per key object, one _bit_slices per row; no table of G^2
+    kp = keygen("generic", 8, 144, 8, "ld", b"one-table")
+    assert kp.w_enc > kp.r
+    cts = [encrypt(kp, b"%d" % i, b"one-table/%d" % i) for i in range(4)]
+    loaded = KeyPair.from_bytes(kp.to_bytes())
+    calls = count_calls(monkeypatch, (
+        (scheme, "build_code"), (scheme, "cauchy_code"),
+        (goppa, "_bit_slices")))
+    for i, ct in enumerate(cts):
+        assert decrypt(loaded, ct) == b"%d" % i
+    assert calls == {"build_code": 1, "_bit_slices": kp.r}
+
+
+def test_keygen_key_decrypts_on_the_code_keygen_built(monkeypatch):
+    # a dyadic key keeps its support order, so the issued key object
+    # holds keygen's code and its first decrypt builds none
+    kp = keygen("dyadic", 10, 256, 16, "ud", b"kept")
+    ct = encrypt(kp, b"kept", b"kept/0")
+    calls = count_calls(monkeypatch, (
+        (scheme, "build_code"), (scheme, "cauchy_code")))
+    assert decrypt(kp, ct) == b"kept"
+    assert not calls
 
 
 @pytest.mark.parametrize("args", [("dyadic", 10, 256, 16, "ud"),
@@ -276,9 +312,9 @@ def test_dyadic_keygen_eliminates_only_the_cauchy_table(args, monkeypatch):
     # G on the support or square-free test
     want = keygen(*args, seed=b"count").to_bytes()
     calls = count_calls(monkeypatch, (
-        (goppa.GoppaCode, "alternant"), (goppa, "build_code"),
-        (scheme, "build_code"), (goppa, "is_squarefree"),
-        (dyadic, "cauchy_code"), (goppa, "rref")))
+        (goppa, "build_code"), (scheme, "build_code"),
+        (goppa, "is_squarefree"), (dyadic, "cauchy_code"),
+        (goppa, "rref")))
     assert keygen(*args, seed=b"count").to_bytes() == want
     assert calls == {"cauchy_code": 1, "rref": 1}
 

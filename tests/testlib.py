@@ -8,13 +8,16 @@ irreducibility test, the GF(2) null space, the shift-loop byte packing,
 the entry-by-entry dyadic signature fill, the dyadic structure check,
 the xor reindexing of a dyadic signature with its bit-loop version, the
 row-by-row compact key expansion, the bit-matrix transpose and
-matrix-vector product, the GF(2) parity check, the syndrome, the locator
-root search and the square root of x mod G, and Patterson on the
+matrix-vector product, the GF(2) parity check of any modulus, the
+syndrome mod any modulus from its own memo of 1/(x - L_j) (the oracle of
+the package's s mod G and of the G^2 syndrome it derives from it), the
+locator root search and the square root of x mod G, and Patterson on the
 alternant table of G, the oracle of Patterson at G's roots on the
 Cauchy table of a dyadic key's code.  Also here: the
-codeword encoder by message int, Proposition 1's check, a Horner
-evaluator at one point, and the brute-force sphere oracle, the ground
-truth for the list decoders, with the bit-tuple order of their results.
+codeword encoder by message int, Proposition 1's check on G^2's bit-loop
+parity check, a Horner evaluator at one point, and the brute-force
+sphere oracle, the ground truth for the list decoders, with the
+bit-tuple order of their results.
 The dyadic generator is checked against elimination over the ring of
 dyadic blocks and against its first construction, one elimination of
 the alternant parity check of G on the rotated support, the linear
@@ -27,6 +30,7 @@ Four-Russians rref against Gauss-Jordan, and the list Euclid, the early
 stopped EEA and the key equation kernel against their Poly forms.
 """
 
+import functools
 import itertools
 import math
 
@@ -430,12 +434,14 @@ def block_systemized_generator(code, sig):
     return BinMatrix(k, n, rows)
 
 
-def parity_bin_loop(code):
-    """GF(2) parity check rows, one bit per support point."""
+def parity_bin_loop(code, modulus=None):
+    """GF(2) rows of the alternant matrix L_j^t / M(L_j), t < deg M, of
+    M = modulus (G by default), one bit per support point."""
     field, support = code.field, code.support
-    row = [field.inv(poly_eval(code.gpoly, a)) for a in support]
+    modulus = modulus or code.gpoly
+    row = [field.inv(poly_eval(modulus, a)) for a in support]
     bits = []
-    for _ in range(code.r):
+    for _ in range(modulus.degree):
         for beta in range(field.m):
             bits.append(sum((v >> beta & 1) << j for j, v in enumerate(row)))
         row = [field.mul(v, a) for v, a in zip(row, support)]
@@ -472,14 +478,10 @@ def inv_x_minus(modulus, a):
     return Poly(field, [field.mul(scale, c) for c in quot])
 
 
+@functools.lru_cache(maxsize=16)
 def syndrome_inverses(code, modulus):
-    """Cached per-position inverses 1/(x - L_j) mod modulus."""
-    key = ("inverses", modulus.c)
-    cache = code._cache.get(key)
-    if cache is None:
-        cache = tuple(inv_x_minus(modulus, a) for a in code.support)
-        code._cache[key] = cache
-    return cache
+    """Per-position inverses 1/(x - L_j) mod modulus, memoized here."""
+    return tuple(inv_x_minus(modulus, a) for a in code.support)
 
 
 def flip_engine(code, y, tau):
@@ -491,7 +493,7 @@ def flip_engine(code, y, tau):
     tau - r therefore finds every candidate, at C(n, tau - r) decodes.
     """
     g2 = code.gpoly.square()
-    base = syndrome_poly(code, y, g2)
+    base = syndrome_poly_bitloop(code, y, g2)
     inv = syndrome_inverses(code, g2)
     found = {}
     for size in range(max(0, tau - code.r) + 1):
@@ -515,7 +517,7 @@ def locator_roots_horner(code, sigma):
 
 
 def patterson_alternant(code, y):
-    """Patterson decoding on the alternant table of G, for any code.
+    """Patterson decoding on the alternant table of a build_code code.
 
     s from the alternant syndromes, T = 1/s and R = sqrt(T + x) mod G on
     coefficients, the key equation by the Poly EEA, the locator's roots
@@ -525,7 +527,7 @@ def patterson_alternant(code, y):
     """
     G = code.gpoly
     x = Poly.x(code.field)
-    s = syndrome_poly(code, y, G)
+    s = syndrome_poly(code, y)
     if s.is_zero():
         return DecodeResult(((y, 0),))
     T = poly_invmod(s, G)
@@ -535,7 +537,7 @@ def patterson_alternant(code, y):
     sigma = a.square() + x * b.square()
     roots = locator_roots_horner(code, sigma)
     if roots.bit_count() != sigma.degree or \
-            not syndrome_poly(code, y ^ roots, G).is_zero():
+            not syndrome_poly(code, y ^ roots).is_zero():
         return DecodeResult(())
     return DecodeResult(((y ^ roots, sigma.degree),))
 
@@ -774,10 +776,13 @@ def verify_prop1(field, support, gpoly):
 
     Gamma(L, G^2) is always inside Gamma(L, G), since a sum that vanishes
     mod G^2 vanishes mod G, so equal dimension is equality.  build_code
-    validates L and G; G^2 has the same roots, so it needs no checks.
+    validates L and G; G^2 has the same roots, so it needs no checks, and
+    its parity check comes from parity_bin_loop.
     """
     one = build_code(field, support, gpoly)
-    return one.k == GoppaCode(field, one.support, gpoly.square()).k
+    g2 = gpoly.square()
+    return one.k == GoppaCode(field, one.support, g2,
+                              parity_bin_loop(one, g2)).k
 
 
 def bit_tuple_key(n):
