@@ -19,7 +19,7 @@ _EXPORTS = {
     "goppa": ("GoppaCode", "build_code", "syndrome_poly",
               "CodeConstructionError", "CapacityError"),
     "decode": ("DecodeResult", "RadiusError", "patterson_decode",
-               "g2_decode", "list_decode"),
+               "list_decode"),
     "dyadic": ("DyadicSignature", "SignatureExhaustionError",
                "gen_signature", "signature_to_code",
                "compact_pubkey", "expand_pubkey"),

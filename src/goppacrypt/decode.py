@@ -1,15 +1,16 @@
 """Error correction for binary Goppa codes.
 
-Three layers: Patterson unique decoding up to r errors, a decoder on the
-degree-2r view (Gamma(L,G) = Gamma(L,G^2)) that backs it up, and list
-decoding at radii r+1 and r+2 from one linear key equation.  list_decode
-is the one entry for every radius; no radius past r + 2 is decoded.
+Two decoders: Patterson unique decoding up to r errors, and one linear
+key equation sigma*s = sigma' (mod G) whose kernel serves radii r to
+r+2.  At r it backs Patterson up, as its lowest-degree member is the
+locator of any codeword within r; past r it lists r+1 and r+2.
+list_decode is the one entry for every radius; no radius past r + 2 is
+decoded.
 
 Syndromes and error-locator roots both come from the code's one
 bit-sliced table, the alternant table of G or the Cauchy table of G's
-roots, where Patterson runs pointwise; s mod G^2 is derived from s mod
-G.  The roots of a locator of degree <= r over the whole support are one
-n-bit mask of table row XORs.
+roots, where Patterson runs pointwise.  The roots of a locator of
+degree <= r over the whole support are one n-bit mask of table row XORs.
 """
 
 from collections import Counter, namedtuple
@@ -97,7 +98,12 @@ def _apply_locator(code, y, sigma, roots=None):
 
 
 def patterson_decode(code, y):
-    """Unique decoding up to r errors; empty result signals weight > r."""
+    """Unique decoding up to r errors.
+
+    An empty result means that no codeword is within r, or that Patterson
+    gave up: some s(z_i) = 0 on the Cauchy table, or s is not invertible
+    mod a split G.  list_decode then solves the key equation at tau = r.
+    """
     G, field = code.gpoly, code.field
     x = Poly.x(field)
     if code.roots:
@@ -124,41 +130,13 @@ def patterson_decode(code, y):
     return _apply_locator(code, y, sigma)
 
 
-def _g2_syndrome(code, s):
-    """s mod G^2 from s mod G: the syndrome S of a binary word has
-    S' = S^2, so s mod G^2 = s + G*t has s' + G'*t = s^2 (mod G), and G'
-    is invertible mod the square-free G: t = (s^2 + s')/G' mod G."""
-    G = code.gpoly
-    t = (s.square() + s.deriv()) % G * poly_invmod(G.deriv(), G) % G
-    return s + G * t
-
-
-def _g2_from_syndrome(code, y, s2, g2):
-    if s2.is_zero():
-        return DecodeResult(((y, 0),))
-    _, sigma = eea_stop(g2, s2, code.r - 1)
-    return _apply_locator(code, y, sigma)
-
-
-def g2_decode(code, y):
-    """Decoding up to r errors via the degree-2r parity view.
-
-    Works for any square-free G, split or irreducible, so it backs up
-    Patterson in the cases where the syndrome is not invertible mod G.
-    """
-    g2 = code.gpoly.square()
-    return _g2_from_syndrome(
-        code, y, _g2_syndrome(code, syndrome_poly(code, y)), g2)
-
-
 def list_decode(code, y, tau):
     """All codewords within distance tau of y: the one decoding entry.
 
-    Up to r, Patterson finds the one candidate (d >= 2r + 1), or g2 if
-    Patterson gives up; only tau >= 0 is checked.  Beyond r, tau may reach
-    the binary Johnson limit ceil(tau2) - 1, and _linear_engine lists r+1
-    and r+2: a codeword within 2r - tau is the only one; otherwise one key
-    equation has a kernel of dimension tau - r + 1.
+    Up to r, Patterson finds the one candidate (d >= 2r + 1), or the key
+    equation at tau = r if Patterson gives up; only tau >= 0 is checked.
+    Beyond r, tau may reach the binary Johnson limit ceil(tau2) - 1, and
+    the same key equation lists r+1 and r+2.
 
     Past r + 2 there is no engine, and CapacityError comes before any
     work.  Bivariate interpolation does not fill the gap on any code with
@@ -170,7 +148,7 @@ def list_decode(code, y, tau):
     if tau <= code.r:
         res = patterson_decode(code, y)
         if not res.candidates:
-            res = g2_decode(code, y)
+            res = _linear_engine(code, y, code.r)
         return DecodeResult(tuple(p for p in res.candidates if p[1] <= tau))
     try:
         limit = radii(code.n, code.r).ld_errors
@@ -185,28 +163,31 @@ def list_decode(code, y, tau):
 
 
 def _linear_engine(code, y, tau):
-    """Codewords within tau in (r, r + 2] from one linear key equation.
+    """Codewords within tau in [r, r + 2] from one linear key equation.
 
-    A locator sigma satisfies sigma*S = sigma' (mod G^2), S the syndrome
-    mod G^2.  As S = P'/P for P the locator of y, sigma = A^2 + x*B^2 and
-    P = C^2 + x*D^2 give sigma*S - sigma' = (AD + BC)^2/P, of rank at most
-    r: for deg sigma <= tau the kernel has dimension at least tau - r + 1.
-    A larger one comes from a solution of low degree, as the locator of a
-    codeword within 2r - tau, which g2 returns alone (the minimum distance
-    is at least 2r + 1).  Otherwise the dimension was tau - r + 1 in all
-    5,272 checks made (tau = r+1, r+2; six shapes from (5,32,3) to
-    (8,200,10), G irreducible or not), and any other raises CapacityError.
-    The roots of p + lambda*q share lambda = p/q, so a histogram of that
-    ratio finds every member of a pencil with more than r roots: the
-    points whose ratio is lambda or undefined.
+    A locator sigma satisfies sigma*s = sigma' (mod G), s the syndrome;
+    the map has rank at most r, so for deg sigma <= tau the kernel has
+    dimension at least tau - r + 1.  As S = P'/P for P the locator of a
+    word of weight w in y's coset, sigma = A^2 + x*B^2 and P = C^2 + x*D^2
+    give sigma*S - sigma' = (AD + BC)^2/P, and the square-free G divides
+    it iff G | AD + BC, which makes the kernel mod G that mod G^2.  For
+    w <= r and deg sigma <= r, deg(AD + BC) < r forces AD = BC, so
+    sigma = u^2*P: the lowest-degree member, basis[0], is the locator of
+    the codeword within r if there is one.  A codeword within 2r - tau is
+    the only one (the minimum distance is at least 2r + 1).  Otherwise
+    the dimension was tau - r + 1 in all 5,272 checks made (tau = r+1,
+    r+2; six shapes from (5,32,3) to (8,200,10), G irreducible or not),
+    and any other raises CapacityError.  The roots of p + lambda*q share
+    lambda = p/q, so a histogram of that ratio finds every member of a
+    pencil with more than r roots: the points whose ratio is lambda or
+    undefined.
     """
     r, field = code.r, code.field
-    g2 = code.gpoly.square()
-    s2 = _g2_syndrome(code, syndrome_poly(code, y))
-    found = dict(_g2_from_syndrome(code, y, s2, g2).candidates)
-    if any(d <= 2 * r - tau for d in found.values()):
+    basis = _key_equation_kernel(syndrome_poly(code, y), code.gpoly, tau)
+    found = dict(_apply_locator(code, y, basis[0]).candidates
+                 if basis[0].degree <= r else ())
+    if tau <= r or any(d <= 2 * r - tau for d in found.values()):
         return _sorted_result(code.n, found.items())
-    basis = _key_equation_kernel(s2, g2, tau)
     if len(basis) != tau - r + 1:
         raise CapacityError("key equation kernel dimension %d" % len(basis))
     vals = [b.eval_all(code.support) for b in basis]
@@ -223,25 +204,27 @@ def _linear_engine(code, y, tau):
     return _sorted_result(code.n, found.items())
 
 
-def _key_equation_kernel(s2, g2, tau):
-    """Basis of {sigma : deg sigma <= tau, sigma*s2 = sigma' (mod g2)}.
+def _key_equation_kernel(s, G, tau):
+    """Basis of {sigma : deg sigma <= tau, sigma*s = sigma' (mod G)}, in
+    increasing degree.
 
-    Column t is x^t + x^(tau+1) * (x^t*s2 + t*x^(t-1) mod g2): eliminating
+    Column t is x^t + x^(tau+1) * (x^t*s + t*x^(t-1) mod G): eliminating
     the images carries sigma along, and a column left of degree <= tau is
     in the kernel.  Columns are coefficient lists, and each monic pivot
     is kept as the log terms (degree, log c) that reduce by it.
     """
-    field = g2.field
+    field = G.field
     exp, log = field.exp, field.log
     pivots = {}  # leading degree -> log terms of the monic reduced column
     basis = []
-    col = list(s2.c)  # x^t * s2 mod g2
+    col = list(s.c)  # x^t * s mod G
     for t in range(tau + 1):
-        v = [0] * (tau + 1) + col
+        v = [0] * (tau + 1 + G.degree)
+        v[tau + 1:tau + 1 + len(col)] = col
         v[t] = 1  # the x^t that no earlier column has: v never vanishes
-        if t & 1:  # t*x^(t-1) = x^(t-1), shifted by tau + 1
-            v += [0] * (tau + t + 1 - len(v))
-            v[tau + t] ^= 1
+        if t & 1:  # t*x^(t-1) = x^(t-1), mod G
+            for j, a in enumerate(_reduce([0] * (t - 1) + [1], G.c, exp, log)):
+                v[tau + 1 + j] ^= a
         d = len(v) - 1
         while not v[d]:
             d -= 1
@@ -255,7 +238,7 @@ def _key_equation_kernel(s2, g2, tau):
         pivots[d] = [(j, log[a] + linv) for j, a in enumerate(v[:d + 1]) if a]
         if d <= tau:
             basis.append(Poly(field, v[:d + 1]).monic())
-        col = _reduce([0] + col, g2.c, exp, log)
+        col = _reduce([0] + col, G.c, exp, log)
     return basis
 
 

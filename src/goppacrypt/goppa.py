@@ -6,12 +6,12 @@ one bit-sliced table, one n-bit int per row, that every decode reads:
 build_code validates (L, G) and builds the alternant table
 L_j^t / G(L_j), t < r, and dyadic.cauchy_code the Cauchy table
 1/(z_i + L_j) of G's roots z_i.  Syndromes are parities of its rows
-against y, and syndrome_poly gives s mod G from either; decoding needs
-no table of G^2, as s mod G^2 is a function of s mod G.  A code's
-systematic form (colperm, A) makes [I_k | A] a generator on the column
-order colperm, from one elimination of the table (for a dyadic key,
-signature_to_code's, on a rotated support).  Keys store the support in
-that order: their [I_k | A] has no column order.
+against y, and syndrome_poly gives s mod G from either, which is all
+that decoding reads.  A code's systematic form (colperm, A) makes
+[I_k | A] a generator on the column order colperm, from one elimination
+of the table (for a dyadic key, signature_to_code's, on a rotated
+support).  Keys store the support in that order: their [I_k | A] has no
+column order.
 """
 
 import struct

@@ -71,6 +71,8 @@ def validate_params(variant, m, n, r, decoder="ud"):
         raise ValueError("n out of range for GF(2^%d)" % m)
     if r < 1:
         raise ValueError("r must be positive")
+    if variant == "generic" and r == 1 and n == 1 << m:
+        raise ValueError("degree-1 generic G has its root in a full support")
     k = n - m * r
     if k <= TAG_BITS:
         raise ValueError("k = %d leaves no message bits past the %d-bit tag"
@@ -321,7 +323,7 @@ def decrypt(sk, ct):
 
     Both decoders take the candidates within w_enc from one list_decode
     call: a unique-decoding key (w_enc = r) gets Patterson with the
-    degree-2r decoder as backup, a list-decoding key every codeword
+    key equation at tau = r as backup, a list-decoding key every codeword
     within its radius.  Zero verified candidates raise NoCandidateError;
     two or more raise AmbiguityError rather than guessing.  A ciphertext
     whose length or recorded error weight differs from the key's raises

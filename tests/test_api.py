@@ -173,18 +173,22 @@ def test_cold_commands_load_only_what_they_run():
         "    return sorted(m for m in sys.modules",
         "                  if m.split('.')[0] == 'goppacrypt')",
         "with contextlib.redirect_stdout(io.StringIO()):",
+        "    cli.main(['bounds', '300', '3'])",
+        "    bounded = loaded()",
         "    cli.main(['search', '128', '--variant', 'dyadic', '--decoder',",
         "              'ld', '--countermeasure', 'cm1'])",
         "    searched = loaded()",
         "    cli.main(['table', '1'])",
         "    tabled = loaded()",
         "import goppacrypt",
-        "print(json.dumps([searched, tabled, goppacrypt.gf2m.__name__]))",
+        "print(json.dumps([bounded, searched, tabled,",
+        "                  goppacrypt.gf2m.__name__]))",
     ))
     out = _run_fresh(["-c", probe])
     assert out.returncode == 0 and out.stderr == "", out.stderr
-    searched, tabled, gf2m = json.loads(out.stdout)
-    assert searched == ["goppacrypt", "goppacrypt.cli", "goppacrypt.security"]
+    bounded, searched, tabled, gf2m = json.loads(out.stdout)
+    assert bounded == searched == [
+        "goppacrypt", "goppacrypt.cli", "goppacrypt.security"]
     assert tabled == searched + ["goppacrypt.tables"]
     assert gf2m == "goppacrypt.gf2m"  # a layer still loads on first use
 

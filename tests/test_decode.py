@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,13 +11,14 @@ from goppacrypt.gf2m import (
 )
 from goppacrypt.goppa import CapacityError, build_code, syndrome_poly
 from goppacrypt.decode import (
-    RadiusError, patterson_decode, g2_decode, list_decode, _locator_roots,
+    RadiusError, patterson_decode, list_decode, _linear_engine,
+    _locator_roots,
 )
 from goppacrypt.prng import SeededStream
 from goppacrypt.scheme import keygen
 from goppacrypt.security import radii
 from testlib import (
-    bit_tuple_key, encode, flip_engine, locator_roots_horner,
+    bit_tuple_key, encode, flip_engine, g2_decode, locator_roots_horner,
     random_goppa_code, sphere_oracle,
 )
 
@@ -93,10 +96,11 @@ def test_patterson_single_error_at_support_point_zero():
             assert patterson_decode(code, y).candidates == ((c, 1),)
 
 
-def test_g2_syndrome_matches_bit_loop():
-    # s mod G^2 derived from s mod G equals the sum of 1/(x - L_j) mod G^2
-    # taken bit by bit, on generic codes (G irreducible and split) and on
-    # dyadic keys' codes (Cauchy table) with the same key on G's
+def test_key_equation_kernel_mod_g_spans_the_kernel_mod_g2():
+    # a binary word's syndrome S has S' = S^2, so sigma*s = sigma' (mod G)
+    # already holds mod G^2: the kernel on s mod G spans the kernel on the
+    # bit-loop syndrome mod G^2, on generic codes (G irreducible and split)
+    # and on dyadic keys' codes (Cauchy table) with the same key on G's
     # alternant table
     rng = random.Random(48)
     codes = [make_code(5, 30, 3, b"g2s/a"), make_code(8, 144, 8, b"g2s/b"),
@@ -106,22 +110,31 @@ def test_g2_syndrome_matches_bit_loop():
         assert kp.code().roots
         codes += [kp.code(), build_code(kp.field, kp.support, kp.gpoly)]
     for code in codes:
-        n, r, g2 = code.n, code.r, code.gpoly.square()
+        n, r, G = code.n, code.r, code.gpoly
+        g2 = G.square()
         words = [sum(1 << p for p in rng.sample(range(n), w))
-                 for w in (0, 1, r, r + 1, r + 2) for _ in range(3)]
-        words += [rng.randrange(1 << n) for _ in range(6)]
+                 for w in (0, 1, r, r + 1, r + 2) for _ in range(2)]
+        words += [rng.randrange(1 << n) for _ in range(4)]
         for y in words:
-            assert decode._g2_syndrome(code, syndrome_poly(code, y)) == \
-                testlib.syndrome_poly_bitloop(code, y, g2)
+            s = syndrome_poly(code, y)
+            s2 = testlib.syndrome_poly_bitloop(code, y, g2)
+            for tau in (0, 1, r, r + 1, r + 2):
+                assert testlib.span_echelon(
+                    decode._key_equation_kernel(s, G, tau)) == \
+                    testlib.span_echelon(
+                        testlib.key_equation_kernel_poly(s2, g2, tau))
 
 
 def test_g2_matches_patterson_on_irreducible():
+    # Patterson, its fallback (the key equation at tau = r) and the
+    # degree-2r oracle agree on every word within r
     code = make_code(5, 30, 3, b"g2a")
     rng = random.Random(13)
     for _ in range(60):
         c = encode(code, rng.randrange(1 << code.k))
         y = corrupt(rng, c, code.n, rng.randrange(code.r + 1))
-        assert g2_decode(code, y).candidates == patterson_decode(code, y).candidates
+        want = patterson_decode(code, y)
+        assert g2_decode(code, y) == want == _linear_engine(code, y, code.r)
 
 
 def test_g2_handles_split_goppa_polynomial():
@@ -130,8 +143,35 @@ def test_g2_handles_split_goppa_polynomial():
     for _ in range(60):
         c = encode(code, rng.randrange(1 << code.k))
         y = corrupt(rng, c, code.n, rng.randrange(code.r + 1))
-        res = g2_decode(code, y)
+        res = _linear_engine(code, y, code.r)
+        assert res == g2_decode(code, y)
         assert res.candidates and res.candidates[0][0] == c
+
+
+def test_fallback_matches_the_g2_oracle():
+    # where Patterson gives up on a word within r (s not invertible mod a
+    # split G, or some s(z_i) = 0 on a dyadic key's Cauchy table), the key
+    # equation at tau = r decodes it as the degree-2r EEA does; so it does
+    # on random words
+    rng = random.Random(49)
+    for code in (make_code(6, 40, 4, b"fall/a", split=True),
+                 make_code(8, 200, 10, b"fall/b", split=True),
+                 keygen("dyadic", 10, 256, 16, "ud", seed=b"fall").code()):
+        n, r = code.n, code.r
+        errors = (sum(1 << p for p in rng.sample(range(n),
+                                                 rng.randrange(1, r + 1)))
+                  for _ in range(5000))
+        hits = list(itertools.islice(
+            (e for e in errors if not patterson_decode(code, e).candidates),
+            6))
+        assert len(hits) == 6
+        for e in hits:
+            assert list_decode(code, e, r) == _linear_engine(code, e, r) \
+                == g2_decode(code, e)
+            assert g2_decode(code, e).candidates == ((0, e.bit_count()),)
+        for _ in range(6):
+            y = rng.randrange(1 << n)
+            assert _linear_engine(code, y, r) == g2_decode(code, y)
 
 
 def test_list_decode_radius_zero_and_errors():
@@ -232,21 +272,20 @@ LINEAR_GRID = ((5, 32, 3, 24, 12), (5, 32, 5, 24, 12), (6, 64, 6, 12, 3),
 
 def test_key_equation_kernel_matches_poly_form():
     # the list kernel with log-term pivots against its Poly form, on
-    # real syndromes mod G^2 (G irreducible and split) and on zero and
-    # random right-hand sides
+    # real syndromes mod G (G irreducible and split) and on zero and
+    # random right-hand sides; at r + 2 the odd columns reduce x^(t-1)
     rng = random.Random(47)
     for m, n, r, split in ((5, 32, 3, False), (6, 60, 4, True),
                            (8, 144, 8, False), (8, 120, 6, True)):
         code = make_code(m, n, r, b"kernel/%d/%d" % (n, r), split)
-        field, g2 = code.field, code.gpoly.square()
+        field, G = code.field, code.gpoly
         rhs = [Poly(field), Poly(field, [rng.randrange(field.order)
-                                         for _ in range(2 * r)])]
-        rhs += [decode._g2_syndrome(code, syndrome_poly(
-            code, rng.randrange(1 << n))) for _ in range(4)]
-        for s2 in rhs:
+                                         for _ in range(r)])]
+        rhs += [syndrome_poly(code, rng.randrange(1 << n)) for _ in range(4)]
+        for s in rhs:
             for tau in (0, 1, r, r + 1, r + 2):
-                assert decode._key_equation_kernel(s2, g2, tau) == \
-                    testlib.key_equation_kernel_poly(s2, g2, tau)
+                assert decode._key_equation_kernel(s, G, tau) == \
+                    testlib.key_equation_kernel_poly(s, G, tau)
 
 
 def test_linear_engine_matches_flip_oracle(monkeypatch):
@@ -271,13 +310,31 @@ def test_linear_engine_matches_flip_oracle(monkeypatch):
                 del kernels[:]
                 got = linear_decode(code, y, tau)
                 assert got == flip_engine(code, y, tau)
+                assert [args[2] for args in kernels] == [tau]
                 dists = [d for _, d in got.candidates]
                 seen["several"] += len(dists) > 1
                 seen["only_r+1"] += tau == r + 2 and dists == [r + 1]
                 if dists and dists[0] <= 2 * r - tau:
-                    assert dists == dists[:1] and not kernels
+                    assert dists == dists[:1]
                     seen["shortcut"] += 1
     assert all(seen.values()), seen
+
+
+def test_r_plus_2_matches_the_sphere_oracle_on_full_supports():
+    # a seeded subset of the weight-4 and weight-5 words around the zero
+    # codeword, decoded at tau = 5 = r + 2 on (4, 16, 3) codes; a full
+    # support needs G irreducible
+    rng = random.Random(50)
+    words = [sum(1 << p for p in ps) for w in (4, 5)
+             for ps in itertools.combinations(range(16), w)]
+    sizes = Counter()
+    for i in range(6):
+        code = make_code(4, 16, 3, b"r+2/%d" % i)
+        for y in rng.sample(words, 400):
+            got = list_decode(code, y, 5)
+            assert got == sphere_oracle(code, y, 5)
+            sizes[len(got.candidates)] += 1
+    assert sizes[1] and sizes[3], sizes
 
 
 def test_linear_engine_anchors_reach_the_last_points():
@@ -377,7 +434,8 @@ def test_locator_roots_match_horner_scan(m, n, r):
 
 
 def test_unique_decoding_builds_no_syndrome_inverses(monkeypatch):
-    # Patterson and the degree-2r decoder work from the alternant table of G
+    # Patterson and its fallback, the key equation at tau = r, work from
+    # the alternant table of G
     def refuse(modulus, a):
         raise AssertionError("syndrome inverse built")
     monkeypatch.setattr(testlib, "inv_x_minus", refuse)
@@ -387,6 +445,6 @@ def test_unique_decoding_builds_no_syndrome_inverses(monkeypatch):
         for w in range(code.r + 1):
             c = encode(code, rng.randrange(1 << code.k))
             y = corrupt(rng, c, code.n, w)
-            assert g2_decode(code, y).candidates == ((c, w),)
+            assert _linear_engine(code, y, code.r).candidates == ((c, w),)
             if not split:
                 assert patterson_decode(code, y).candidates == ((c, w),)

@@ -9,7 +9,7 @@ from goppacrypt.binmat import BinMatrix, rref
 from goppacrypt.goppa import (
     CodeConstructionError, build_code, syndrome_poly, systematic_encode,
 )
-from goppacrypt.decode import patterson_decode, g2_decode, list_decode
+from goppacrypt.decode import patterson_decode, list_decode, _linear_engine
 from goppacrypt.dyadic import (
     SignatureExhaustionError, gen_signature,
     signature_to_code, compact_pubkey, expand_pubkey, cauchy_code,
@@ -338,7 +338,8 @@ def test_signature_to_code_rejects_mismatch():
 
 def test_dyadic_decode_roundtrip():
     # G splits here, so the syndrome can share a factor with it and
-    # Patterson may (rarely) report failure; g2 never does
+    # Patterson may (rarely) report failure; the key equation at tau = r
+    # never does
     _, code = make_dyadic(7, 64, 8, 64, b"pat")
     rng = random.Random(33)
     direct = 0
@@ -347,7 +348,7 @@ def test_dyadic_decode_roundtrip():
         y = c
         for p in rng.sample(range(code.n), code.r):
             y ^= 1 << p
-        assert g2_decode(code, y).candidates == ((c, code.r),)
+        assert _linear_engine(code, y, code.r).candidates == ((c, code.r),)
         assert list_decode(code, y, code.r).candidates == ((c, code.r),)
         got = patterson_decode(code, y).candidates
         assert got in ((), ((c, code.r),))
@@ -521,7 +522,8 @@ def test_patterson_at_roots_matches_alternant_table(name):
     # the key's code decodes pointwise at G's roots on its Cauchy table;
     # Patterson on the alternant table of G is the oracle, on words of
     # every weight 0..r and on random words: the same candidates, the
-    # same fallback to g2, and Cauchy syndromes that are s(z_i)
+    # same fallback to the key equation, and Cauchy syndromes that are
+    # s(z_i)
     kp = golden_key(name)
     code = kp.code()
     plain = build_code(kp.field, kp.support, kp.gpoly)
@@ -544,7 +546,8 @@ def test_patterson_at_roots_matches_alternant_table(name):
         assert list_decode(code, y, r) == list_decode(plain, y, r)
     assert fallbacks >= 40  # every random word is beyond r of the code
     # errors whose syndrome vanishes at some root but not at all: s is
-    # not invertible mod G, both Patterson paths give up, and g2 decodes
+    # not invertible mod G, both Patterson paths give up, and the key
+    # equation at tau = r decodes
     hits = 0
     while m <= 10 and hits < 3:
         e = sum(1 << p for p in rng.sample(range(kp.n),

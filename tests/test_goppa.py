@@ -4,7 +4,6 @@ import pytest
 
 from goppacrypt import binmat, goppa
 from goppacrypt.gf2m import Poly, make_field, is_squarefree, random_monic_irreducible
-from goppacrypt.decode import _g2_syndrome
 from goppacrypt.goppa import (
     CodeConstructionError, CapacityError, build_code, syndrome_poly,
 )
@@ -227,8 +226,7 @@ def test_parity_bin_matches_loop(m, n, r):
 
 @pytest.mark.parametrize("m,n,r", KERNEL_SHAPES)
 def test_syndrome_poly_matches_bit_loop(m, n, r):
-    # mod G, and mod G^2 as _g2_syndrome derives it from s mod G; monic
-    # and non-monic G, words of every density
+    # monic and non-monic G, words of every density
     rng = random.Random(m * 1000 + n + 1)
     for monic in (True, False):
         code = random_goppa_code(m, n, r, rng, monic)
@@ -238,7 +236,4 @@ def test_syndrome_poly_matches_bit_loop(m, n, r):
         words += [sum(1 << j for j in rng.sample(range(n), w))
                   for w in (1, r, 2 * r)]
         for y in words:
-            s = syndrome_poly(code, y)
-            assert s == syndrome_poly_bitloop(code, y, g)
-            assert _g2_syndrome(code, s) == \
-                syndrome_poly_bitloop(code, y, g.square())
+            assert syndrome_poly(code, y) == syndrome_poly_bitloop(code, y, g)

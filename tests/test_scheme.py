@@ -69,6 +69,10 @@ def test_validate_params():
         validate_params("generic", 6, 64, 11)  # no dimension left
     with pytest.raises(ValueError):
         validate_params("generic", 6, 128, 2)  # n > 2^m
+    # G = x + c has its root in a full support, on every seed
+    with pytest.raises(ValueError, match="degree-1 generic G"):
+        validate_params("generic", 6, 64, 1)
+    assert validate_params("generic", 6, 63, 1) == (57, 1)
     with pytest.raises(ValueError):
         validate_params("generic", 17, 1 << 17, 2)
     with pytest.raises(ValueError):
@@ -113,7 +117,7 @@ def test_keygen_refuses_before_any_draw_iff_validate_params_does(
     seen = Counter()
     for args in itertools.product(
             ("generic", "dyadic"), (6, 8, 10), (32, 64, 144, 256, 512),
-            (2, 4, 8, 16, 24), ("ud", "ld")):
+            (1, 2, 4, 8, 16, 24), ("ud", "ld")):
         try:
             validate_params(*args)
         except ValueError as exc:
@@ -128,7 +132,8 @@ def test_keygen_refuses_before_any_draw_iff_validate_params_does(
             seen["drawn", args[0]] += 1
     # the grid reaches each refusal and both variants' draws
     assert {("ValueError", "decoders"), ("CodeConstructionError", "support"),
-            ("drawn", "generic"), ("drawn", "dyadic")} <= set(seen)
+            ("ValueError", "degree-1"), ("drawn", "generic"),
+            ("drawn", "dyadic")} <= set(seen)
 
 
 def test_wrap_unwrap():
@@ -243,7 +248,7 @@ def test_systematic_rows_are_codewords_on_identity_order(args):
                                   ("dyadic", 11, 1024, 32, "ud")])
 def test_cold_dyadic_decrypt_reads_only_the_cauchy_table(args, monkeypatch):
     # loading a dyadic key does no structure work; a fresh decrypt that
-    # needs no g2 fallback derives G's roots and reads their Cauchy table,
+    # Patterson finishes derives G's roots and reads their Cauchy table,
     # and builds no alternant table, evaluates nothing at the support and
     # inverts nothing, not even x, mod G
     kp = keygen(*args, seed=b"count")
@@ -257,7 +262,7 @@ def test_cold_dyadic_decrypt_reads_only_the_cauchy_table(args, monkeypatch):
     calls = count_calls(monkeypatch, (
         (scheme, "build_code"), (goppa, "_bit_slices"),
         (decode, "poly_invmod"), (gf2m, "_sqrt_x_mod"),
-        (decode, "g2_decode"), (scheme, "cauchy_code")))
+        (decode, "_key_equation_kernel"), (scheme, "cauchy_code")))
 
     def eval_all(poly, points, real=Poly.eval_all):
         calls["eval_all on the support" if len(points) == kp.n
@@ -270,11 +275,11 @@ def test_cold_dyadic_decrypt_reads_only_the_cauchy_table(args, monkeypatch):
         assert decrypt(key, ct) == msg
     # one root solve per key, one locator evaluation at the roots per word
     assert calls == {"cauchy_code": len(cts), "eval_all": 2 * len(cts)}
-    # g2_decode takes s mod G^2 from s mod G on the same Cauchy table, with
-    # one inverse of G' mod G, and builds no alternant table, of G or G^2
+    # the fallback solves one key equation on s mod G from the same Cauchy
+    # table, inverts nothing mod G and builds no alternant table
     calls.clear()
     assert decrypt(KeyPair.from_bytes(blob), fallback) == b"fall"
-    assert calls == {"cauchy_code": 1, "g2_decode": 1, "poly_invmod": 1,
+    assert calls == {"cauchy_code": 1, "_key_equation_kernel": 1,
                      "eval_all": 2}
 
 
@@ -587,6 +592,7 @@ def _patched_header(blob, variant, m, n, r, decoder):
     ("dyadic", 10, 480, 24, "ud"),  # r not a power of two
     ("generic", 17, 256, 8, "ud"),  # m = 17
     ("generic", 7, 78, 6, "ud"),  # k = 36
+    ("generic", 6, 64, 1, "ud"),  # G's root in a full support
 ])
 def test_from_bytes_applies_keygen_gate(dyadic_key_blob, monkeypatch,
                                         params):

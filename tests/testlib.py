@@ -10,10 +10,11 @@ the xor reindexing of a dyadic signature with its bit-loop version, the
 row-by-row compact key expansion, the bit-matrix transpose and
 matrix-vector product, the GF(2) parity check of any modulus, the
 syndrome mod any modulus from its own memo of 1/(x - L_j) (the oracle of
-the package's s mod G and of the G^2 syndrome it derives from it), the
-locator root search and the square root of x mod G, and Patterson on the
-alternant table of G, the oracle of Patterson at G's roots on the
-Cauchy table of a dyadic key's code.  Also here: the
+the package's s mod G), the locator root search and the square root of
+x mod G, Patterson on the alternant table of G, the oracle of Patterson
+at G's roots on the Cauchy table of a dyadic key's code, and the
+degree-2r decoder (the early stopped EEA on the syndrome mod G^2), the
+oracle of the key equation mod G that backs Patterson up.  Also here: the
 codeword encoder by message int, Proposition 1's check on G^2's bit-loop
 parity check, a Horner evaluator at one point, and the brute-force
 sphere oracle, the ground truth for the list decoders, with the
@@ -27,7 +28,9 @@ bisection run in full, and the workfactor scan against the generator
 of split costs it replaced.  The
 list kernels are checked against the versions they replaced: the
 Four-Russians rref against Gauss-Jordan, and the list Euclid, the early
-stopped EEA and the key equation kernel against their Poly forms.
+stopped EEA and the key equation kernel against their Poly forms; the
+Poly form of the kernel, mod G^2 on the bit-loop syndrome, is also the
+span that the package's kernel mod G must have.
 """
 
 import functools
@@ -36,13 +39,15 @@ import math
 
 from goppacrypt import cli
 from goppacrypt.binmat import BinMatrix, rref, transpose
-from goppacrypt.decode import DecodeResult, _g2_from_syndrome, _sorted_result
+from goppacrypt.decode import DecodeResult, _apply_locator, _sorted_result
 from goppacrypt.dyadic import DyadicSignature, SignatureExhaustionError
 from goppacrypt.goppa import (
     CapacityError, CodeConstructionError, GoppaCode, build_code,
     syndrome_poly, systematic_encode,
 )
-from goppacrypt.gf2m import NEG_INF, Poly, poly_invmod, poly_sqrt_mod
+from goppacrypt.gf2m import (
+    NEG_INF, Poly, eea_stop, poly_invmod, poly_sqrt_mod,
+)
 from goppacrypt.prng import SeededStream
 from goppacrypt.security import encryption_weight, fs_workfactor, keysize
 
@@ -484,6 +489,22 @@ def syndrome_inverses(code, modulus):
     return tuple(inv_x_minus(modulus, a) for a in code.support)
 
 
+def g2_decode(code, y):
+    """Decoding up to r errors on the degree-2r view Gamma(L, G) =
+    Gamma(L, G^2): the early stopped EEA on y's bit-loop syndrome mod
+    G^2, the oracle of Patterson's fallback, the key equation mod G at
+    tau = r."""
+    g2 = code.gpoly.square()
+    return g2_from_syndrome(code, y, syndrome_poly_bitloop(code, y, g2), g2)
+
+
+def g2_from_syndrome(code, y, s2, g2):
+    if s2.is_zero():
+        return DecodeResult(((y, 0),))
+    _, sigma = eea_stop(g2, s2, code.r - 1)
+    return _apply_locator(code, y, sigma)
+
+
 def flip_engine(code, y, tau):
     """All codewords within tau of y, one degree-2r decode per flip subset.
 
@@ -503,7 +524,7 @@ def flip_engine(code, y, tau):
             for p in flips:
                 s = s + inv[p]
                 word ^= 1 << p
-            for c, _ in _g2_from_syndrome(code, word, s, g2).candidates:
+            for c, _ in g2_from_syndrome(code, word, s, g2).candidates:
                 dist = (c ^ y).bit_count()
                 if dist <= tau:
                     found[c] = dist
@@ -735,19 +756,37 @@ def eea_stop_poly(G, T, dstop):
     return r1, b1
 
 
-def key_equation_kernel_poly(s2, g2, tau):
-    """decode._key_equation_kernel on Poly columns and monic Poly pivots."""
-    field = g2.field
+def key_equation_kernel_poly(s, modulus, tau):
+    """decode._key_equation_kernel on Poly columns and monic Poly pivots,
+    for any modulus: the kernel of sigma*s = sigma' (mod modulus)."""
+    field = modulus.field
     pivots = {}  # leading degree -> monic reduced column
-    col = s2  # x^t * s2 mod g2
+    col = s  # x^t * s mod modulus
     for t in range(tau + 1):
-        img = col + Poly(field, [0] * (t - 1) + [1]) if t & 1 else col
+        img = col + divmod_poly(Poly(field, [0] * (t - 1) + [1]),
+                                modulus)[1] if t & 1 else col
         v = Poly(field, [0] * t + [1] + [0] * (tau - t) + list(img.c))
         while v.degree in pivots:
             v = v + pivots[v.degree].scale(v.c[-1])
         pivots[v.degree] = v.monic()
-        col = divmod_poly(Poly(field, (0,) + col.c), g2)[1]
+        col = divmod_poly(Poly(field, (0,) + col.c), modulus)[1]
     return [v for d, v in pivots.items() if d <= tau]
+
+
+def span_echelon(polys):
+    """The reduced echelon basis of the span of polys: one monic member
+    per leading degree, with no other member's leading term."""
+    rows = {}
+    for p in polys:
+        while not p.is_zero() and p.degree in rows:
+            p = p + rows[p.degree].scale(p.c[-1])
+        if not p.is_zero():
+            rows[p.degree] = p.monic()
+    for d in sorted(rows):  # low pivots first, so none comes back
+        for e, q in rows.items():
+            if e > d and q.c[d]:
+                rows[e] = q + rows[d].scale(q.c[d])
+    return sorted(rows.items())
 
 
 def poly_eval(f, x0):
