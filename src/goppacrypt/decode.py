@@ -1,21 +1,22 @@
 """Error correction for binary Goppa codes.
 
-Two decoders: Patterson unique decoding up to r errors, and one linear
-key equation sigma*s = sigma' (mod G) whose kernel serves radii r to
-r+2.  At r it backs Patterson up, as its lowest-degree member is the
-locator of any codeword within r; past r it lists r+1 and r+2.
-list_decode is the one entry for every radius; no radius past r + 2 is
-decoded.
+One linear key equation, sigma*s = sigma' (mod G) for the syndrome s,
+serves every radius.  Its kernel comes from two rows of Patterson's
+EEA at any degree bound.  At r its lowest-degree member is the locator
+of any codeword within r, which is Patterson unique decoding; past r
+the kernel lists r+1 and r+2.  list_decode is the one entry for every
+radius; no radius past r + 2 is decoded.
 
 Syndromes and error-locator roots both come from the code's one
 bit-sliced table, the alternant table of G or the Cauchy table of G's
-roots, where Patterson runs pointwise.  The roots of a locator of
-degree <= r over the whole support are one n-bit mask of table row XORs.
+roots, where Patterson's square root comes pointwise.  The roots of a
+locator of degree <= r over the whole support are one n-bit mask of
+table row XORs.
 """
 
 from collections import Counter, namedtuple
 
-from .gf2m import Poly, _reduce, eea_stop, poly_invmod, poly_sqrt_mod
+from .gf2m import Poly, _reduce, eea_stop, poly_sqrt_mod
 from .goppa import CapacityError, _interpolate, _syndromes, syndrome_poly
 from .security import radii
 
@@ -98,43 +99,17 @@ def _apply_locator(code, y, sigma, roots=None):
 
 
 def patterson_decode(code, y):
-    """Unique decoding up to r errors.
-
-    An empty result means that no codeword is within r, or that Patterson
-    gave up: some s(z_i) = 0 on the Cauchy table, or s is not invertible
-    mod a split G.  list_decode then solves the key equation at tau = r.
-    """
-    G, field = code.gpoly, code.field
-    x = Poly.x(field)
-    if code.roots:
-        s = _syndromes(code, y)  # the values s(z_i)
-        if not any(s):
-            return DecodeResult(((y, 0),))
-        # R = sqrt(1/s + x) at each root, unless s is not invertible mod G
-        exp, log = field.exp, field.log
-        R = None if 0 in s else _interpolate(code, [
-            field.sqrt(exp[-log[v]] ^ z) for v, z in zip(s, code.roots)])
-    else:
-        s = syndrome_poly(code, y)
-        if s.is_zero():
-            return DecodeResult(((y, 0),))
-        T = poly_invmod(s, G)
-        try:
-            R = None if T is None else poly_sqrt_mod(T + x, G)
-        except ArithmeticError:
-            R = None
-    if R is None:
-        return DecodeResult(())
-    a, b = eea_stop(G, R, G.degree // 2)
-    sigma = a.square() + x * b.square()
-    return _apply_locator(code, y, sigma)
+    """Unique decoding up to r errors: the key equation's lowest-degree
+    member at tau = r, which is the locator of any codeword within r.
+    An empty result means that no codeword is within r."""
+    return _apply_locator(code, y, _key_equation_kernel(code, y, code.r)[0])
 
 
 def list_decode(code, y, tau):
     """All codewords within distance tau of y: the one decoding entry.
 
-    Up to r, Patterson finds the one candidate (d >= 2r + 1), or the key
-    equation at tau = r if Patterson gives up; only tau >= 0 is checked.
+    Up to r, Patterson finds the one candidate (d >= 2r + 1); only
+    tau >= 0 is checked.
     Beyond r, tau may reach the binary Johnson limit ceil(tau2) - 1, and
     the same key equation lists r+1 and r+2.
 
@@ -147,8 +122,6 @@ def list_decode(code, y, tau):
         raise RadiusError("radius %d is negative" % tau)
     if tau <= code.r:
         res = patterson_decode(code, y)
-        if not res.candidates:
-            res = _linear_engine(code, y, code.r)
         return DecodeResult(tuple(p for p in res.candidates if p[1] <= tau))
     try:
         limit = radii(code.n, code.r).ld_errors
@@ -174,18 +147,17 @@ def _linear_engine(code, y, tau):
     w <= r and deg sigma <= r, deg(AD + BC) < r forces AD = BC, so
     sigma = u^2*P: the lowest-degree member, basis[0], is the locator of
     the codeword within r if there is one.  A codeword within 2r - tau is
-    the only one (the minimum distance is at least 2r + 1).  Otherwise
-    the dimension was tau - r + 1 in all 5,272 checks made (tau = r+1,
-    r+2; six shapes from (5,32,3) to (8,200,10), G irreducible or not),
-    and any other raises CapacityError.  The roots of p + lambda*q share
+    the only one (the minimum distance is at least 2r + 1).  The kernel
+    has dimension tau - r + 1 unless basis[0] has degree <= 2r - tau
+    (see _key_equation_kernel); any other dimension past that shortcut
+    raises CapacityError.  The roots of p + lambda*q share
     lambda = p/q, so a histogram of that ratio finds every member of a
     pencil with more than r roots: the points whose ratio is lambda or
     undefined.
     """
     r, field = code.r, code.field
-    basis = _key_equation_kernel(syndrome_poly(code, y), code.gpoly, tau)
-    found = dict(_apply_locator(code, y, basis[0]).candidates
-                 if basis[0].degree <= r else ())
+    basis = _key_equation_kernel(code, y, tau)
+    found = dict(_apply_locator(code, y, basis[0]).candidates)
     if tau <= r or any(d <= 2 * r - tau for d in found.values()):
         return _sorted_result(code.n, found.items())
     if len(basis) != tau - r + 1:
@@ -204,42 +176,48 @@ def _linear_engine(code, y, tau):
     return _sorted_result(code.n, found.items())
 
 
-def _key_equation_kernel(s, G, tau):
-    """Basis of {sigma : deg sigma <= tau, sigma*s = sigma' (mod G)}, in
-    increasing degree.
+def _key_equation_kernel(code, y, tau):
+    """Basis of {sigma : deg sigma <= tau, sigma*s = sigma' (mod G)}, s the
+    syndrome of y, in increasing degree; empty when every nonzero member
+    has degree above tau.
 
-    Column t is x^t + x^(tau+1) * (x^t*s + t*x^(t-1) mod G): eliminating
-    the images carries sigma along, and a column left of degree <= tau is
-    in the kernel.  Columns are coefficient lists, and each monic pivot
-    is kept as the log terms (degree, log c) that reduce by it.
+    Write sigma = A^2 + x*B^2; then sigma' = B^2, and the equation reads
+    A^2*s = B^2*(x*s + 1).  For g = gcd(s, G) and M = G/g it holds iff
+    B = g*B1 and A = B1*R (mod M), where R = g*sqrt(1/s + x) mod M.  The
+    pairs (A, B1) form the lattice spanned by (M, 0) and (R, 1), and
+    u*(A_1, B1_1) + v*(A_2, B1_2) gives u^2*sigma_1 + v^2*sigma_2.  As
+    deg sigma = max(2 deg A, 2 deg B + 1), where the two never tie, the
+    EEA on (M, R) reduces the lattice: its last row led by A and the next,
+    the first with deg a_(k-1) + deg a_k <= r, led by B, give sigmas of
+    degrees one even, one odd, summing to 2r + 1.  The x^(2j)*sigma_i of
+    degree <= tau then have distinct degrees and span the kernel: its
+    dimension is tau - r + 1 unless basis[0] has degree <= 2r - tau.
+
+    On the Cauchy table with every s(z_i) != 0, R comes pointwise at G's
+    roots, with g = 1.  Otherwise one EEA on (G, s) to the end gives g,
+    M and, from g = b*s (mod G), 1/s = b/g (mod M).
     """
-    field = G.field
-    exp, log = field.exp, field.log
-    pivots = {}  # leading degree -> log terms of the monic reduced column
-    basis = []
-    col = list(s.c)  # x^t * s mod G
-    for t in range(tau + 1):
-        v = [0] * (tau + 1 + G.degree)
-        v[tau + 1:tau + 1 + len(col)] = col
-        v[t] = 1  # the x^t that no earlier column has: v never vanishes
-        if t & 1:  # t*x^(t-1) = x^(t-1), mod G
-            for j, a in enumerate(_reduce([0] * (t - 1) + [1], G.c, exp, log)):
-                v[tau + 1 + j] ^= a
-        d = len(v) - 1
-        while not v[d]:
-            d -= 1
-        while d in pivots:
-            lv = log[v[d]]
-            for j, lp in pivots[d]:
-                v[j] ^= exp[lv + lp]
-            while not v[d]:
-                d -= 1
-        linv = -log[v[d]]
-        pivots[d] = [(j, log[a] + linv) for j, a in enumerate(v[:d + 1]) if a]
-        if d <= tau:
-            basis.append(Poly(field, v[:d + 1]).monic())
-        col = _reduce([0] + col, G.c, exp, log)
-    return basis
+    G, field = code.gpoly, code.field
+    x, g, M = Poly.x(field), Poly.one(field), G
+    vals = code.roots and _syndromes(code, y)  # the values s(z_i)
+    if vals and all(vals):
+        exp, log = field.exp, field.log
+        R = _interpolate(code, [field.sqrt(exp[-log[v]] ^ z)
+                                for v, z in zip(vals, code.roots)])
+    else:
+        s = syndrome_poly(code, y)
+        (g, b), (_, M) = eea_stop(G, s, -1)
+        M = M.monic()  # G itself when g is constant, for _sqrt_x_mod's memo
+        # g*sqrt(1/s + x) = sqrt(g*b + x*g^2) mod M; s = 0 leaves M = 1
+        R = Poly(field) if s.is_zero() else \
+            poly_sqrt_mod(g * b + x * g.square(), M)
+    # sigma only for the rows whose sigma-degree is at most tau
+    sigmas = [a.square() + x * (g * b).square()
+              for a, b in eea_stop(M, R, code.r)
+              if max(2 * a.degree, 2 * (g.degree + b.degree) + 1) <= tau]
+    return sorted((Poly(field, (0,) * 2 * j + sigma.c) for sigma in sigmas
+                   for j in range((tau - sigma.degree) // 2 + 1)),
+                  key=lambda p: p.degree)
 
 
 def _ratios(field, ps, qs):

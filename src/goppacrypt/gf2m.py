@@ -14,13 +14,15 @@ call and index the tables directly.  Polynomials are immutable coefficient
 tuples, lowest degree first, with the zero polynomial carrying degree
 minus-infinity.  Division runs on coefficient lists in one routine,
 _reduce, which serves mod, a remainder-only Euclid for square-freeness
-and irreducibility, the early-stopped EEA, which keeps only each
-quotient's log terms to update its multiplier, and the locator split in
-decoding; no step builds a Poly.  eval_all is the one evaluator: it
-evaluates at many points in one pass, one Horner step per coefficient
-across all of them.  Modular square roots, for Patterson decoding, use
-no linear algebra: the square root of x mod G is G0/G1, where
-G = G0^2 + x*G1^2.  Irreducibility is Ben-Or's test, squaring on
+and irreducibility, the locator split in decoding, and eea_stop, the one
+EEA: it stops at the first two consecutive remainders whose degrees sum
+to at most a bound, which inverses set to -1 (run to the end) and the
+key equation to deg G, and keeps only each quotient's log terms to
+update its multiplier.  No step builds a Poly.  eval_all is the one
+evaluator: it evaluates at many points in one pass, one Horner step per
+coefficient across all of them.  Modular square roots, for the key
+equation, use no linear algebra: the square root of x mod G is G0/G1,
+where G = G0^2 + x*G1^2.  Irreducibility is Ben-Or's test, squaring on
 a per-G table of x^(2i) mod G; exact like Rabin's test, it decides every
 G alike, so seeded draws are unchanged.
 """
@@ -48,8 +50,6 @@ def _gf2_irreducible(p):
     if d < 1:
         return False
     for q in range(2, 1 << (d // 2 + 1)):
-        if _gf2_deg(q) < 1:
-            continue
         if _gf2_mod(p, q) == 0:
             return False
     return True
@@ -306,36 +306,37 @@ def _gcd(a, b, exp, log):
 
 
 def is_squarefree(f):
-    """True iff gcd(f, f') is a nonzero constant (f itself must be nonzero)."""
-    if f.is_zero():
-        return False
-    if f.degree == 0:
-        return True
+    """True iff gcd(f, f') is a nonzero constant: False for f = 0, True
+    for a constant, whose derivative is 0."""
     field = f.field
     return len(_gcd(list(f.c), list(f.deriv().c), field.exp, field.log)) == 1
 
 
 def poly_invmod(f, g):
     """Inverse of f modulo g, or None when gcd(f, g) is not constant."""
-    r, b = eea_stop(g, f % g, 0)
-    if r.is_zero():
+    (r, b), _ = eea_stop(g, f % g, -1)
+    if r.degree != 0:
         return None
     return b.scale(f.field.inv(r.c[0]))
 
 
-def eea_stop(G, T, dstop):
-    """Run the extended Euclidean algorithm on (G, T), stop early.
+def eea_stop(G, T, bound):
+    """The extended Euclidean algorithm on (G, T), stopped early: the one
+    EEA loop.
 
-    Returns the first remainder pair (a, b) with a = b*T (mod G) and
-    deg a <= dstop; then deg b <= deg G - 1 - dstop.  Used for the
-    Patterson split step and the degree-2r key equation.  Each step
-    keeps only the quotient's log terms, to update b on lists.
+    Its rows (a_k, b_k), from (G, 0) and (T, 1), have a_k = b_k*T
+    (mod G) and, for deg T < deg G, deg b_k = deg G - deg a_(k-1).
+    Returns rows k - 1 and k for the first k >= 1 with
+    deg a_(k-1) + deg a_k <= bound.  With bound = -1 it runs until
+    a_k = 0: a_(k-1) is then gcd(G, T) and b_k is G/gcd, up to
+    constants.  Each step keeps only the quotient's log terms, to
+    update b on lists.
     """
     field = G.field
     exp, log = field.exp, field.log
     r0, r1 = list(G.c), list(T.c)
     b0, b1 = [], [1]
-    while r1 and len(r1) - 1 > dstop:
+    while r1 and len(r0) + len(r1) - 2 > bound:
         quotient, dq = [], len(r0) - len(r1)  # the quotient's degree
         r0, r1 = r1, _reduce(r0, r1, exp, log, quotient)
         # b0 + q*b1, sized for q*b1, since deg b grows at every step
@@ -345,7 +346,8 @@ def eea_stop(G, T, dstop):
             for j, lb in terms:
                 b2[i + j] ^= exp[lq + lb]
         b0, b1 = b1, b2
-    return Poly(field, r1), Poly(field, b1)
+    return ((Poly(field, r0), Poly(field, b0)),
+            (Poly(field, r1), Poly(field, b1)))
 
 
 @functools.lru_cache(maxsize=64)

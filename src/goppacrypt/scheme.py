@@ -322,12 +322,12 @@ def decrypt(sk, ct):
     """The unique candidate whose tag verifies.
 
     Both decoders take the candidates within w_enc from one list_decode
-    call: a unique-decoding key (w_enc = r) gets Patterson with the
-    key equation at tau = r as backup, a list-decoding key every codeword
-    within its radius.  Zero verified candidates raise NoCandidateError;
-    two or more raise AmbiguityError rather than guessing.  A ciphertext
-    whose length or recorded error weight differs from the key's raises
-    ValueError before any decoding.
+    call: a unique-decoding key (w_enc = r) gets Patterson, the key
+    equation's lowest-degree member at tau = r, a list-decoding key every
+    codeword within its radius.  Zero verified candidates raise
+    NoCandidateError; two or more raise AmbiguityError rather than
+    guessing.  A ciphertext whose length or recorded error weight differs
+    from the key's raises ValueError before any decoding.
     """
     if ct.n != sk.n:
         raise ValueError("ciphertext length does not match the key")

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import testlib
-from goppacrypt import decode
+from goppacrypt import decode, goppa
 from goppacrypt.gf2m import (
     Poly, make_field, poly_invmod, random_monic_irreducible,
 )
@@ -116,18 +116,17 @@ def test_key_equation_kernel_mod_g_spans_the_kernel_mod_g2():
                  for w in (0, 1, r, r + 1, r + 2) for _ in range(2)]
         words += [rng.randrange(1 << n) for _ in range(4)]
         for y in words:
-            s = syndrome_poly(code, y)
             s2 = testlib.syndrome_poly_bitloop(code, y, g2)
             for tau in (0, 1, r, r + 1, r + 2):
                 assert testlib.span_echelon(
-                    decode._key_equation_kernel(s, G, tau)) == \
+                    decode._key_equation_kernel(code, y, tau)) == \
                     testlib.span_echelon(
                         testlib.key_equation_kernel_poly(s2, g2, tau))
 
 
 def test_g2_matches_patterson_on_irreducible():
-    # Patterson, its fallback (the key equation at tau = r) and the
-    # degree-2r oracle agree on every word within r
+    # Patterson, the key equation at tau = r through the list engine and
+    # the degree-2r oracle agree on every word within r
     code = make_code(5, 30, 3, b"g2a")
     rng = random.Random(13)
     for _ in range(60):
@@ -148,11 +147,11 @@ def test_g2_handles_split_goppa_polynomial():
         assert res.candidates and res.candidates[0][0] == c
 
 
-def test_fallback_matches_the_g2_oracle():
-    # where Patterson gives up on a word within r (s not invertible mod a
-    # split G, or some s(z_i) = 0 on a dyadic key's Cauchy table), the key
-    # equation at tau = r decodes it as the degree-2r EEA does; so it does
-    # on random words
+def test_non_invertible_syndromes_match_the_g2_oracle():
+    # where s is not invertible mod G (a split G, or some s(z_i) = 0 on a
+    # dyadic key's Cauchy table), Patterson decodes as the degree-2r EEA
+    # does, through list_decode and the list engine at tau = r alike; so
+    # it does on random words
     rng = random.Random(49)
     for code in (make_code(6, 40, 4, b"fall/a", split=True),
                  make_code(8, 200, 10, b"fall/b", split=True),
@@ -162,16 +161,71 @@ def test_fallback_matches_the_g2_oracle():
                                                  rng.randrange(1, r + 1)))
                   for _ in range(5000))
         hits = list(itertools.islice(
-            (e for e in errors if not patterson_decode(code, e).candidates),
-            6))
+            (e for e in errors
+             if poly_invmod(syndrome_poly(code, e), code.gpoly) is None), 6))
         assert len(hits) == 6
         for e in hits:
-            assert list_decode(code, e, r) == _linear_engine(code, e, r) \
-                == g2_decode(code, e)
+            assert patterson_decode(code, e) == list_decode(code, e, r) \
+                == _linear_engine(code, e, r) == g2_decode(code, e)
             assert g2_decode(code, e).candidates == ((0, e.bit_count()),)
         for _ in range(6):
             y = rng.randrange(1 << n)
-            assert _linear_engine(code, y, r) == g2_decode(code, y)
+            assert patterson_decode(code, y) == _linear_engine(code, y, r) \
+                == g2_decode(code, y)
+
+
+def test_patterson_decodes_every_error_within_r():
+    # every error of weight <= r around the zero codeword decodes, also
+    # where gcd(s, G) != 1: all of a (4, 16, 3) code's and of a split
+    # (5, 24, 3) code's, and seeded errors with some s(z_i) = 0 on a
+    # dyadic key's Cauchy table
+    shared = 0
+    for code in (make_code(4, 16, 3, b"every/a"),
+                 make_code(5, 24, 3, b"every/b", split=True)):
+        for w in range(code.r + 1):
+            for ps in itertools.combinations(range(code.n), w):
+                e = sum(1 << p for p in ps)
+                assert patterson_decode(code, e).candidates == ((0, w),)
+                shared += poly_invmod(syndrome_poly(code, e),
+                                      code.gpoly) is None
+    assert shared > 100
+    code = keygen("dyadic", 10, 256, 16, "ud", seed=b"every").code()
+    rng = random.Random(51)
+    hits = 0
+    while hits < 12:
+        e = sum(1 << p for p in rng.sample(range(code.n),
+                                           rng.randrange(1, code.r + 1)))
+        if 0 in goppa._syndromes(code, e):
+            hits += 1
+            assert patterson_decode(code, e).candidates == \
+                ((0, e.bit_count()),)
+
+
+def test_key_equation_kernel_dimension():
+    # past r the kernel has dimension tau - r + 1, unless its first
+    # member has degree <= 2r - tau: then only its multiples x^(2j) reach
+    # tau, as the other basis member has degree >= tau + 1
+    rng = random.Random(52)
+    seen = Counter()
+    for m, n, r, split in ((5, 32, 3, False), (6, 60, 4, True),
+                           (8, 144, 8, False)):
+        code = make_code(m, n, r, b"dim/%d/%d" % (n, r), split)
+        for i in range(30):
+            c = encode(code, rng.randrange(1 << code.k))
+            y = rng.randrange(1 << n) if i % 3 == 0 else \
+                corrupt(rng, c, n, rng.randrange(r + 3))
+            for tau in (r + 1, r + 2):
+                basis = decode._key_equation_kernel(code, y, tau)
+                d0 = basis[0].degree
+                assert [p.degree for p in basis] == \
+                    sorted({p.degree for p in basis})
+                if d0 <= 2 * r - tau:
+                    assert len(basis) == (tau - d0) // 2 + 1
+                    seen["low"] += 1
+                else:
+                    assert len(basis) == tau - r + 1
+                    seen["full"] += 1
+    assert seen["low"] and seen["full"], seen
 
 
 def test_list_decode_radius_zero_and_errors():
@@ -271,21 +325,22 @@ LINEAR_GRID = ((5, 32, 3, 24, 12), (5, 32, 5, 24, 12), (6, 64, 6, 12, 3),
 
 
 def test_key_equation_kernel_matches_poly_form():
-    # the list kernel with log-term pivots against its Poly form, on
-    # real syndromes mod G (G irreducible and split) and on zero and
-    # random right-hand sides; at r + 2 the odd columns reduce x^(t-1)
+    # the kernel from the EEA spans the kernel of the dense Poly
+    # elimination, on zero syndromes, errors within r + 2 (G irreducible
+    # and split) and random words
     rng = random.Random(47)
     for m, n, r, split in ((5, 32, 3, False), (6, 60, 4, True),
                            (8, 144, 8, False), (8, 120, 6, True)):
         code = make_code(m, n, r, b"kernel/%d/%d" % (n, r), split)
-        field, G = code.field, code.gpoly
-        rhs = [Poly(field), Poly(field, [rng.randrange(field.order)
-                                         for _ in range(r)])]
-        rhs += [syndrome_poly(code, rng.randrange(1 << n)) for _ in range(4)]
-        for s in rhs:
+        words = [0] + [corrupt(rng, 0, n, w) for w in (1, r, r + 1, r + 2)]
+        words += [rng.randrange(1 << n) for _ in range(4)]
+        for y in words:
+            s = syndrome_poly(code, y)
             for tau in (0, 1, r, r + 1, r + 2):
-                assert decode._key_equation_kernel(s, G, tau) == \
-                    testlib.key_equation_kernel_poly(s, G, tau)
+                assert testlib.span_echelon(
+                    decode._key_equation_kernel(code, y, tau)) == \
+                    testlib.span_echelon(
+                        testlib.key_equation_kernel_poly(s, code.gpoly, tau))
 
 
 def test_linear_engine_matches_flip_oracle(monkeypatch):
@@ -434,8 +489,8 @@ def test_locator_roots_match_horner_scan(m, n, r):
 
 
 def test_unique_decoding_builds_no_syndrome_inverses(monkeypatch):
-    # Patterson and its fallback, the key equation at tau = r, work from
-    # the alternant table of G
+    # Patterson and the list engine at tau = r work from the alternant
+    # table of G
     def refuse(modulus, a):
         raise AssertionError("syndrome inverse built")
     monkeypatch.setattr(testlib, "inv_x_minus", refuse)
@@ -446,5 +501,4 @@ def test_unique_decoding_builds_no_syndrome_inverses(monkeypatch):
             c = encode(code, rng.randrange(1 << code.k))
             y = corrupt(rng, c, code.n, w)
             assert _linear_engine(code, y, code.r).candidates == ((c, w),)
-            if not split:
-                assert patterson_decode(code, y).candidates == ((c, w),)
+            assert patterson_decode(code, y).candidates == ((c, w),)

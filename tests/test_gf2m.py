@@ -353,10 +353,10 @@ def test_euclid_matches_poly_forms():
                         assert is_squarefree(T) == (
                             T.degree == 0
                             or poly_gcd_poly(T, T.deriv()).degree == 0)
-                    for dstop in sorted({0, G.degree - 1,
-                                         rng.randrange(G.degree)}):
-                        assert eea_stop(G, T, dstop) == \
-                            eea_stop_poly(G, T, dstop)
+                    for bound in sorted({-1, 0, G.degree,
+                                         rng.randrange(2 * G.degree)}):
+                        assert eea_stop(G, T, bound) == \
+                            eea_stop_poly(G, T, bound)
     zero = Poly(make_field(4))
     assert list_gcd(zero, zero) == poly_gcd_poly(zero, zero) == zero
 
@@ -418,41 +418,46 @@ def test_eea_stop_trivial_cases():
     field = make_field(4)
     G = Poly(field, (3, 1, 0, 0, 1))
     T = Poly(field, (5, 7, 1))
-    a, b = eea_stop(G, Poly(field), 1)
-    assert a.is_zero() and b == Poly.one(field)
-    a, b = eea_stop(G, T, G.degree - 1)
-    assert a == T and b == Poly.one(field)
+    zero, one = Poly(field), Poly.one(field)
+    for bound in (-1, 0, 3, 9):
+        assert eea_stop(G, zero, bound) == ((G, zero), (zero, one))
+    # the first pair, (G, T), already has degree sum 6
+    assert eea_stop(G, T, 6) == ((G, zero), (T, one))
+    # a constant T: its inverse row, then the zero remainder at G/T
+    c = Poly(field, (9,))
+    assert eea_stop(G, c, -1) == ((c, one), (zero, G.scale(field.inv(9))))
 
 
 def test_eea_stop_contract_and_minimality():
+    # rows k - 1 and k for the first k with deg a_(k-1) + deg a_k <=
+    # bound, on G irreducible or not; bound = -1 ends at the gcd
     field = make_field(4)
     rng = random.Random(23)
     for trial in range(25):
         G = Poly(field, [rng.randrange(16) for _ in range(4)] + [1])
         T = Poly(field, [rng.randrange(16) for _ in range(rng.randrange(1, 5))])
-        for dstop in range(G.degree):
-            a, b = eea_stop(G, T, dstop)
-            assert a.degree <= dstop
-            assert b.degree <= G.degree - 1 - dstop
-            assert (b * T) % G == a % G
-            assert not b.is_zero()
-            # minimality oracle: no solution with a smaller multiplier degree
-            bdeg = b.degree if not b.is_zero() else -1
-            if bdeg > 0 and trial < 6:
-                found_smaller = False
-                for bits in range(16 ** bdeg):
-                    coeffs = []
-                    v = bits
-                    for _ in range(bdeg):
-                        coeffs.append(v % 16)
-                        v //= 16
-                    bp = Poly(field, coeffs)
-                    if bp.is_zero():
-                        continue
-                    if ((bp * T) % G).degree <= dstop:
-                        found_smaller = True
-                        break
-                assert not found_smaller
+        if T.is_zero():
+            continue
+        for bound in range(-1, 2 * G.degree):
+            (a0, b0), (a1, b1) = eea_stop(G, T, bound)
+            for a, b in ((a0, b0), (a1, b1)):
+                assert (b * T) % G == a % G
+            assert a0.degree > a1.degree and a0.degree + a1.degree <= bound
+            assert b1.degree == G.degree - a0.degree
+            # the pair before, of degrees deg a_(k-2) = deg G - deg b_(k-1)
+            # and deg a_(k-1), did not stop
+            if not b0.is_zero():
+                assert (G.degree - b0.degree) + a0.degree > bound
+            if bound == -1:
+                assert a1.is_zero() and a0.monic() == poly_gcd_poly(G, T)
+                assert (G % b1).is_zero()
+            # minimality oracle: any smaller multiplier leaves a remainder
+            # of degree at least deg a0
+            if 0 < b1.degree <= 3 and trial < 6:
+                for bits in range(1, 16 ** b1.degree):
+                    bp = Poly(field, [bits >> 4 * i & 15
+                                      for i in range(b1.degree)])
+                    assert ((bp * T) % G).degree >= a0.degree
 
 
 # ---------------------------------------------------------------- sqrt mod G

@@ -255,13 +255,14 @@ def test_cold_dyadic_decrypt_reads_only_the_cauchy_table(args, monkeypatch):
     blob = kp.to_bytes()
     msgs = [b"%d" % i for i in range(6)]
     cts = [encrypt(kp, msg, b"count/%d" % i) for i, msg in enumerate(msgs)]
-    # a ciphertext whose syndrome vanishes at some root z_i stops Patterson
-    fallback = next(ct for ct in (encrypt(kp, b"fall", b"fall/%d" % i)
-                                  for i in range(2000))
-                    if 0 in goppa._syndromes(kp.code(), ct.vector))
+    # a ciphertext whose syndrome vanishes at some root z_i, where s is
+    # not invertible mod G and the pointwise path does not apply
+    shared = next(ct for ct in (encrypt(kp, b"fall", b"fall/%d" % i)
+                                for i in range(2000))
+                  if 0 in goppa._syndromes(kp.code(), ct.vector))
     calls = count_calls(monkeypatch, (
         (scheme, "build_code"), (goppa, "_bit_slices"),
-        (decode, "poly_invmod"), (gf2m, "_sqrt_x_mod"),
+        (gf2m, "poly_invmod"), (gf2m, "_sqrt_x_mod"),
         (decode, "_key_equation_kernel"), (scheme, "cauchy_code")))
 
     def eval_all(poly, points, real=Poly.eval_all):
@@ -273,14 +274,17 @@ def test_cold_dyadic_decrypt_reads_only_the_cauchy_table(args, monkeypatch):
     assert not calls
     for key, ct, msg in zip(loaded, cts, msgs):
         assert decrypt(key, ct) == msg
-    # one root solve per key, one locator evaluation at the roots per word
-    assert calls == {"cauchy_code": len(cts), "eval_all": 2 * len(cts)}
-    # the fallback solves one key equation on s mod G from the same Cauchy
-    # table, inverts nothing mod G and builds no alternant table
+    # one root solve per key; one key equation and one locator evaluation
+    # at the roots per word
+    assert calls == {"cauchy_code": len(cts), "_key_equation_kernel":
+                     len(cts), "eval_all": 2 * len(cts)}
+    # the shared-factor ciphertext takes s mod G from the same Cauchy table
+    # and one square root mod M = G/gcd(s, G), whose sqrt(x) inverts once
+    # mod M; it builds no alternant table
     calls.clear()
-    assert decrypt(KeyPair.from_bytes(blob), fallback) == b"fall"
+    assert decrypt(KeyPair.from_bytes(blob), shared) == b"fall"
     assert calls == {"cauchy_code": 1, "_key_equation_kernel": 1,
-                     "eval_all": 2}
+                     "_sqrt_x_mod": 1, "poly_invmod": 1, "eval_all": 2}
 
 
 def test_generic_ld_decrypt_builds_one_table(monkeypatch):

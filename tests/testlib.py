@@ -46,7 +46,7 @@ from goppacrypt.goppa import (
     syndrome_poly, systematic_encode,
 )
 from goppacrypt.gf2m import (
-    NEG_INF, Poly, eea_stop, poly_invmod, poly_sqrt_mod,
+    NEG_INF, Poly, poly_invmod, poly_sqrt_mod,
 )
 from goppacrypt.prng import SeededStream
 from goppacrypt.security import encryption_weight, fs_workfactor, keysize
@@ -491,9 +491,9 @@ def syndrome_inverses(code, modulus):
 
 def g2_decode(code, y):
     """Decoding up to r errors on the degree-2r view Gamma(L, G) =
-    Gamma(L, G^2): the early stopped EEA on y's bit-loop syndrome mod
-    G^2, the oracle of Patterson's fallback, the key equation mod G at
-    tau = r."""
+    Gamma(L, G^2): the early stopped Poly EEA on y's bit-loop syndrome
+    mod G^2, the oracle of the key equation mod G at tau = r, and of
+    Patterson where s is not invertible mod G."""
     g2 = code.gpoly.square()
     return g2_from_syndrome(code, y, syndrome_poly_bitloop(code, y, g2), g2)
 
@@ -501,7 +501,11 @@ def g2_decode(code, y):
 def g2_from_syndrome(code, y, s2, g2):
     if s2.is_zero():
         return DecodeResult(((y, 0),))
-    _, sigma = eea_stop(g2, s2, code.r - 1)
+    # for a locator of degree w <= r the rows end at degrees 2r - w and
+    # < w: the first pair of sum <= 2r - 1
+    _, (_, sigma) = eea_stop_poly(g2, s2, 2 * code.r - 1)
+    if sigma.degree > code.r:
+        return DecodeResult(())
     return _apply_locator(code, y, sigma)
 
 
@@ -545,6 +549,7 @@ def patterson_alternant(code, y):
     by one evaluation per support point, and the result checked against
     the alternant syndromes: the decoding that every code had before a
     code could hold G's roots, and the oracle of the pointwise one.
+    Where s is not invertible mod G it is g2_decode.
     """
     G = code.gpoly
     x = Poly.x(code.field)
@@ -553,9 +558,9 @@ def patterson_alternant(code, y):
         return DecodeResult(((y, 0),))
     T = poly_invmod(s, G)
     if T is None:
-        return DecodeResult(())
-    a, b = eea_stop_poly(G, poly_sqrt_mod(T + x, G), G.degree // 2)
-    sigma = a.square() + x * b.square()
+        return g2_decode(code, y)
+    sigma = min((a.square() + x * b.square() for a, b in eea_stop_poly(
+        G, poly_sqrt_mod(T + x, G), G.degree)), key=lambda p: p.degree)
     roots = locator_roots_horner(code, sigma)
     if roots.bit_count() != sigma.degree or \
             not syndrome_poly(code, y ^ roots).is_zero():
@@ -744,21 +749,25 @@ def poly_gcd_poly(f, g):
     return f.monic() if not f.is_zero() else f
 
 
-def eea_stop_poly(G, T, dstop):
-    """gf2m.eea_stop on Poly objects: a quotient Poly and b update per step."""
+def eea_stop_poly(G, T, bound):
+    """gf2m.eea_stop on Poly objects, a quotient Poly and b update per
+    step: the rows (a, b), a = b*T (mod G), before and at the first
+    consecutive remainders whose degrees sum to at most bound."""
     field = G.field
     r0, r1 = G, T
     b0, b1 = Poly(field), Poly.one(field)
-    while r1.degree > dstop:
+    while r0.degree + r1.degree > bound:  # NEG_INF once r1 = 0
         q, r2 = divmod_poly(r0, r1)
         r0, r1 = r1, r2
         b0, b1 = b1, b0 + q * b1
-    return r1, b1
+    return (r0, b0), (r1, b1)
 
 
 def key_equation_kernel_poly(s, modulus, tau):
-    """decode._key_equation_kernel on Poly columns and monic Poly pivots,
-    for any modulus: the kernel of sigma*s = sigma' (mod modulus)."""
+    """The kernel of sigma*s = sigma' (mod modulus), deg sigma <= tau, by
+    dense elimination: column t is x^t + x^(tau+1) * (x^t*s + t*x^(t-1)
+    mod modulus), with monic Poly pivots, for any modulus.  The oracle of
+    decode._key_equation_kernel, which reads the kernel off the EEA."""
     field = modulus.field
     pivots = {}  # leading degree -> monic reduced column
     col = s  # x^t * s mod modulus
