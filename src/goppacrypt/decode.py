@@ -1,17 +1,17 @@
 """Error correction for binary Goppa codes.
 
 One linear key equation, sigma*s = sigma' (mod G) for the syndrome s,
-serves every radius.  Its kernel comes from two rows of Patterson's
-EEA at any degree bound.  At r its lowest-degree member is the locator
-of any codeword within r, which is Patterson unique decoding; past r
-the kernel lists r+1 and r+2.  list_decode is the one entry for every
-radius; no radius past r + 2 is decoded.
+serves every radius and is the decoder's only contract.  Its kernel
+comes from two rows of one EEA at any degree bound.  At r its
+lowest-degree member is the locator of any codeword within r, which is
+Patterson unique decoding; past r the kernel lists r+1 and r+2.
+list_decode is the one entry for every radius; none past r + 2.
 
 Syndromes and error-locator roots both come from the code's one
 bit-sliced table, the alternant table of G or the Cauchy table of G's
-roots, where Patterson's square root comes pointwise.  The roots of a
-locator of degree <= r over the whole support are one n-bit mask of
-table row XORs.
+roots, where the square root comes pointwise for every word.  The roots
+of a locator of degree <= r over the whole support are one n-bit mask
+of table row XORs.
 """
 
 from collections import Counter, namedtuple
@@ -86,30 +86,29 @@ def _locator_roots(code, sigma):
 
 
 def _apply_locator(code, y, sigma, roots=None):
-    """Flip the locator's roots in y (a mask, if the caller holds it);
-    empty result on any inconsistency."""
+    """Flip the roots of sigma, a kernel member, in y (a mask, if the
+    caller holds it); empty unless it has deg sigma of them.  Then
+    sigma'/sigma = sum 1/(x + L_j) over them is s_e, e the word with ones
+    there, and sigma*s = sigma' with sigma a unit mod G (G(L_j) != 0)
+    gives s = s_e: y + e is a codeword."""
     roots = _locator_roots(code, sigma) if roots is None else roots
     if roots.bit_count() != sigma.degree:
         return DecodeResult(())
-    word = y ^ roots
-    # s = 0 iff every syndrome is: s_i = sum_(k>i) G_k S_(k-1-i), or s(z_i)
-    if code.parity_bin.mul_vec(word):
-        return DecodeResult(())
-    return DecodeResult(((word, sigma.degree),))
+    return DecodeResult(((y ^ roots, sigma.degree),))
 
 
 def patterson_decode(code, y):
-    """Unique decoding up to r errors: the key equation's lowest-degree
-    member at tau = r, which is the locator of any codeword within r.
+    """Unique decoding up to r errors: the key equation's kernel at r,
+    whose lowest-degree member is the locator of any codeword within r.
     An empty result means that no codeword is within r."""
-    return _apply_locator(code, y, _key_equation_kernel(code, y, code.r)[0])
+    return _linear_engine(code, y, code.r)
 
 
 def list_decode(code, y, tau):
     """All codewords within distance tau of y: the one decoding entry.
 
-    Up to r, Patterson finds the one candidate (d >= 2r + 1); only
-    tau >= 0 is checked.
+    Every radius is one _linear_engine call; up to r, Patterson's at r,
+    cut to weight <= tau (d >= 2r + 1), with only tau >= 0 checked.
     Beyond r, tau may reach the binary Johnson limit ceil(tau2) - 1, and
     the same key equation lists r+1 and r+2.
 
@@ -193,24 +192,25 @@ def _key_equation_kernel(code, y, tau):
     degree <= tau then have distinct degrees and span the kernel: its
     dimension is tau - r + 1 unless basis[0] has degree <= 2r - tau.
 
-    On the Cauchy table with every s(z_i) != 0, R comes pointwise at G's
-    roots, with g = 1.  Otherwise one EEA on (G, s) to the end gives g,
-    M and, from g = b*s (mod G), 1/s = b/g (mod M).
+    On the Cauchy table R comes pointwise at G's roots z_i, 0 where
+    s(z_i) = 0, and g collects those z_i.  Otherwise one EEA on (G, s)
+    to the end gives g, M and, from g = b*s (mod G), 1/s = b/g (mod M).
     """
     G, field = code.gpoly, code.field
     x, g, M = Poly.x(field), Poly.one(field), G
-    vals = code.roots and _syndromes(code, y)  # the values s(z_i)
-    if vals and all(vals):
-        exp, log = field.exp, field.log
-        R = _interpolate(code, [field.sqrt(exp[-log[v]] ^ z)
+    if code.roots:
+        vals = _syndromes(code, y)  # the values s(z_i)
+        R = _interpolate(code, [field.sqrt(field.inv(v) ^ z) if v else 0
                                 for v, z in zip(vals, code.roots)])
+        if not all(vals):
+            zeros = {z for v, z in zip(vals, code.roots) if not v}
+            g = Poly.from_roots(field, zeros)
+            M = Poly.from_roots(field, set(code.roots) - zeros)
+            R = (g * R) % M
     else:
-        s = syndrome_poly(code, y)
-        (g, b), (_, M) = eea_stop(G, s, -1)
-        M = M.monic()  # G itself when g is constant, for _sqrt_x_mod's memo
+        (g, b), (_, M) = eea_stop(G, syndrome_poly(code, y), -1)
         # g*sqrt(1/s + x) = sqrt(g*b + x*g^2) mod M; s = 0 leaves M = 1
-        R = Poly(field) if s.is_zero() else \
-            poly_sqrt_mod(g * b + x * g.square(), M)
+        R = poly_sqrt_mod(g * b + x * g.square(), G) % M
     # sigma only for the rows whose sigma-degree is at most tau
     sigmas = [a.square() + x * (g * b).square()
               for a, b in eea_stop(M, R, code.r)

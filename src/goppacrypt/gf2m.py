@@ -182,9 +182,6 @@ class Poly:
     def degree(self):
         return len(self.c) - 1 if self.c else NEG_INF
 
-    def is_zero(self):
-        return not self.c
-
     def __getitem__(self, i):
         return self.c[i] if 0 <= i < len(self.c) else 0
 
@@ -371,11 +368,9 @@ def _sqrt_x_mod(G):
 
 
 def poly_sqrt_mod(t, G):
-    """R with R^2 = t (mod G), for square-free G and deg t < deg G.
-
-    Split t = E(x^2) + x*O(x^2); then sqrt(t) = sqrt(E) + sqrt_x * sqrt(O)
-    with coefficient-wise field square roots, reduced mod G.
-    """
+    """R with R^2 = t (mod G), for square-free G and any t: split t mod G
+    as E(x^2) + x*O(x^2); then sqrt(t) = sqrt(E) + sqrt_x * sqrt(O) with
+    coefficient-wise field square roots, reduced mod G."""
     field = t.field
     t = t % G
     even = Poly(field, [field.sqrt(a) for a in t.c[0::2]])

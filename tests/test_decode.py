@@ -7,7 +7,7 @@ import pytest
 import testlib
 from goppacrypt import decode, goppa
 from goppacrypt.gf2m import (
-    Poly, make_field, poly_invmod, random_monic_irreducible,
+    Poly, _sqrt_x_mod, make_field, poly_invmod, random_monic_irreducible,
 )
 from goppacrypt.goppa import CapacityError, build_code, syndrome_poly
 from goppacrypt.decode import (
@@ -21,6 +21,7 @@ from testlib import (
     bit_tuple_key, encode, flip_engine, g2_decode, locator_roots_horner,
     random_goppa_code, sphere_oracle,
 )
+from test_dyadic import make_dyadic
 
 
 def make_code(m, n, r, tag, split=False):
@@ -502,3 +503,95 @@ def test_unique_decoding_builds_no_syndrome_inverses(monkeypatch):
             y = corrupt(rng, c, code.n, w)
             assert _linear_engine(code, y, code.r).candidates == ((c, w),)
             assert patterson_decode(code, y).candidates == ((c, w),)
+
+
+def shared_factor_words(code, rng, count):
+    """count seeded words, 1..r+2 errors from a codeword, whose nonzero
+    syndrome s shares a factor with G: on the Cauchy table, those with
+    some s(z_i) = 0."""
+    words = []
+    while len(words) < count:
+        c = encode(code, rng.randrange(1 << code.k))
+        y = corrupt(rng, c, code.n, rng.randrange(1, code.r + 3))
+        s = syndrome_poly(code, y)
+        if s != Poly(code.field) and poly_invmod(s, code.gpoly) is None:
+            words.append(y)
+    return words
+
+
+def test_every_candidate_is_a_codeword_within_tau():
+    # the key equation proves each candidate a codeword, so the decoder
+    # checks no parity: check it here, on both tables, at r, r+1 and r+2,
+    # on words of weight 0..r+2 from a codeword, random words and words
+    # whose syndrome shares a factor with G
+    codes = [make_code(4, 16, 3, b"inv/irreducible"),
+             make_code(6, 40, 4, b"inv/split", split=True),
+             make_dyadic(5, 16, 2, 16, b"inv/cauchy2")[1],
+             make_dyadic(7, 64, 8, 64, b"inv/cauchy8")[1]]
+    found = Counter()
+    for i, code in enumerate(codes):
+        rng = random.Random(60 + i)
+        n, r = code.n, code.r
+        words = [corrupt(rng, encode(code, rng.randrange(1 << code.k)), n, w)
+                 for w in range(r + 3) for _ in range(4)]
+        words += [rng.randrange(1 << n) for _ in range(20)]
+        if i:  # an irreducible G shares no factor with s != 0
+            words += shared_factor_words(code, rng, 20)
+        for y in words:
+            for tau in (r, r + 1, r + 2):
+                got = linear_decode(code, y, tau).candidates
+                for c, w in got:
+                    assert code.parity_bin.mul_vec(c) == 0
+                    assert (c ^ y).bit_count() == w <= tau
+                found[tau - r] += len(got)
+    assert found[0] and found[1] and found[2], found
+
+
+def test_list_decode_input_guards():
+    # past r, a code with n < 4r + 2 has no real list radius; a word
+    # wider than n is refused on both tables, at r and past it
+    short = make_code(4, 12, 3, b"guard/short")
+    assert short.n < 4 * short.r + 2
+    with pytest.raises(RadiusError, match="too short"):
+        list_decode(short, 0, short.r + 1)
+    assert list_decode(short, 0, short.r).candidates == ((0, 0),)
+    for code in (make_code(5, 32, 4, b"guard/wide"),
+                 make_dyadic(6, 32, 4, 32, b"guard/wide")[1]):
+        for y in (1 << code.n, -1):
+            for tau in (code.r, code.r + 1):
+                with pytest.raises(ValueError, match="does not fit"):
+                    list_decode(code, y, tau)
+
+
+def test_cauchy_words_with_a_zero_match_the_sphere_oracle():
+    # R pointwise with 0 where s(z_i) = 0, g the product of x + z_i over
+    # those roots and M over the rest: brute force is the oracle
+    _, code = make_dyadic(5, 16, 2, 16, b"zero/oracle")
+    assert code.roots
+    rng = random.Random(70)
+    words = shared_factor_words(code, rng, 120)
+    assert all(0 in goppa._syndromes(code, y) for y in words)
+    for y in words:
+        for tau in (code.r, code.r + 1, code.r + 2):
+            assert linear_decode(code, y, tau) == sphere_oracle(code, y, tau)
+
+
+def test_square_roots_are_taken_mod_g_alone():
+    # the square root of x is memoized for G only: one entry for an
+    # alternant code, whatever factor s shares with G, and none for the
+    # Cauchy table, whose square roots are pointwise
+    code = make_code(6, 40, 4, b"memo/split", split=True)
+    rng = random.Random(80)
+    words = [rng.randrange(1 << code.n) for _ in range(400)]
+    shared = sum(poly_invmod(syndrome_poly(code, y), code.gpoly) is None
+                 for y in words)
+    _sqrt_x_mod.cache_clear()
+    for y in words:
+        patterson_decode(code, y)
+    assert shared >= 10 and _sqrt_x_mod.cache_info().currsize == 1
+    _, dyadic = make_dyadic(6, 32, 4, 32, b"memo/cauchy")
+    words = shared_factor_words(dyadic, rng, 40)
+    _sqrt_x_mod.cache_clear()
+    for y in words:
+        list_decode(dyadic, y, dyadic.r)
+    assert _sqrt_x_mod.cache_info().currsize == 0

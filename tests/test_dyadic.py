@@ -540,8 +540,9 @@ def test_patterson_at_roots_matches_alternant_table(name):
         assert list_decode(code, y, r) == list_decode(plain, y, r)
     assert misses >= 40  # every random word is beyond r of the code
     # errors whose syndrome vanishes at some root but not at all: s is
-    # not invertible mod G, the pointwise path does not apply, and
-    # Patterson decodes on both tables as the degree-2r EEA does
+    # not invertible mod G, R stays pointwise with g the product of those
+    # x + z_i, and Patterson decodes on both tables as the degree-2r EEA
+    # does
     hits = 0
     while m <= 10 and hits < 3:
         e = sum(1 << p for p in rng.sample(range(kp.n),

@@ -220,7 +220,7 @@ def test_poly_ops_against_reference():
             assert f.eval_all([x0]) == [naive_eval(f, x0)]
             k = rng.choice((0, 1, rng.randrange(field.order)))
             assert f.scale(k) == Poly(field, [sa_mul(field, k, a) for a in f.c])
-            if not g.is_zero():
+            if g != Poly(field):
                 assert reduce_divmod(f, g) == naive_divmod(f, g)
 
 
@@ -268,11 +268,11 @@ def test_pow_matches_repeated_mul():
 def test_poly_basics():
     field = make_field(4)
     z = Poly(field)
-    assert z.degree is NEG_INF and z.is_zero()
+    assert z.degree is NEG_INF and z.c == ()
     p = Poly(field, (1, 0, 3, 0, 0))
     assert p.degree == 2 and p.c == (1, 0, 3)
     assert Poly(field, (0, 0)).degree is NEG_INF
-    assert (p + p).is_zero()
+    assert p + p == Poly(field)
     assert p[0] == 1 and p[1] == 0 and p[5] == 0
 
 
@@ -282,11 +282,11 @@ def test_divmod_reconstruction():
     for _ in range(200):
         f = Poly(field, [rng.randrange(32) for _ in range(rng.randrange(1, 9))])
         g = Poly(field, [rng.randrange(32) for _ in range(rng.randrange(1, 6))])
-        if g.is_zero():
+        if g == Poly(field):
             continue
         q, r = reduce_divmod(f, g)
         assert q * g + r == f
-        assert r.degree < g.degree or r.is_zero()
+        assert r.degree < g.degree or r == Poly(field)
     with pytest.raises(ZeroDivisionError):
         reduce_divmod(f, Poly(field))
     with pytest.raises(ZeroDivisionError):
@@ -310,10 +310,10 @@ def test_gcd_divides_and_is_monic():
     for _ in range(100):
         f = Poly(field, [rng.randrange(16) for _ in range(rng.randrange(1, 7))])
         g = Poly(field, [rng.randrange(16) for _ in range(rng.randrange(1, 7))])
-        if f.is_zero() and g.is_zero():
+        if f == Poly(field) and g == Poly(field):
             continue
         d = list_gcd(f, g)
-        assert (f % d).is_zero() and (g % d).is_zero()
+        assert f % d == Poly(field) and g % d == Poly(field)
         assert d.c[-1] == 1
 
 
@@ -343,13 +343,13 @@ def test_euclid_matches_poly_forms():
                       rand_poly(r - 1), rand_poly(r - 1, monic=True),
                       rand_poly(r + 2), shared]
                 for T in Ts:
-                    if not T.is_zero():
+                    if T != Poly(field):
                         assert reduce_divmod(G, T) == divmod_poly(G, T)
                         assert G % T == divmod_poly(G, T)[1]
                     assert reduce_divmod(T, G) == divmod_poly(T, G)
                     assert list_gcd(G, T) == poly_gcd_poly(G, T)
                     assert list_gcd(T, G) == poly_gcd_poly(T, G)
-                    if not T.is_zero():
+                    if T != Poly(field):
                         assert is_squarefree(T) == (
                             T.degree == 0
                             or poly_gcd_poly(T, T.deriv()).degree == 0)
@@ -385,7 +385,7 @@ def test_eval_and_deriv():
     g = Poly.from_roots(field, [2, 7])
     roots_at = g.eval_all([2, 7, 1])
     assert roots_at[:2] == [0, 0] and roots_at[2] != 0
-    assert Poly(field, (4,)).deriv().is_zero()
+    assert Poly(field, (4,)).deriv() == Poly(field)
 
 
 def test_square_matches_self_multiplication():
@@ -402,7 +402,7 @@ def test_poly_invmod():
     G = random_monic_irreducible(field, 4, SeededStream(b"invmod"))
     for _ in range(80):
         f = Poly(field, [rng.randrange(16) for _ in range(rng.randrange(1, 4))])
-        if f.is_zero():
+        if f == Poly(field):
             continue
         inv = poly_invmod(f, G)
         assert inv is not None
@@ -436,7 +436,7 @@ def test_eea_stop_contract_and_minimality():
     for trial in range(25):
         G = Poly(field, [rng.randrange(16) for _ in range(4)] + [1])
         T = Poly(field, [rng.randrange(16) for _ in range(rng.randrange(1, 5))])
-        if T.is_zero():
+        if T == Poly(field):
             continue
         for bound in range(-1, 2 * G.degree):
             (a0, b0), (a1, b1) = eea_stop(G, T, bound)
@@ -446,11 +446,11 @@ def test_eea_stop_contract_and_minimality():
             assert b1.degree == G.degree - a0.degree
             # the pair before, of degrees deg a_(k-2) = deg G - deg b_(k-1)
             # and deg a_(k-1), did not stop
-            if not b0.is_zero():
+            if b0 != Poly(field):
                 assert (G.degree - b0.degree) + a0.degree > bound
             if bound == -1:
-                assert a1.is_zero() and a0.monic() == poly_gcd_poly(G, T)
-                assert (G % b1).is_zero()
+                assert a1 == Poly(field) and a0.monic() == poly_gcd_poly(G, T)
+                assert G % b1 == Poly(field)
             # minimality oracle: any smaller multiplier leaves a remainder
             # of degree at least deg a0
             if 0 < b1.degree <= 3 and trial < 6:
@@ -503,7 +503,7 @@ def brute_force_irreducible(G):
                 coeffs.append(v % field.order)
                 v //= field.order
             q = Poly(field, coeffs + [1])
-            if (G % q).is_zero():
+            if G % q == Poly(field):
                 return False
     return True
 

@@ -247,22 +247,24 @@ def test_systematic_rows_are_codewords_on_identity_order(args):
 @pytest.mark.parametrize("args", [("dyadic", 10, 256, 16, "ud"),
                                   ("dyadic", 11, 1024, 32, "ud")])
 def test_cold_dyadic_decrypt_reads_only_the_cauchy_table(args, monkeypatch):
-    # loading a dyadic key does no structure work; a fresh decrypt that
-    # Patterson finishes derives G's roots and reads their Cauchy table,
-    # and builds no alternant table, evaluates nothing at the support and
-    # inverts nothing, not even x, mod G
+    # loading a dyadic key does no structure work; a fresh decrypt derives
+    # G's roots and reads their Cauchy table, and builds no alternant
+    # table, evaluates nothing at the support and inverts nothing, not
+    # even x, mod G: one EEA, on (M, R), per word
     kp = keygen(*args, seed=b"count")
     blob = kp.to_bytes()
     msgs = [b"%d" % i for i in range(6)]
     cts = [encrypt(kp, msg, b"count/%d" % i) for i, msg in enumerate(msgs)]
     # a ciphertext whose syndrome vanishes at some root z_i, where s is
-    # not invertible mod G and the pointwise path does not apply
+    # not invertible mod G
     shared = next(ct for ct in (encrypt(kp, b"fall", b"fall/%d" % i)
                                 for i in range(2000))
                   if 0 in goppa._syndromes(kp.code(), ct.vector))
     calls = count_calls(monkeypatch, (
         (scheme, "build_code"), (goppa, "_bit_slices"),
         (gf2m, "poly_invmod"), (gf2m, "_sqrt_x_mod"),
+        (gf2m, "eea_stop"), (decode, "eea_stop"), (decode, "syndrome_poly"),
+        (decode, "poly_sqrt_mod"),
         (decode, "_key_equation_kernel"), (scheme, "cauchy_code")))
 
     def eval_all(poly, points, real=Poly.eval_all):
@@ -277,14 +279,14 @@ def test_cold_dyadic_decrypt_reads_only_the_cauchy_table(args, monkeypatch):
     # one root solve per key; one key equation and one locator evaluation
     # at the roots per word
     assert calls == {"cauchy_code": len(cts), "_key_equation_kernel":
-                     len(cts), "eval_all": 2 * len(cts)}
-    # the shared-factor ciphertext takes s mod G from the same Cauchy table
-    # and one square root mod M = G/gcd(s, G), whose sqrt(x) inverts once
-    # mod M; it builds no alternant table
+                     len(cts), "eea_stop": len(cts), "eval_all": 2 * len(cts)}
+    # the shared-factor ciphertext takes R pointwise from the same Cauchy
+    # table, g and M = G/g from the roots of G: no s mod G, no square
+    # root mod G or M, and no inverse; one EEA, on (M, R)
     calls.clear()
     assert decrypt(KeyPair.from_bytes(blob), shared) == b"fall"
     assert calls == {"cauchy_code": 1, "_key_equation_kernel": 1,
-                     "_sqrt_x_mod": 1, "poly_invmod": 1, "eval_all": 2}
+                     "eea_stop": 1, "eval_all": 2}
 
 
 def test_generic_ld_decrypt_builds_one_table(monkeypatch):

@@ -499,14 +499,17 @@ def g2_decode(code, y):
 
 
 def g2_from_syndrome(code, y, s2, g2):
-    if s2.is_zero():
+    if s2 == Poly(code.field):
         return DecodeResult(((y, 0),))
     # for a locator of degree w <= r the rows end at degrees 2r - w and
     # < w: the first pair of sum <= 2r - 1
     _, (_, sigma) = eea_stop_poly(g2, s2, 2 * code.r - 1)
     if sigma.degree > code.r:
         return DecodeResult(())
-    return _apply_locator(code, y, sigma)
+    # sigma*s2 = omega (mod G^2) proves no codeword: check the parity
+    return DecodeResult(tuple(
+        (c, w) for c, w in _apply_locator(code, y, sigma).candidates
+        if not mul_vec_bitloop(code.parity_bin, c)))
 
 
 def flip_engine(code, y, tau):
@@ -554,7 +557,7 @@ def patterson_alternant(code, y):
     G = code.gpoly
     x = Poly.x(code.field)
     s = syndrome_poly(code, y)
-    if s.is_zero():
+    if s == Poly(code.field):
         return DecodeResult(((y, 0),))
     T = poly_invmod(s, G)
     if T is None:
@@ -563,7 +566,7 @@ def patterson_alternant(code, y):
         G, poly_sqrt_mod(T + x, G), G.degree)), key=lambda p: p.degree)
     roots = locator_roots_horner(code, sigma)
     if roots.bit_count() != sigma.degree or \
-            not syndrome_poly(code, y ^ roots).is_zero():
+            syndrome_poly(code, y ^ roots) != Poly(code.field):
         return DecodeResult(())
     return DecodeResult(((y ^ roots, sigma.degree),))
 
@@ -744,9 +747,9 @@ def divmod_poly(f, g):
 
 def poly_gcd_poly(f, g):
     """Monic greatest common divisor, Euclid on Poly quotient and remainder."""
-    while not g.is_zero():
+    while g != Poly(g.field):
         f, g = g, divmod_poly(f, g)[1]
-    return f.monic() if not f.is_zero() else f
+    return f.monic() if f != Poly(f.field) else f
 
 
 def eea_stop_poly(G, T, bound):
@@ -787,9 +790,9 @@ def span_echelon(polys):
     per leading degree, with no other member's leading term."""
     rows = {}
     for p in polys:
-        while not p.is_zero() and p.degree in rows:
+        while p != Poly(p.field) and p.degree in rows:
             p = p + rows[p.degree].scale(p.c[-1])
-        if not p.is_zero():
+        if p != Poly(p.field):
             rows[p.degree] = p.monic()
     for d in sorted(rows):  # low pivots first, so none comes back
         for e, q in rows.items():
