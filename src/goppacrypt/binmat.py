@@ -2,8 +2,11 @@
 
 Rows are Python ints, bit j of row i = entry (i, j), so row operations are
 single XORs even at n around 2*10^4.  Matrices are values: operations return
-new matrices and never mutate inputs.
+new matrices and never mutate inputs.  transpose is the one bit transpose,
+and the width of rref's column strips follows the row count.
 """
+
+import struct
 
 
 class BinMatrix:
@@ -53,31 +56,31 @@ class BinMatrix:
                                 for p in range(total - cols, -1, -cols)])
 
 
-# columns per strip of rref, whose table has 2^STRIP entries
-STRIP = 6
-
-
 def rref(M):
     """Reduced row echelon form; returns (R, rank, pivot columns).
 
     The Method of Four Russians (Albrecht, Bard and Hart, ACM TOMS 2010)
-    on strips of STRIP consecutive columns: the strip's pivots, reduced
+    on strips of w consecutive columns: the strip's pivots, reduced
     among themselves, fill a table of all their sums indexed by the
     strip's bits, which clears the strip from every other row with one
     lookup and one XOR.  A column with no pivot is zero in every row
-    past the pivots, and the table ignores its bit.  A table costs
-    2^STRIP XORs and saves a pass over the rows, so the best width grows
-    like log2 of the row count: 6 was the fastest at the 108 rows of a
-    (9, 256, 12) key, and 8 is 20% faster at 550 rows.  The reduced form
-    is unique, so R, rank and pivots are those of Gauss-Jordan.
+    past the pivots, and the table ignores its bit.  A table costs 2^w
+    XORs and saves a pass over the rows, so w = min(8, max(6,
+    rows.bit_length() - 2)) grows like log2 of the row count.  Best of 9
+    in ms at w = 6/7/8 on key tables (2-CPU x86-64, Python 3.11):
+    108 x 256 0.60/0.62/0.65, 160 x 256 1.14/1.16/1.19, 352 x 1024
+    4.84/4.56/4.63, 550 x 1024 9.49/8.78/8.53, 768 x 1024 18.2/16.6/15.2:
+    the rule's w is the fastest at each (within 2% of it in noisier runs).
+    The reduced form is unique, so R, rank and pivots are Gauss-Jordan's.
     """
+    strip = min(8, max(6, M.rows.bit_length() - 2))
     work = list(M.bits)
     pivots = []
     rank = 0
-    for col in range(0, M.cols, STRIP):
+    for col in range(0, M.cols, strip):
         first = rank
         found = []  # (bit, row) of the strip's pivots, reduced among them
-        for c in range(col, min(col + STRIP, M.cols)):
+        for c in range(col, min(col + strip, M.cols)):
             bit = 1 << c
             for i in range(rank, M.rows):
                 v = work[i]
@@ -99,7 +102,7 @@ def rref(M):
         work[first:rank] = [row for _, row in found]
         rows = dict(found)
         table = [0]  # table[s] clears the strip's pivots where s has bits
-        for c in range(col, min(col + STRIP, M.cols)):
+        for c in range(col, min(col + strip, M.cols)):
             row = rows.get(1 << c)
             table += [t ^ row for t in table] if row else table
         mask = len(table) - 1
@@ -110,13 +113,21 @@ def rref(M):
     return BinMatrix(M.rows, M.cols, work), rank, pivots
 
 
-def transpose(M):
-    """M^T, read off the base-2 digit strings of the rows at C speed."""
-    if not (M.rows and M.cols):
-        return BinMatrix(M.cols, M.rows)
-    # last row first, so column j, every cols-th digit from cols-1-j,
-    # reads as an int with bit i = row i
-    cols = M.cols
-    digits = "".join(format(v, "0%db" % cols) for v in reversed(M.bits))
-    return BinMatrix(cols, M.rows, [int(digits[cols - 1 - j::cols], 2)
-                                    for j in range(cols)])
+# byte -> ASCII "0"/"1" of its bit b: translate() turns a byte lane into
+# the base-2 digits of one column
+_DIGITS = tuple(bytes(0x30 | v >> b & 1 for v in range(256))
+                for b in range(8))
+
+
+def transpose(rows, cols):
+    """The cols columns of the matrix with these rows, as a list: bit i
+    of column j is bit j of rows[i], so m-bit values give m bit planes."""
+    if not rows:
+        return [0] * cols
+    # the rows little-endian, last row first, as int(..., 2) reads the
+    # digits; byte b of each row holds columns 8b to 8b + 7
+    size = max(2, cols + 7 >> 3)
+    raw = (struct.pack("<%dH" % len(rows), *reversed(rows)) if size == 2
+           else b"".join(v.to_bytes(size, "little") for v in reversed(rows)))
+    return [int(raw[j >> 3::size].translate(_DIGITS[j & 7]), 2)
+            for j in range(cols)]

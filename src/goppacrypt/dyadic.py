@@ -23,8 +23,8 @@ from functools import reduce
 from operator import xor
 
 from .gf2m import Poly
-from .binmat import BinMatrix
-from .goppa import GoppaCode, CodeConstructionError, _bit_slices
+from .binmat import BinMatrix, transpose
+from .goppa import GoppaCode, CodeConstructionError
 from .prng import SeededStream
 
 
@@ -265,7 +265,7 @@ def cauchy_code(field, support, gpoly):
                                != d for c in range(0, n, r)):
         raise CodeConstructionError("support blocks are not cosets of V")
     exp, log = field.exp, field.log
-    table = _double(_bit_slices([exp[-log[z0 ^ v]] for v in support], m),
+    table = _double(transpose([exp[-log[z0 ^ v]] for v in support], m),
                     n, r)
     return GoppaCode(field, support, gpoly, BinMatrix(len(table), n, table),
                      tuple(z0 ^ v for v in d))

@@ -369,16 +369,13 @@ def _sqrt_x_mod(G):
 
 def poly_sqrt_mod(t, G):
     """R with R^2 = t (mod G), for square-free G and any t: split t mod G
-    as E(x^2) + x*O(x^2); then sqrt(t) = sqrt(E) + sqrt_x * sqrt(O) with
-    coefficient-wise field square roots, reduced mod G."""
+    as E(x^2) + x*O(x^2); then sqrt(t) = sqrt(E) + sqrt_x * sqrt(O), with
+    coefficient-wise field square roots, is exact; see _sqrt_x_mod."""
     field = t.field
     t = t % G
     even = Poly(field, [field.sqrt(a) for a in t.c[0::2]])
     odd = Poly(field, [field.sqrt(a) for a in t.c[1::2]])
-    out = (even + _sqrt_x_mod(G) * odd) % G
-    if out.square() % G != t:
-        raise ArithmeticError("modular square root inconsistency")
-    return out
+    return (even + _sqrt_x_mod(G) * odd) % G
 
 
 def _squarer(G):

@@ -2,19 +2,18 @@
 
 A code Gamma(L, G) over GF(2^m) is the set of binary words c with
 sum_j c_j/(x - L_j) = 0 mod G.  A code object holds the support, G and
-one bit-sliced table, one n-bit int per row, that every decode reads:
-build_code validates (L, G) and builds the alternant table
+one table of bit planes, one n-bit int per row, that every decode reads:
+build_code validates (L, G) and transposes the alternant table
 L_j^t / G(L_j), t < r, and dyadic.cauchy_code the Cauchy table
-1/(z_i + L_j) of G's roots z_i.  Syndromes are parities of its rows
-against y, and syndrome_poly gives s mod G from either, which is all
-that decoding reads.  A code's systematic form (colperm, A) makes
-[I_k | A] a generator on the column order colperm, from one elimination
-of the table (for a dyadic key, signature_to_code's, on a rotated
-support).  Keys store the support in that order: their [I_k | A] has no
-column order.
+1/(z_i + L_j) of G's roots z_i, into bit planes.  Syndromes are parities
+of its rows against y, and syndrome_poly gives s mod G from either, which
+is all that decoding reads.  A code's systematic form (colperm, A) makes
+[I_k | A] a generator on the column order colperm, transposed off one
+elimination of the table (for a dyadic key, signature_to_code's, on a
+rotated support).  Keys store the support in that order: their [I_k | A]
+has no column order.
 """
 
-import struct
 from functools import reduce
 from operator import xor
 
@@ -28,21 +27,6 @@ class CodeConstructionError(ValueError):
 
 class CapacityError(RuntimeError):
     """An exhaustive computation would exceed its tractability guard."""
-
-
-# byte -> ASCII "0"/"1" of its bit b: translate() turns a byte lane into
-# the base-2 digits of one bit slice
-_BIT_DIGITS = tuple(bytes(0x30 | v >> b & 1 for v in range(256))
-                    for b in range(8))
-
-
-def _bit_slices(values, m):
-    """m ints; bit j of the b-th is bit b of values[j]."""
-    # two little-endian bytes per value, the highest position first, as
-    # int(..., 2) reads it; byte lane 0 holds bits 0-7, lane 1 bits 8-15
-    raw = struct.pack("<%dH" % len(values), *reversed(values))
-    return [int(raw[b >> 3::2].translate(_BIT_DIGITS[b & 7]), 2)
-            for b in range(m)]
 
 
 class GoppaCode:
@@ -79,7 +63,7 @@ class GoppaCode:
         if self._systematic is None:
             R, rank, pivots = rref(self.parity_bin)
             free = sorted(set(range(self.n)).difference(pivots))
-            cols = transpose(R).bits
+            cols = transpose(R.bits[:rank], self.n)
             self._systematic = (tuple(free + pivots), BinMatrix(
                 len(free), rank, [cols[c] for c in free]))
         return self._systematic
@@ -117,7 +101,7 @@ def build_code(field, support, gpoly):
     logs = [log[a] for a in support]  # None at a = 0
     row, bits = [field.inv(v) for v in values], []
     for _ in range(r):
-        bits += _bit_slices(row, field.m)
+        bits += transpose(row, field.m)
         row = [0 if la is None else exp[log[v] + la]
                for v, la in zip(row, logs)]
     return GoppaCode(field, support, gpoly, BinMatrix(len(bits), n, bits))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from goppacrypt.binmat import STRIP, BinMatrix, rref, transpose
+from goppacrypt.binmat import BinMatrix, rref, transpose
 from goppacrypt.dyadic import gen_signature
 from goppacrypt.gf2m import make_field
 from goppacrypt.goppa import build_code
@@ -79,21 +79,25 @@ def test_mul_vec_matches_naive():
 def test_transpose():
     rng = random.Random(5)
     for _ in range(30):
-        M = random_matrix(rng, rng.randrange(1, 10), rng.randrange(1, 10))
-        T = transpose(M)
-        assert (T.rows, T.cols) == (M.cols, M.rows)
-        for i in range(M.rows):
-            for j in range(M.cols):
-                assert M.bits[i] >> j & 1 == T.bits[j] >> i & 1
-        assert transpose(T) == M
+        rows, cols = rng.randrange(1, 10), rng.randrange(1, 10)
+        bits = [rng.getrandbits(cols) for _ in range(rows)]
+        T = transpose(bits, cols)
+        assert len(T) == cols
+        for i in range(rows):
+            for j in range(cols):
+                assert bits[i] >> j & 1 == T[j] >> i & 1
+        assert transpose(T, rows) == bits
 
 
 def test_transpose_matches_bit_loop():
-    # empty shapes, single rows and columns, and sparse, dense and wide
-    # matrices, against the set-bit loop
+    # both packings, two bytes a row up to 16 columns and to_bytes past
+    # them, at widths on and off byte boundaries, with 0 and 1 rows and 1
+    # column; sparse, random and dense rows against the set-bit loop, and
+    # back, which packs by the row count
     rng = random.Random(6)
-    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (1, 70), (70, 1), (3, 200),
-              (130, 64)]
+    shapes = [(0, 0), (0, 5), (0, 20), (5, 0), (1, 1), (1, 13), (1, 16),
+              (1, 17), (1, 70), (70, 1), (16, 16), (17, 17), (40, 8),
+              (40, 13), (33, 17), (3, 200), (130, 64), (9, 61)]
     shapes += [(rng.randrange(1, 40), rng.randrange(1, 40))
                for _ in range(40)]
     for rows, cols in shapes:
@@ -102,8 +106,9 @@ def test_transpose_matches_bit_loop():
                     (1 << cols) - 1 if density == 2 else
                     1 << rng.randrange(cols) if cols else 0
                     for _ in range(rows)]
-            M = BinMatrix(rows, cols, bits)
-            assert transpose(M) == transpose_bitloop(M)
+            T = transpose(bits, cols)
+            assert T == transpose_bitloop(bits, cols)
+            assert transpose(T, rows) == bits
 
 
 def test_vstack_and_permute_cols():
@@ -178,8 +183,12 @@ def test_rref_matches_gauss_jordan():
     # the Four-Russians strips give Gauss-Jordan's R, rank and pivots
     rng = random.Random(29)
     cases = [BinMatrix(0, 9), BinMatrix(9, 0), BinMatrix(0, 0)]
-    for rows, cols in ((1, 1), (3, 50), (6, 6), (12, 7), (40, 9), (13, 13),
-                       (25, 90), (90, 25), (7, 2 * STRIP + 1)):
+    # row counts on both sides of each change of the strip width (6 to 7
+    # at 256 rows, 7 to 8 at 512), tall and wide
+    shapes = [(rows, cols) for rows in (1, 63, 64, 255, 256, 511, 512, 1000)
+              for cols in (90, rows + 13)]
+    for rows, cols in [(1, 1), (3, 50), (6, 6), (12, 7), (40, 9), (13, 13),
+                       (25, 90), (90, 25), (7, 13)] + shapes:
         cases.append(random_matrix(rng, rows, cols))
         # rank-deficient: sums of a few base rows, with repeated rows
         base = [rng.getrandbits(cols) for _ in range(max(1, rows // 3))]
@@ -191,15 +200,17 @@ def test_rref_matches_gauss_jordan():
         cases.append(BinMatrix(rows, cols, [  # sparse
             rng.getrandbits(cols) & rng.getrandbits(cols)
             & rng.getrandbits(cols) for _ in range(rows)]))
-    # columns with no pivot inside a strip: 2 is zero and STRIP + 3 is
-    # the sum of STRIP + 1 and 4, so neither is a pivot
-    hole = STRIP + 3
-    M = random_matrix(rng, 20, 30)
-    M = BinMatrix(20, 30, [v & ~(1 << 2 | 1 << hole)
-                           | ((v >> 4 ^ v >> (STRIP + 1)) & 1) << hole
-                           for v in M.bits])
-    assert not {2, hole} & set(rref(M)[2])
-    cases.append(M)
+    # columns with no pivot inside a strip, at each width w the row count
+    # picks (6 up to 255 rows, 7 up to 511, then 8): 2 is zero and w + 3
+    # is the sum of w + 1 and 4, so neither is a pivot
+    for rows, w in ((20, 6), (300, 7), (600, 8)):
+        hole = w + 3
+        M = random_matrix(rng, rows, 30)
+        M = BinMatrix(rows, 30, [v & ~(1 << 2 | 1 << hole)
+                                 | ((v >> 4 ^ v >> (w + 1)) & 1) << hole
+                                 for v in M.bits])
+        assert not {2, hole} & set(rref(M)[2])
+        cases.append(M)
     # the parity checks of a generic key and of a dyadic code's rotated
     # support, as signature_to_code eliminates it
     cases.append(keygen("generic", 9, 256, 12, "ud",

@@ -482,9 +482,22 @@ def test_poly_sqrt_mod_roundtrip():
             R = poly_sqrt_mod(t, G)
             assert R == S % G
             assert R.square() % G == t
+            # any t, past deg G too
+            t = Poly(field, [rng.randrange(field.order)
+                             for _ in range(rng.randrange(1, 2 * r + 2))])
+            assert poly_sqrt_mod(t, G).square() % G == t % G
         assert poly_sqrt_mod(Poly.one(field), G) == Poly.one(field)
         rx = poly_sqrt_mod(Poly.x(field), G)
         assert rx.square() % G == Poly.x(field) % G
+
+
+def test_poly_sqrt_mod_refuses_non_squarefree():
+    # (x + a)^2 (x + b): x has no square root, so neither has t
+    field = make_field(5)
+    G = Poly.from_roots(field, [3, 3, 7])
+    for t in (Poly.x(field), Poly(field, [5, 1, 9])):
+        with pytest.raises(ArithmeticError):
+            poly_sqrt_mod(t, G)
 
 
 # ---------------------------------------------------------------- irreducibility

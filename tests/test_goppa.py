@@ -1,13 +1,16 @@
+import hashlib
 import random
 
 import pytest
 
 from goppacrypt import binmat, goppa
+from goppacrypt.dyadic import cauchy_code
 from goppacrypt.gf2m import Poly, make_field, is_squarefree, random_monic_irreducible
 from goppacrypt.goppa import (
     CodeConstructionError, CapacityError, build_code, syndrome_poly,
 )
 from goppacrypt.prng import SeededStream
+from goppacrypt.scheme import keygen
 from testlib import (
     encode, field_div, field_pow, gen, min_distance_exhaustive,
     parity_bin_loop, poly_eval, random_goppa_code, syndrome_poly_bitloop,
@@ -245,3 +248,34 @@ def test_syndrome_poly_matches_bit_loop(m, n, r):
                   for w in (1, r, 2 * r)]
         for y in words:
             assert syndrome_poly(code, y) == syndrome_poly_bitloop(code, y, g)
+
+
+# SHA-256 of (table rows, colperm, A rows) of a fresh code on a seeded
+# key's support and G, as the transposes and rref before the one
+# transpose built them: m = 8 and 16 fill one and two byte lanes
+TABLE_DIGESTS = {
+    ("generic", 8, 144, 8, "ld"):
+        "35347f2a303434d84094f957e82c9336afb2146fa6dbbc5187ad0388aba12d6c",
+    ("generic", 9, 256, 12, "ud"):
+        "2c91e6ca5a121d0ead9b81f3db881c44f0168d015e5f0a3c257c064e6b1b8bdb",
+    ("generic", 11, 1024, 50, "ud"):
+        "8a4315e3f4f887623dd610330f1df498c6f7eed3aa5f278a30211e1042942647",
+    ("dyadic", 10, 256, 16, "ud"):
+        "a11c4a18335bfece3b11dd73e55b2f610a2b23cc869b792ca9f46c6c22791aee",
+    ("dyadic", 11, 1024, 32, "ud"):
+        "c2a44bc8be467d99b116c155f22cd029c22ac43dda8025d1e62ff7b251cac024",
+    ("dyadic", 16, 256, 4, "ud"):
+        "8da0f401f5ac3a3eae406c99a180dc567b9482a7a5a13d6118198e06961beca3",
+}
+
+
+@pytest.mark.parametrize("args", sorted(TABLE_DIGESTS),
+                         ids=lambda args: "%s-%d-%d-%d" % args[:4])
+def test_tables_and_systematic_forms_keep_their_bits(args):
+    variant, m, n, r, _ = args
+    kp = keygen(*args, seed=b"grid/%d/%d/%d" % (m, n, r))
+    make = build_code if variant == "generic" else cauchy_code
+    code = make(kp.field, kp.support, kp.gpoly)
+    colperm, A = code.systematic
+    blob = repr((code.parity_bin.bits, colperm, A.bits)).encode()
+    assert hashlib.sha256(blob).hexdigest() == TABLE_DIGESTS[args]

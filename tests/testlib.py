@@ -138,9 +138,9 @@ def gen(code):
     by transposes, independently of systematic_encode."""
     # column colperm[i] is e_i, then A's columns
     colperm, A = code.systematic
-    cols = [1 << i for i in range(A.rows)] + list(transpose(A).bits)
+    cols = [1 << i for i in range(A.rows)] + transpose(A.bits, A.cols)
     cols = [v for _, v in sorted(zip(colperm, cols))]
-    return transpose(BinMatrix(code.n, A.rows, cols))
+    return BinMatrix(A.rows, code.n, transpose(cols, A.rows))
 
 
 def identity(n):
@@ -154,15 +154,16 @@ def from_entries(entries):
     return BinMatrix(len(rows), cols, rows)
 
 
-def transpose_bitloop(M):
-    """M^T, one set bit at a time."""
-    cols = [0] * M.cols
-    for i, r in enumerate(M.bits):
+def transpose_bitloop(rows, cols):
+    """The cols columns of the matrix with these rows, one set bit at a
+    time."""
+    out = [0] * cols
+    for i, r in enumerate(rows):
         while r:
             low = r & -r
-            cols[low.bit_length() - 1] |= 1 << i
+            out[low.bit_length() - 1] |= 1 << i
             r ^= low
-    return BinMatrix(M.cols, M.rows, cols)
+    return out
 
 
 def null_space(M):
