@@ -3,7 +3,8 @@
 Rows are Python ints, bit j of row i = entry (i, j), so row operations are
 single XORs even at n around 2*10^4.  Matrices are values: operations return
 new matrices and never mutate inputs.  transpose is the one bit transpose,
-and the width of rref's column strips follows the row count.
+both ways (values to bit planes and back), and the width of rref's
+column strips follows the row count.
 """
 
 import struct
@@ -20,7 +21,7 @@ class BinMatrix:
         mask = (1 << cols) - 1
         self.rows = rows
         self.cols = cols
-        self.bits = tuple(b & mask for b in bits)
+        self.bits = tuple([b & mask for b in bits])
 
     def __eq__(self, other):
         return (isinstance(other, BinMatrix) and self.rows == other.rows
@@ -36,22 +37,36 @@ class BinMatrix:
                                 for row in reversed(self.bits)), 2)
 
     def to_bytes(self):
-        """Row-major contiguous bit stream, LSB first within each byte."""
-        # the rows as base-2 digits, last row first; "0" reads 0 rows as 0
-        spec = "0%db" % self.cols
-        digits = "".join(format(v, spec) for v in reversed(self.bits))
-        return int("0" + digits, 2).to_bytes(
-            (self.rows * self.cols + 7) // 8, "little")
+        """Row-major contiguous bit stream, LSB first within each byte.
+
+        Its digits, last row first, hold column j at cols - 1 - j mod
+        cols.  Rows of at most 16 bits go in column by column, one
+        strided slice each, when there are more than six rows a column,
+        as a column costs about six rows; other rows go one by one."""
+        rows, cols = self.rows, self.cols
+        if 0 < 6 * cols < rows and cols <= 16:
+            spec, digits = "0%db" % rows, bytearray(rows * cols)
+            for j, col in enumerate(transpose(self.bits, cols)):
+                digits[cols - 1 - j::cols] = format(col, spec).encode()
+        else:  # "0" reads 0 digits as 0
+            spec = "0%db" % cols
+            digits = "0" + "".join(format(v, spec) for v in self.bits[::-1])
+        return int(digits, 2).to_bytes((rows * cols + 7) // 8, "little")
 
     @classmethod
     def from_bytes(cls, rows, cols, data):
-        """Inverse of to_bytes; bits past rows*cols are ignored."""
+        """Inverse of to_bytes, on the same two routes; bits past
+        rows*cols are ignored."""
         total = rows * cols
         if not total:
             return cls(rows, cols)
         # exactly total base-2 digits, last row first
         digits = format(int.from_bytes(data, "little") & ((1 << total) - 1),
                         "0%db" % total)
+        if 0 < 6 * cols < rows and cols <= 16:
+            return cls(rows, cols, transpose(
+                [int(digits[cols - 1 - j::cols], 2) for j in range(cols)],
+                rows))
         return cls(rows, cols, [int(digits[p:p + cols], 2)
                                 for p in range(total - cols, -1, -cols)])
 
@@ -113,19 +128,32 @@ def rref(M):
     return BinMatrix(M.rows, M.cols, work), rank, pivots
 
 
-# byte -> ASCII "0"/"1" of its bit b: translate() turns a byte lane into
-# the base-2 digits of one column
+# byte -> ASCII "0"/"1" of its bit b, and ASCII "0"/"1" -> 0 or 1 << b
 _DIGITS = tuple(bytes(0x30 | v >> b & 1 for v in range(256))
                 for b in range(8))
+_BITS = tuple(bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8))
 
 
 def transpose(rows, cols):
     """The cols columns of the matrix with these rows, as a list: bit i
-    of column j is bit j of rows[i], so m-bit values give m bit planes."""
+    of column j is bit j of rows[i], so m-bit values give m bit planes,
+    and m <= 16 planes give the values back: each row's digits become
+    its bit of a byte per column, in two byte lanes.  Past 16 rows, each
+    column is one strided byte lane of the packed rows, read as digits."""
     if not rows:
         return [0] * cols
-    # the rows little-endian, last row first, as int(..., 2) reads the
-    # digits; byte b of each row holds columns 8b to 8b + 7
+    if len(rows) <= 16:  # a row's digits run from column cols - 1 down
+        spec, lanes = "0%db" % cols, [0, 0]
+        for i, v in enumerate(rows):
+            lanes[i >> 3] |= int.from_bytes(
+                format(v, spec).encode().translate(_BITS[i & 7]), "big")
+        if len(rows) <= 8:
+            return list(lanes[0].to_bytes(cols, "little"))
+        pairs = bytearray(2 * cols)
+        pairs[::2], pairs[1::2] = (v.to_bytes(cols, "little") for v in lanes)
+        return list(struct.unpack("<%dH" % cols, pairs))
+    # the rows little-endian, last row first, as int(..., 2) reads
+    # digits; byte b of a row holds columns 8b to 8b + 7
     size = max(2, cols + 7 >> 3)
     raw = (struct.pack("<%dH" % len(rows), *reversed(rows)) if size == 2
            else b"".join(v.to_bytes(size, "little") for v in reversed(rows)))

@@ -9,13 +9,15 @@ list_decode is the one entry for every radius; none past r + 2.
 
 Syndromes and error-locator roots both come from the code's one
 bit-sliced table, the alternant table of G or the Cauchy table of G's
-roots, where the square root comes pointwise for every word.  The roots
-of a locator of degree <= r over the whole support are one n-bit mask
-of table row XORs.
+roots, where the square root comes pointwise for every word.  A
+polynomial's values over the support, divided by G, come off the table
+as bit planes of row XORs: their OR finds a locator's roots, and the
+list engine's basis values are transposed back, plus the quotient by G.
 """
 
 from collections import Counter, namedtuple
 
+from .binmat import transpose
 from .gf2m import Poly, _reduce, eea_stop, poly_sqrt_mod
 from .goppa import CapacityError, _interpolate, _syndromes, syndrome_poly
 from .security import radii
@@ -46,28 +48,30 @@ _BIT_POSITIONS = tuple(tuple(b for b in range(8) if v >> b & 1)
                        for v in range(256))
 
 
-def _locator_roots(code, sigma):
-    """Support positions where sigma vanishes, as an n-bit mask.
+def _divmod(p, G):
+    """(p // G, p mod G as a list), from _reduce's quotient terms."""
+    exp, Q, terms = G.field.exp, [0] * (len(p.c) - len(G.c) + 1), []
+    rho = _reduce(list(p.c), G.c, exp, G.field.log, terms)
+    for d, lq in terms:
+        Q[d] = exp[lq]
+    return Poly(G.field, Q), rho
 
-    Needs deg sigma <= r.  Then sigma = q*G + rho with a constant q, and
-    sigma(L_j)/G(L_j) = q + sum_i c_i T[i][j], c_i = rho_i on the
-    alternant table; on the Cauchy table, times G' = G_1, it is
-    G_1 q + sum_i rho(z_i)/(z_i + L_j).  Output bit slices XOR the rows
-    picked by the bits of c_i * alpha^beta; L_j is a root iff all are 0.
+
+def _table_planes(code, p):
+    """(Q, planes) for p = Q*G + rho, planes the m bit planes of
+    sum_i c_i T_i over the table: c_i = rho_i on the alternant table, so
+    that Q(L_j) + the values of planes are (p/G)(L_j); on the Cauchy
+    table c_i = rho(z_i) and Q comes times G_1, for G_1 (p/G)(L_j), as
+    G' = G_1.  A plane XORs the rows picked by bits of c_i * alpha^beta.
     """
     field, G = code.field, code.gpoly
     exp, log = field.exp, field.log
-    quotient = []
-    rho = _reduce(list(sigma.c), G.c, exp, log, quotient)
-    if any(i for i, _ in quotient):
-        raise ValueError("locator degree exceeds the degree of G")
-    q = exp[quotient[0][1]] if quotient else 0
+    Q, rho = _divmod(p, G)
     m, table = field.m, code.parity_bin.bits
     if code.roots:
-        q = field.mul(q, G.c[1])
+        Q = Q.scale(G.c[1])
         rho = Poly(field, rho).eval_all(code.roots)
-    full = (1 << code.n) - 1
-    out = [full if q >> g & 1 else 0 for g in range(m)]
+    planes = [0] * m
     unit = [log[1 << beta] for beta in range(m)]
     for i, c in enumerate(rho):
         if c:
@@ -75,13 +79,23 @@ def _locator_roots(code, sigma):
             for row, lu in zip(table[i * m:(i + 1) * m], unit):
                 v = exp[lc + lu]  # c * alpha^beta
                 for g in _BIT_POSITIONS[v & 255]:
-                    out[g] ^= row
+                    planes[g] ^= row
                 if v > 255:
                     for g in _BIT_POSITIONS[v >> 8]:
-                        out[g + 8] ^= row
-    nonroots = 0
-    for sl in out:
-        nonroots |= sl
+                        planes[g + 8] ^= row
+    return Q, planes
+
+
+def _locator_roots(code, sigma):
+    """Support positions where sigma vanishes, as an n-bit mask: for
+    deg sigma <= r, Q is a constant q, and L_j is a root iff each plane
+    holds q's bit at j."""
+    Q, planes = _table_planes(code, sigma)
+    if Q.degree > 0:
+        raise ValueError("locator degree exceeds the degree of G")
+    full, nonroots = (1 << code.n) - 1, 0
+    for g, plane in enumerate(planes):
+        nonroots |= plane ^ full if Q[0] >> g & 1 else plane
     return full ^ nonroots
 
 
@@ -161,7 +175,10 @@ def _linear_engine(code, y, tau):
         return _sorted_result(code.n, found.items())
     if len(basis) != tau - r + 1:
         raise CapacityError("key equation kernel dimension %d" % len(basis))
-    vals = [b.eval_all(code.support) for b in basis]
+    # p/G, times G_1 on the Cauchy table, has p's ratios and zeros
+    vals = [[v ^ w for v, w in zip(transpose(planes, code.n),
+                                   Q.eval_all(code.support))]
+            for Q, planes in (_table_planes(code, b) for b in basis)]
     pencils = ([(basis[0], basis[1], _ratios(field, *vals))] if len(vals) == 2
                else _anchored_pencils(field, basis, vals, code.n - r))
     for p, q, keys in pencils:
@@ -205,7 +222,7 @@ def _key_equation_kernel(code, y, tau):
         if not all(vals):
             zeros = {z for v, z in zip(vals, code.roots) if not v}
             g = Poly.from_roots(field, zeros)
-            M = Poly.from_roots(field, set(code.roots) - zeros)
+            M = _divmod(G, g)[0]
             R = (g * R) % M
     else:
         (g, b), (_, M) = eea_stop(G, syndrome_poly(code, y), -1)

@@ -196,10 +196,21 @@ def expand_pubkey(blob):
     """Inverse of compact_pubkey: returns (m, r, A) with A the k x mr part.
 
     Row i of a dyadic block has bit j of row 0 at position j xor i, so
-    each block doubles from row 0, its m signatures side by side, with
-    one masked shift per row for all planes (_double).  m outside 2..16
-    or m*r >= 2^16 is refused before any allocation: no support of at
-    most 2^16 points leaves room for that parity part.
+    the blocks double from their rows 0, m signatures side by side, with
+    one masked shift per row for all planes (_double), then regroup.
+    """
+    m, r, rows = _compact_rows(blob)
+    blocks = len(rows)  # row i of block b comes out at i * blocks + b
+    rows = _double(rows, m * r, r)
+    rows = [v for b in range(blocks) for v in rows[b::blocks]]
+    return m, r, BinMatrix(len(rows), m * r, rows)
+
+
+def _compact_rows(blob):
+    """(m, r, the blocks' rows 0): every check of expand_pubkey, which
+    cannot fail past them.  m outside 2..16 or m*r >= 2^16 is refused
+    before any allocation: no support of at most 2^16 points leaves room
+    for that parity part.
     """
     if len(blob) < 9 or blob[:5] != b"QDGK\x01":
         raise ValueError("not a compact dyadic key")
@@ -211,15 +222,13 @@ def expand_pubkey(blob):
     body = blob[9:]
     if len(body) != int.from_bytes(blob[7:9], "big") * m * span:
         raise ValueError("truncated compact key")
-    sigs = [int.from_bytes(body[pos:pos + span], "little")
-            for pos in range(0, len(body), span)]
-    if any(sig >> r for sig in sigs):
+    if r >= 8:  # the signatures fill their bytes: a block is one int
+        return m, r, [int.from_bytes(body[p:p + m * span], "little")
+                      for p in range(0, len(body), m * span)]
+    if any(sig >> r for sig in body):  # one byte per signature
         raise ValueError("signature bits beyond r")
-    rows = []
-    for pos in range(0, len(sigs), m):
-        row = sum(sig << t * r for t, sig in enumerate(sigs[pos:pos + m]))
-        rows += _double([row], m * r, r)
-    return m, r, BinMatrix(len(rows), m * r, rows)
+    return m, r, [sum(sig << t * r for t, sig in enumerate(body[p:p + m]))
+                  for p in range(0, len(body), m)]
 
 
 def _double(rows, width, r):

@@ -58,14 +58,15 @@ class GoppaCode:
 
         colperm is the free columns, then the pivots, of the RREF R of
         parity_bin, and row i of A is R's i-th free column, read on the
-        pivots.
+        pivots: the transpose starts at the first free column.
         """
         if self._systematic is None:
             R, rank, pivots = rref(self.parity_bin)
             free = sorted(set(range(self.n)).difference(pivots))
-            cols = transpose(R.bits[:rank], self.n)
+            f0 = free[0] if free else self.n
+            cols = transpose([v >> f0 for v in R.bits[:rank]], self.n - f0)
             self._systematic = (tuple(free + pivots), BinMatrix(
-                len(free), rank, [cols[c] for c in free]))
+                len(free), rank, [cols[c - f0] for c in free]))
         return self._systematic
 
     @property

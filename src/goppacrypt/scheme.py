@@ -12,7 +12,8 @@ keygen derives child streams "goppa" then "support" (generic) or
 "sig/<t>" then "blocks/<t>" per attempt t (dyadic); encrypt derives
 "err" for the error positions.  A generic key keeps its support in the
 column order of the parity check's elimination, so that [I_k | A] is a
-generator on the support's own order, as it is for dyadic codes.
+generator on the support's own order, as it is for dyadic codes.  A
+loaded key expands its public part on first read; decrypt never does.
 """
 
 import binascii
@@ -24,7 +25,7 @@ from .goppa import CodeConstructionError, build_code, systematic_encode
 from .decode import LD_REACH, list_decode
 from .dyadic import (
     gen_signature, signature_to_code,
-    compact_pubkey, expand_pubkey, cauchy_code,
+    compact_pubkey, expand_pubkey, _compact_rows, cauchy_code,
 )
 from .security import check_countermeasures, encryption_weight
 from .prng import SeededStream
@@ -106,8 +107,10 @@ class KeyPair:
 
     public is the k x (n-k) redundancy matrix A of the systematic
     generator [I_k | A] for both variants, on the support's own order;
-    a dyadic key file stores it compactly.  Private decoding state is
-    the support and the Goppa polynomial.
+    a dyadic key file stores it compactly.  A loaded key parses (dyadic:
+    expands) its checked bytes of A on the first read of public, which
+    encrypt makes and decrypt never does.  Private decoding state is the
+    support and the Goppa polynomial.
     """
 
     def __init__(self, variant, decoder, field, support, gpoly, public):
@@ -117,7 +120,8 @@ class KeyPair:
         self.m = field.m
         self.support = tuple(support)
         self.gpoly = gpoly
-        self.public = public
+        self._public = public
+        self._encoded = None  # a loaded key's checked bytes of A
         self.n = len(self.support)
         self.r = gpoly.degree
         self.k, self.w_enc = validate_params(variant, self.m, self.n,
@@ -131,6 +135,15 @@ class KeyPair:
             build = cauchy_code if self.variant == "dyadic" else build_code
             self._code = build(self.field, self.support, self.gpoly)
         return self._code
+
+    @property
+    def public(self):
+        if self._public is None:  # a loaded key's, on first read
+            self._public = (
+                expand_pubkey(self._encoded)[2] if self.variant == "dyadic"
+                else BinMatrix.from_bytes(self.k, self.n - self.k,
+                                          self._encoded))
+        return self._public
 
     def capacity(self):
         """Largest payload encrypt() accepts, in bytes."""
@@ -148,8 +161,9 @@ class KeyPair:
         out += BinMatrix(self.n, self.m, self.support).to_bytes()
         coeffs = list(self.gpoly.c) + [0] * (self.r + 1 - len(self.gpoly.c))
         out += BinMatrix(self.r + 1, self.m, coeffs).to_bytes()
-        out += compact_pubkey(self.m, self.r, self.public) \
-            if self.variant == "dyadic" else self.public.to_bytes()
+        # a loaded dyadic key's checked bytes are compact_pubkey's
+        out += self.public.to_bytes() if self.variant == "generic" else (
+            self._encoded or compact_pubkey(self.m, self.r, self.public))
         return bytes(out)
 
     @classmethod
@@ -189,10 +203,10 @@ class KeyPair:
             head = body[5], 1 << body[6], body[7] << 8 | body[8]
             if head != (m, r, k // r):  # before anything is expanded
                 raise ValueError("compact key does not match the key header")
-            public = expand_pubkey(body)[2]  # validates structure
-        else:
-            public = BinMatrix.from_bytes(k, n - k, body)
-        return cls(variant, decoder, field, support, gpoly, public)
+            _compact_rows(body)  # every check expand_pubkey makes
+        kp = cls(variant, decoder, field, support, gpoly, None)
+        kp._encoded = body
+        return kp
 
     def save(self, path):
         with open(path, "wb") as fh:

@@ -111,6 +111,23 @@ def test_transpose_matches_bit_loop():
             assert transpose(T, rows) == bits
 
 
+def test_transpose_planes_back_to_values():
+    # up to 16 rows, the rows' digits go into one byte lane (8 rows or
+    # fewer) or two: 1 to 17 planes of 1 to 1025 points, on and off byte
+    # boundaries, against the set-bit loop and back
+    rng = random.Random(9)
+    for rows in range(1, 18):
+        for cols in (1, 7, 8, 13, 64, 250, 1025):
+            bits = [rng.getrandbits(cols) for _ in range(rows)]
+            T = transpose(bits, cols)
+            assert T == transpose_bitloop(bits, cols)
+            assert transpose(T, rows) == bits
+            assert all(0 <= v < 1 << rows for v in T)
+    for rows in (1, 8, 9, 16):  # the top bit of each lane, alone
+        bits = [0] * (rows - 1) + [(1 << 40) - 1]
+        assert transpose(bits, 40) == [1 << rows - 1] * 40
+
+
 def test_vstack_and_permute_cols():
     A = from_entries([[1, 0, 1]])
     B = from_entries([[0, 1, 1], [1, 1, 0]])
@@ -150,6 +167,10 @@ def test_bytes_match_shift_loop():
                for _ in range(40)]
     shapes += [(rng.randrange(100, 400), rng.choice((16, 61, 256)))
                for _ in range(4)]
+    # rows of at most 16 bits go column by column, wider ones row by
+    # row: a key's support and G, and a generic A
+    shapes += [(rows, cols) for rows in (1, 16, 17, 256, 1024)
+               for cols in (1, 8, 10, 11, 16, 17, 80)]
     for rows, cols in shapes:
         M = random_matrix(rng, rows, cols)
         blob = M.to_bytes()

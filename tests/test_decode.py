@@ -6,6 +6,7 @@ import pytest
 
 import testlib
 from goppacrypt import decode, goppa
+from goppacrypt.binmat import BinMatrix
 from goppacrypt.gf2m import (
     Poly, _sqrt_x_mod, make_field, poly_invmod, random_monic_irreducible,
 )
@@ -595,3 +596,66 @@ def test_square_roots_are_taken_mod_g_alone():
     for y in words:
         list_decode(dyadic, y, dyadic.r)
     assert _sqrt_x_mod.cache_info().currsize == 0
+
+
+def test_m_is_g_divided_by_the_vanishing_roots(monkeypatch):
+    # seeded words with 1..3 zeros s(z_i) = 0 on the Cauchy table, each
+    # drawn from the null space of those roots' table rows: M = G/g by
+    # exact division is the product of x + z_i over the other roots
+    _, code = make_dyadic(6, 32, 4, 32, b"zero/divide")
+    field, G, m = code.field, code.gpoly, code.field.m
+    rng = random.Random(71)
+    seen = []
+
+    def spy(p, d, real=decode._divmod):
+        out = real(p, d)
+        if p == G:
+            seen.append((d, out))
+        return out
+    monkeypatch.setattr(decode, "_divmod", spy)
+    for size in (1, 2, 3):
+        for _ in range(4):
+            zero_at = sorted(rng.sample(range(code.r), size))
+            rows = [v for i in zero_at
+                    for v in code.parity_bin.bits[i * m:(i + 1) * m]]
+            basis = testlib.null_space(BinMatrix(len(rows), code.n, rows))
+            y = 0
+            while [i for i, v in enumerate(goppa._syndromes(code, y))
+                   if not v] != zero_at:
+                y = 0
+                for v in basis.bits:
+                    y ^= v if rng.getrandbits(1) else 0
+            seen.clear()
+            for tau in (code.r, code.r + 1):
+                list_decode(code, y, tau)
+            zeros = {code.roots[i] for i in zero_at}
+            assert len(seen) == 2
+            for g, (M, rest) in seen:
+                assert g == Poly.from_roots(field, zeros) and rest == []
+                assert M == Poly.from_roots(field, set(code.roots) - zeros)
+
+
+def test_ld_evaluates_only_the_quotient_on_the_support(monkeypatch):
+    # the basis values come off the code's table: on either table, the
+    # only polynomials evaluated at the support are the quotients Q of
+    # p = Q*G + rho, of degree <= tau - r, one per basis member
+    codes = [make_code(6, 64, 3, b"quot/alternant"),
+             make_dyadic(7, 64, 8, 64, b"quot/cauchy")[1]]
+    degrees = Counter()
+
+    def eval_all(poly, points, real=Poly.eval_all):
+        if len(points) == len(code.support):
+            degrees[poly.degree] += 1
+        return real(poly, points)
+    monkeypatch.setattr(Poly, "eval_all", eval_all)
+    for code in codes:
+        rng = random.Random(code.n + code.r)
+        for w in (code.r + 1, code.r + 2):
+            c = encode(code, rng.randrange(1 << code.k))
+            y = corrupt(rng, c, code.n, w)
+            for tau in (code.r + 1, code.r + 2):
+                degrees.clear()
+                got = _linear_engine(code, y, tau).candidates
+                assert ((c, w) in got) == (w <= tau)
+                assert sum(degrees.values()) == tau - code.r + 1
+                assert max(degrees) <= tau - code.r

@@ -9,8 +9,9 @@ Every case must end in a result or a documented exception: ValueError
 (CodeConstructionError and RadiusError among them), DecryptionError or
 CapacityError.  The CLI must exit 0 or 1 and print no traceback.  A key
 that loads must encrypt at the weight its decoder defines, so that no
-patched header can make encrypt add fewer errors.  The case count is
-fixed and each case is timed.
+patched header can make encrypt add fewer errors, and its public part,
+parsed on first read, must parse.  The case count is fixed and each case
+is timed.
 """
 
 import random
@@ -109,6 +110,9 @@ def check_key(blob, ct):
     except DOCUMENTED:
         return
     assert kp.w_enc == encryption_weight(kp.n, kp.r, kp.decoder)
+    # from_bytes makes every check, so the parse of A it defers to the
+    # first read of public cannot fail
+    assert (kp.public.rows, kp.public.cols) == (kp.k, kp.n - kp.k)
     try:
         assert encrypt(kp, b"", b"fuzz").weight == kp.w_enc
     except DOCUMENTED:

@@ -289,6 +289,32 @@ def test_cold_dyadic_decrypt_reads_only_the_cauchy_table(args, monkeypatch):
                      "eea_stop": 1, "eval_all": 2}
 
 
+@pytest.mark.parametrize("args", [("dyadic", 10, 256, 16, "ld"),
+                                  ("generic", 8, 144, 8, "ld")])
+def test_ld_decrypt_evaluates_only_quotients_on_the_support(args,
+                                                            monkeypatch):
+    # an LD decrypt reads its basis values off the code's table: past the
+    # code's construction, the only polynomials it evaluates at the
+    # support are the quotients by G of the basis members, of degree
+    # <= w_enc - r, one per member
+    kp = keygen(*args, seed=b"quotients")
+    assert kp.w_enc == kp.r + 1
+    cts = [encrypt(kp, b"%d" % i, b"quotients/%d" % i) for i in range(4)]
+    loaded = KeyPair.from_bytes(kp.to_bytes())
+    loaded.code()
+    degrees = Counter()
+
+    def eval_all(poly, points, real=Poly.eval_all):
+        if len(points) == kp.n:
+            degrees[poly.degree] += 1
+        return real(poly, points)
+    monkeypatch.setattr(Poly, "eval_all", eval_all)
+    for i, ct in enumerate(cts):
+        assert decrypt(loaded, ct) == b"%d" % i
+    assert sum(degrees.values()) == 2 * len(cts)
+    assert max(degrees) <= kp.w_enc - kp.r
+
+
 def test_generic_ld_decrypt_builds_one_table(monkeypatch):
     # the list decoders read G's alternant table, which build_code makes
     # once per key object, one transpose per row; no table of G^2
@@ -302,6 +328,59 @@ def test_generic_ld_decrypt_builds_one_table(monkeypatch):
     for i, ct in enumerate(cts):
         assert decrypt(loaded, ct) == b"%d" % i
     assert calls == {"build_code": 1, "transpose": kp.r}
+
+
+@pytest.mark.parametrize("args", [("dyadic", 10, 256, 16, "ud"),
+                                  ("dyadic", 10, 256, 16, "ld"),
+                                  ("generic", 9, 256, 12, "ud"),
+                                  ("generic", 8, 144, 8, "ld")])
+def test_public_part_is_read_once_and_never_by_decrypt(args, monkeypatch):
+    # a loaded key keeps its checked bytes of A: decrypt never expands a
+    # compact key or parses a generic A, and encrypt does it once per
+    # key object; to_bytes gives back the file, before and after
+    kp = keygen(*args, seed=b"lazy")
+    blob = kp.to_bytes()
+    cts = [encrypt(kp, b"%d" % i, b"lazy/%d" % i) for i in range(3)]
+    calls = count_calls(monkeypatch, ((scheme, "expand_pubkey"),))
+
+    def from_bytes(cls, rows, cols, data, real=BinMatrix.from_bytes):
+        calls["A parse" if (rows, cols) == (kp.k, kp.n - kp.k)
+              else "from_bytes"] += 1
+        return real(rows, cols, data)
+    monkeypatch.setattr(BinMatrix, "from_bytes", classmethod(from_bytes))
+    loaded = [KeyPair.from_bytes(blob) for _ in range(2)]
+    assert calls == {"from_bytes": 4}  # the support and G of each
+    calls.clear()
+    for key in loaded:
+        for i, ct in enumerate(cts):
+            assert decrypt(key, ct) == b"%d" % i
+    assert not calls
+    for j, key in enumerate(loaded):
+        if j:  # a generic to_bytes writes A from the parsed matrix
+            assert key.to_bytes() == blob
+        for i in range(3):
+            seed = b"x%d" % i
+            assert encrypt(key, b"x", seed) == encrypt(kp, b"x", seed)
+        assert key.public == kp.public and key.to_bytes() == blob
+    once = "expand_pubkey" if kp.variant == "dyadic" else "A parse"
+    assert calls == {once: len(loaded)}
+
+
+def test_signature_bits_beyond_r_fail_at_load(monkeypatch):
+    # the m = 16, r = 4 golden key packs each 4-bit signature in a byte:
+    # a bit beyond r fails at from_bytes, with expand_pubkey's message,
+    # and no compact key is expanded
+    kp = keygen(*GOLDEN["dyadic-m16"][0], seed=b"golden/dyadic-m16")
+    blob = kp.to_bytes()
+    monkeypatch.setattr(scheme, "expand_pubkey", lambda blob: pytest.fail(
+        "compact key expanded"))
+    start = _public_offset(kp) + 9
+    for pos, bit in ((start, 4), (start + 37, 5), (len(blob) - 1, 7)):
+        bad = bytearray(blob)
+        bad[pos] |= 1 << bit
+        with pytest.raises(ValueError, match="^signature bits beyond r$"):
+            KeyPair.from_bytes(bytes(bad))
+    assert KeyPair.from_bytes(blob).to_bytes() == blob
 
 
 def test_keygen_key_decrypts_on_the_code_keygen_built(monkeypatch):
