@@ -12,11 +12,13 @@ keygen derives child streams "goppa" then "support" (generic) or
 "sig/<t>" then "blocks/<t>" per attempt t (dyadic); encrypt derives
 "err" for the error positions.  A generic key keeps its support in the
 column order of the parity check's elimination, so that [I_k | A] is a
-generator on the support's own order, as it is for dyadic codes.  A
-loaded key expands its public part on first read; decrypt never does.
+generator on the support's own order, as it is for dyadic codes.  Every
+save writes a key's one stored encoding of its public part; a loaded key
+expands it on first read, and decrypt never does.
 """
 
 import binascii
+import struct
 from collections import namedtuple
 
 from .gf2m import Field, Poly, make_field, random_monic_irreducible
@@ -32,6 +34,8 @@ from .prng import SeededStream
 
 TAG_BITS = 36  # 4-bit length descriptor + 32-bit CRC
 FORMAT_VERSION = 2  # GPPA key files
+# magic, version, variant, decoder, m, then n, k, r, w_enc and the modulus
+_HEADER = struct.Struct(">4s4B5I")
 KEYGEN_ATTEMPTS = 64
 
 
@@ -102,15 +106,29 @@ def _dyadic_pool_size(m, n):
     return 1 << nu
 
 
-class KeyPair:
+class _File:
+    """save and load for a type with to_bytes and from_bytes."""
+    __slots__ = ()
+
+    def save(self, path):
+        with open(path, "wb") as fh:
+            fh.write(self.to_bytes())
+
+    @classmethod
+    def load(cls, path):
+        with open(path, "rb") as fh:
+            return cls.from_bytes(fh.read())
+
+
+class KeyPair(_File):
     """Key material for one code; immutable after generation.
 
     public is the k x (n-k) redundancy matrix A of the systematic
-    generator [I_k | A] for both variants, on the support's own order;
-    a dyadic key file stores it compactly.  A loaded key parses (dyadic:
-    expands) its checked bytes of A on the first read of public, which
-    encrypt makes and decrypt never does.  Private decoding state is the
-    support and the Goppa polynomial.
+    generator [I_k | A] on the support's own order.  to_bytes writes one
+    stored encoding of A (dyadic: compact), set at load or by keygen's
+    key's first to_bytes; a loaded key parses it on the first read of
+    public, which encrypt makes and decrypt never does.  Private
+    decoding state is the support and the Goppa polynomial.
     """
 
     def __init__(self, variant, decoder, field, support, gpoly, public):
@@ -120,12 +138,15 @@ class KeyPair:
         self.m = field.m
         self.support = tuple(support)
         self.gpoly = gpoly
-        self._public = public
-        self._encoded = None  # a loaded key's checked bytes of A
         self.n = len(self.support)
         self.r = gpoly.degree
         self.k, self.w_enc = validate_params(variant, self.m, self.n,
                                              self.r, decoder)
+        if public is not None and (public.rows, public.cols) != (
+                self.k, self.n - self.k):
+            raise ValueError("public part is not k x (n - k)")
+        self._public = public
+        self._encoded = None  # the one stored encoding of A
         self._code = None
 
     def code(self):
@@ -150,51 +171,45 @@ class KeyPair:
         return (self.k - TAG_BITS - 1) // 8
 
     def to_bytes(self):
-        out = bytearray(b"GPPA")
-        out.append(FORMAT_VERSION)
-        out.append(0 if self.variant == "generic" else 1)
-        out.append(0 if self.decoder == "ud" else 1)
-        out.append(self.m)
-        for v in (self.n, self.k, self.r, self.w_enc):
-            out += v.to_bytes(4, "big")
-        out += self.field.modulus.to_bytes(4, "big")
-        out += BinMatrix(self.n, self.m, self.support).to_bytes()
-        coeffs = list(self.gpoly.c) + [0] * (self.r + 1 - len(self.gpoly.c))
-        out += BinMatrix(self.r + 1, self.m, coeffs).to_bytes()
-        # a loaded dyadic key's checked bytes are compact_pubkey's
-        out += self.public.to_bytes() if self.variant == "generic" else (
-            self._encoded or compact_pubkey(self.m, self.r, self.public))
-        return bytes(out)
+        if self._encoded is None:  # keygen's key, on its first save
+            self._encoded = (
+                compact_pubkey(self.m, self.r, self._public)
+                if self.variant == "dyadic" else self._public.to_bytes())
+        return b"".join((
+            _HEADER.pack(b"GPPA", FORMAT_VERSION, self.variant == "dyadic",
+                         self.decoder == "ld", self.m, self.n, self.k,
+                         self.r, self.w_enc, self.field.modulus),
+            BinMatrix(self.n, self.m, self.support).to_bytes(),
+            BinMatrix(self.r + 1, self.m, self.gpoly.c).to_bytes(),
+            self._encoded))
 
     @classmethod
     def from_bytes(cls, blob):
-        if len(blob) < 28:
+        if len(blob) < _HEADER.size:
             raise ValueError("truncated key file")
-        if blob[:4] != b"GPPA":
+        (magic, version, variant, decoder, m, n, k, r, w_enc,
+         modulus) = _HEADER.unpack_from(blob)
+        if magic != b"GPPA":
             raise ValueError("not a key file")
-        if blob[4] != FORMAT_VERSION:
+        if version != FORMAT_VERSION:
             raise ValueError("unsupported key file version %d (this reads "
-                             "version %d)" % (blob[4], FORMAT_VERSION))
-        if blob[5] > 1 or blob[6] > 1:
+                             "version %d)" % (version, FORMAT_VERSION))
+        if variant > 1 or decoder > 1:
             raise ValueError("unknown variant or decoder in key file")
-        variant = ("generic", "dyadic")[blob[5]]
-        decoder = ("ud", "ld")[blob[6]]
-        m = blob[7]
-        n, k, r, w_enc = (int.from_bytes(blob[8 + 4 * i:12 + 4 * i], "big")
-                          for i in range(4))
-        modulus = int.from_bytes(blob[24:28], "big")
+        variant = ("generic", "dyadic")[variant]
+        decoder = ("ud", "ld")[decoder]
         #  the header sizes everything below: keygen's gate first
         if (k, w_enc) != validate_params(variant, m, n, r, decoder):
             raise ValueError("k or encryption weight in the key header "
                              "differs from what its parameters give")
         span = (9 + k // r * m * ((r + 7) // 8) if variant == "dyadic"
                 else (k * (n - k) + 7) // 8)
-        mid = 28 + (n * m + 7) // 8
+        mid = _HEADER.size + (n * m + 7) // 8
         pos = mid + ((r + 1) * m + 7) // 8
         if len(blob) != pos + span:
             raise ValueError("key file length does not match its header")
         field = Field(m, modulus)
-        support = BinMatrix.from_bytes(n, m, blob[28:mid]).bits
+        support = BinMatrix.from_bytes(n, m, blob[_HEADER.size:mid]).bits
         gpoly = Poly(field, BinMatrix.from_bytes(r + 1, m, blob[mid:pos]).bits)
         if gpoly.degree != r:
             raise ValueError("Goppa polynomial degree differs from r")
@@ -204,21 +219,14 @@ class KeyPair:
             if head != (m, r, k // r):  # before anything is expanded
                 raise ValueError("compact key does not match the key header")
             _compact_rows(body)  # every check expand_pubkey makes
+        elif k * (n - k) % 8:  # a re-save writes A's padding bits as 0
+            body = body[:-1] + bytes([body[-1] & (1 << k * (n - k) % 8) - 1])
         kp = cls(variant, decoder, field, support, gpoly, None)
         kp._encoded = body
         return kp
 
-    def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
 
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
-
-
-class Cryptogram(namedtuple("Cryptogram", "n weight vector")):
+class Cryptogram(namedtuple("Cryptogram", "n weight vector"), _File):
     __slots__ = ()
 
     def to_bytes(self):
@@ -238,15 +246,6 @@ class Cryptogram(namedtuple("Cryptogram", "n weight vector")):
         if vector >> n:
             raise ValueError("vector bits beyond n")
         return cls(n, weight, vector)
-
-    def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
 
 
 def keygen(variant, m, n, r, decoder, seed):

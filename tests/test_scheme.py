@@ -335,13 +335,15 @@ def test_generic_ld_decrypt_builds_one_table(monkeypatch):
                                   ("generic", 9, 256, 12, "ud"),
                                   ("generic", 8, 144, 8, "ld")])
 def test_public_part_is_read_once_and_never_by_decrypt(args, monkeypatch):
-    # a loaded key keeps its checked bytes of A: decrypt never expands a
-    # compact key or parses a generic A, and encrypt does it once per
-    # key object; to_bytes gives back the file, before and after
+    # a loaded key keeps its checked bytes of A: decrypt and to_bytes
+    # never expand a compact key, compact one or parse a generic A, and
+    # encrypt does it once per key object; to_bytes gives back the file,
+    # before and after
     kp = keygen(*args, seed=b"lazy")
     blob = kp.to_bytes()
     cts = [encrypt(kp, b"%d" % i, b"lazy/%d" % i) for i in range(3)]
-    calls = count_calls(monkeypatch, ((scheme, "expand_pubkey"),))
+    calls = count_calls(monkeypatch, ((scheme, "expand_pubkey"),
+                                      (scheme, "compact_pubkey")))
 
     def from_bytes(cls, rows, cols, data, real=BinMatrix.from_bytes):
         calls["A parse" if (rows, cols) == (kp.k, kp.n - kp.k)
@@ -354,10 +356,9 @@ def test_public_part_is_read_once_and_never_by_decrypt(args, monkeypatch):
     for key in loaded:
         for i, ct in enumerate(cts):
             assert decrypt(key, ct) == b"%d" % i
+        assert key.to_bytes() == blob
     assert not calls
-    for j, key in enumerate(loaded):
-        if j:  # a generic to_bytes writes A from the parsed matrix
-            assert key.to_bytes() == blob
+    for key in loaded:
         for i in range(3):
             seed = b"x%d" % i
             assert encrypt(key, b"x", seed) == encrypt(kp, b"x", seed)
@@ -544,6 +545,42 @@ def test_serialize_roundtrip():
             Cryptogram.from_bytes(ct_blob[:-1])
         with pytest.raises(ValueError):
             Cryptogram.from_bytes(b"YYYY" + ct_blob[4:])
+
+
+@pytest.mark.parametrize("args", [("generic", 8, 144, 8, "ld"),
+                                  ("dyadic", 10, 256, 16, "ud")])
+def test_key_objects_refuse_a_public_part_of_the_wrong_shape(args):
+    # an A of k - 1 or k - r rows, or one column short, would save a file
+    # whose length from_bytes refuses; the key object refuses it first
+    kp = keygen(*args, seed=b"shape")
+    A = kp.public
+    for bad in (BinMatrix(A.rows - 1, A.cols, A.bits[1:]),
+                BinMatrix(A.rows - kp.r, A.cols, A.bits[kp.r:]),
+                BinMatrix(A.rows, A.cols - 1, A.bits)):
+        with pytest.raises(ValueError, match="^public part is not k x"):
+            KeyPair(kp.variant, kp.decoder, kp.field, kp.support, kp.gpoly,
+                    bad)
+    again = KeyPair(kp.variant, kp.decoder, kp.field, kp.support, kp.gpoly, A)
+    assert KeyPair.from_bytes(again.to_bytes()).to_bytes() == kp.to_bytes()
+
+
+@pytest.mark.parametrize("args", [("generic", 7, 100, 5, "ud"),
+                                  ("generic", 9, 256, 12, "ud")])
+def test_resaved_key_writes_its_padding_bits_as_zero(args):
+    # every section's bits past its end set: the support, G and A load
+    # as before, and a re-save gives keygen's bytes
+    kp = keygen(*args, seed=b"pad")
+    blob = kp.to_bytes()
+    bad, start, padded = bytearray(blob), 28, 0
+    for bits in (kp.n * kp.m, (kp.r + 1) * kp.m, kp.k * (kp.n - kp.k)):
+        if bits % 8:
+            bad[start + bits // 8] |= 0xff << bits % 8 & 0xff
+            padded += 1
+        start += (bits + 7) // 8
+    assert start == len(blob) and padded and bytes(bad) != blob
+    loaded = KeyPair.from_bytes(bytes(bad))
+    assert loaded.to_bytes() == blob
+    assert loaded.public == kp.public
 
 
 def test_cryptogram_is_a_value():
