@@ -11,8 +11,8 @@ Syndromes and error-locator roots both come from the code's one
 bit-sliced table, the alternant table of G or the Cauchy table of G's
 roots, where the square root comes pointwise for every word.  A
 polynomial's values over the support, divided by G, come off the table
-as bit planes of row XORs: their OR finds a locator's roots, and the
-list engine's basis values are transposed back, plus the quotient by G.
+as bit planes of row XORs, one set per kernel member for both its roots
+(their OR) and its values (transposed back, plus the quotient by G).
 """
 
 from collections import Counter, namedtuple
@@ -86,29 +86,26 @@ def _table_planes(code, p):
     return Q, planes
 
 
-def _locator_roots(code, sigma):
-    """Support positions where sigma vanishes, as an n-bit mask: for
-    deg sigma <= r, Q is a constant q, and L_j is a root iff each plane
-    holds q's bit at j."""
-    Q, planes = _table_planes(code, sigma)
+def _locator_roots(n, Q, planes):
+    """Support positions where sigma vanishes, as an n-bit mask, from its
+    (Q, planes) off _table_planes: for deg sigma <= r, Q is a constant q,
+    and L_j is a root iff each plane holds q's bit at j."""
     if Q.degree > 0:
         raise ValueError("locator degree exceeds the degree of G")
-    full, nonroots = (1 << code.n) - 1, 0
+    full, nonroots = (1 << n) - 1, 0
     for g, plane in enumerate(planes):
         nonroots |= plane ^ full if Q[0] >> g & 1 else plane
     return full ^ nonroots
 
 
-def _apply_locator(code, y, sigma, roots=None):
-    """Flip the roots of sigma, a kernel member, in y (a mask, if the
-    caller holds it); empty unless it has deg sigma of them.  Then
+def _apply_locator(y, sigma, roots):
+    """Flip roots, the mask of sigma's roots for sigma a kernel member,
+    in y; no (word, weight) pair unless it has deg sigma of them.  Then
     sigma'/sigma = sum 1/(x + L_j) over them is s_e, e the word with ones
     there, and sigma*s = sigma' with sigma a unit mod G (G(L_j) != 0)
     gives s = s_e: y + e is a codeword."""
-    roots = _locator_roots(code, sigma) if roots is None else roots
-    if roots.bit_count() != sigma.degree:
-        return DecodeResult(())
-    return DecodeResult(((y ^ roots, sigma.degree),))
+    d = sigma.degree
+    return ((y ^ roots, d),) if roots.bit_count() == d else ()
 
 
 def patterson_decode(code, y):
@@ -161,26 +158,27 @@ def _linear_engine(code, y, tau):
     sigma = u^2*P: the lowest-degree member, basis[0], is the locator of
     the codeword within r if there is one.  A codeword within 2r - tau is
     the only one (the minimum distance is at least 2r + 1).  The kernel
-    has dimension tau - r + 1 unless basis[0] has degree <= 2r - tau
-    (see _key_equation_kernel); any other dimension past that shortcut
-    raises CapacityError.  The roots of p + lambda*q share
-    lambda = p/q, so a histogram of that ratio finds every member of a
-    pencil with more than r roots: the points whose ratio is lambda or
-    undefined.
+    has dimension tau - r + 1 unless basis[0] has degree <= 2r - tau (see
+    _key_equation_kernel); any other dimension past that shortcut raises
+    CapacityError.  One set of table planes per member serves both its
+    roots and its values.  The roots of p + lambda*q share lambda = p/q,
+    so a histogram of that ratio finds every member of a pencil with more
+    than r roots: the points whose ratio is lambda or undefined.
     """
-    r, field = code.r, code.field
+    r, field, n, L = code.r, code.field, code.n, code.support
     basis = _key_equation_kernel(code, y, tau)
-    found = dict(_apply_locator(code, y, basis[0]).candidates)
+    tables = [_table_planes(code, basis[0])]
+    found = dict(_apply_locator(y, basis[0], _locator_roots(n, *tables[0])))
     if tau <= r or any(d <= 2 * r - tau for d in found.values()):
-        return _sorted_result(code.n, found.items())
+        return _sorted_result(n, found.items())
     if len(basis) != tau - r + 1:
         raise CapacityError("key equation kernel dimension %d" % len(basis))
     # p/G, times G_1 on the Cauchy table, has p's ratios and zeros
-    vals = [[v ^ w for v, w in zip(transpose(planes, code.n),
-                                   Q.eval_all(code.support))]
-            for Q, planes in (_table_planes(code, b) for b in basis)]
+    tables += (_table_planes(code, b) for b in basis[1:])
+    vals = [[v ^ w for v, w in zip(transpose(planes, n), Q.eval_all(L))]
+            for Q, planes in tables]
     pencils = ([(basis[0], basis[1], _ratios(field, *vals))] if len(vals) == 2
-               else _anchored_pencils(field, basis, vals, code.n - r))
+               else _anchored_pencils(field, basis, vals, n - r))
     for p, q, keys in pencils:
         counts = Counter(keys)
         common = counts.pop(None, 0)  # roots of every member
@@ -188,8 +186,8 @@ def _linear_engine(code, y, tau):
             sigma = q if lam == field.order else p + q.scale(lam)
             roots = sum(1 << j for j, k in enumerate(keys)
                         if k == lam or k is None)
-            found.update(_apply_locator(code, y, sigma, roots).candidates)
-    return _sorted_result(code.n, found.items())
+            found.update(_apply_locator(y, sigma, roots))
+    return _sorted_result(n, found.items())
 
 
 def _key_equation_kernel(code, y, tau):

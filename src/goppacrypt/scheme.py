@@ -160,6 +160,8 @@ class KeyPair(_File):
     @property
     def public(self):
         if self._public is None:  # a loaded key's, on first read
+            if self._encoded is None:
+                raise ValueError("key holds no public part")
             self._public = (
                 expand_pubkey(self._encoded)[2] if self.variant == "dyadic"
                 else BinMatrix.from_bytes(self.k, self.n - self.k,
@@ -173,8 +175,8 @@ class KeyPair(_File):
     def to_bytes(self):
         if self._encoded is None:  # keygen's key, on its first save
             self._encoded = (
-                compact_pubkey(self.m, self.r, self._public)
-                if self.variant == "dyadic" else self._public.to_bytes())
+                compact_pubkey(self.m, self.r, self.public)
+                if self.variant == "dyadic" else self.public.to_bytes())
         return b"".join((
             _HEADER.pack(b"GPPA", FORMAT_VERSION, self.variant == "dyadic",
                          self.decoder == "ld", self.m, self.n, self.k,
@@ -291,8 +293,7 @@ def _dyadic_code(field, n, r, seed):
 
 def _wrap(msg, k):
     data_bits = k - TAG_BITS
-    data = int.from_bytes(msg, "little") | 1 << (8 * len(msg))
-    block = data
+    block = int.from_bytes(msg, "little") | 1 << (8 * len(msg))
     block |= (len(msg) % 16) << data_bits
     block |= binascii.crc32(msg) << (data_bits + 4)
     return block

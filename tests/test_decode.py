@@ -13,7 +13,7 @@ from goppacrypt.gf2m import (
 from goppacrypt.goppa import CapacityError, build_code, syndrome_poly
 from goppacrypt.decode import (
     RadiusError, patterson_decode, list_decode, _linear_engine,
-    _locator_roots,
+    _locator_roots, _table_planes,
 )
 from goppacrypt.prng import SeededStream
 from goppacrypt.scheme import keygen
@@ -23,6 +23,8 @@ from testlib import (
     random_goppa_code, sphere_oracle,
 )
 from test_dyadic import make_dyadic
+from test_golden import GOLDEN
+from test_scheme import count_calls
 
 
 def make_code(m, n, r, tag, split=False):
@@ -474,20 +476,38 @@ def test_locator_roots_match_horner_scan(m, n, r):
     rng = random.Random(m * 100 + r)
     code = random_goppa_code(m, n, r, rng)
     field = code.field
-    zero = Poly(field)
-    assert _locator_roots(code, zero) == (1 << n) - 1
+
+    def roots(sigma):
+        return _locator_roots(n, *_table_planes(code, sigma))
+    assert roots(Poly(field)) == (1 << n) - 1
     for d in range(r + 1):
         for _ in range(6):
-            roots = rng.sample(code.support, rng.randrange(d + 1))
+            planted = rng.sample(code.support, rng.randrange(d + 1))
             rest = Poly(field, [rng.randrange(field.order)
-                                for _ in range(d - len(roots))]
+                                for _ in range(d - len(planted))]
                         + [rng.randrange(1, field.order)])
-            sigma = Poly.from_roots(field, roots) * rest
+            sigma = Poly.from_roots(field, planted) * rest
             assert sigma.degree == d
-            assert _locator_roots(code, sigma) == \
-                locator_roots_horner(code, sigma)
+            assert roots(sigma) == locator_roots_horner(code, sigma)
     with pytest.raises(ValueError):
-        _locator_roots(code, code.gpoly * Poly.x(field))
+        roots(code.gpoly * Poly.x(field))
+
+
+def test_one_table_planes_call_per_kernel_member(monkeypatch):
+    # basis[0]'s planes give both its roots and its values: an r + 1
+    # word of the dyadic-ld key past the shortcut builds the planes of
+    # its two kernel members once each, and a UD word those of one
+    kp = keygen(*GOLDEN["dyadic-ld"][0], seed=b"golden/dyadic-ld")
+    code, stream = kp.code(), SeededStream(b"planes")
+    calls = count_calls(monkeypatch, ((decode, "_table_planes"),))
+    for w in (code.r + 1, code.r):
+        c = encode(code, stream.randbelow(1 << code.k))
+        y = c
+        for p in stream.sample_distinct(code.n, w):
+            y ^= 1 << p
+        calls.clear()
+        assert list_decode(code, y, w).candidates == ((c, w),)
+        assert calls == {"_table_planes": 1 + (w > code.r)}
 
 
 def test_unique_decoding_builds_no_syndrome_inverses(monkeypatch):

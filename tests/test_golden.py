@@ -1,7 +1,8 @@
 """Golden SHA-256 digests of fixed-seed artifacts.
 
-Key files, ciphertexts, the `table 1` CSV and a fixed set of `search`
-CSVs must stay byte-identical across refactors and speedups.  A change
+Key files, ciphertexts, the `table 1` CSV, a fixed set of `search` CSVs
+and list_decode's output over a fixed grid of codes, radii and error
+weights must stay byte-identical across refactors and speedups.  A change
 that has to alter these bytes must bump the file-format version and
 replace the digests on purpose: the key digests below are those of
 KEY_FORMAT_VERSION files, and every golden key must carry that version.
@@ -13,7 +14,13 @@ import itertools
 import pytest
 
 from goppacrypt.cli import main
+from goppacrypt.decode import list_decode
+from goppacrypt.gf2m import Poly, make_field, random_monic_irreducible
+from goppacrypt.goppa import build_code
+from goppacrypt.prng import SeededStream
 from goppacrypt.scheme import Cryptogram, KeyPair, decrypt, encrypt, keygen
+from goppacrypt.security import radii
+from testlib import encode
 
 MESSAGE = b"gold"
 
@@ -53,6 +60,12 @@ SEARCHES = list(zip(range(80, 257, 16), itertools.product(
     ("generic", "dyadic"), ("ud", "ld"), ("none", "cm1", "cm2"))))
 SEARCH_CSV = "b215f3230fee543efc30e1929881eb61176d29fb2222464c56a29f168d2eeb9b"
 
+# list_decode at tau in {0, r//2, r, r+1, r+2} of four words per error
+# weight in {0, 1, r-1, r, r+1, r+2, the Johnson radius} on each code
+# of decode_grid_codes(), each exception by its type and message
+LIST_DECODE = (
+    "54f5e96bb6aa262867ca36c47fdda5f8533bac6b0a7fafa1a89a3733b462280a")
+
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -83,3 +96,44 @@ def test_search_csv_digest(capsys):
         assert main(["search", str(target), "--variant", variant,
                      "--decoder", decoder, "--countermeasure", cm]) == 0
     assert sha256(capsys.readouterr().out.encode()) == SEARCH_CSV
+
+
+def decode_grid_codes():
+    """The golden keys' codes, then two build_code codes where r + 2 is
+    within the Johnson radius: (7, 128, 14) with an irreducible G, and
+    (7, 112, 12) with a split G whose roots miss the support."""
+    codes = [(name, keygen(*GOLDEN[name][0],
+                           seed=b"golden/" + name.encode()).code())
+             for name in sorted(GOLDEN)]
+    field = make_field(7)
+    stream = SeededStream(b"golden-ld/generic")
+    g = random_monic_irreducible(field, 14, stream)
+    codes.append(("generic", build_code(
+        field, stream.sample_distinct(field.order, 128), g)))
+    stream = SeededStream(b"golden-ld/split")
+    g = Poly.from_roots(field, stream.sample_distinct(field.order, 12))
+    pool = [a for a, v in enumerate(g.eval_all(range(field.order))) if v]
+    codes.append(("split", build_code(
+        field, [pool[i] for i in stream.sample_distinct(len(pool), 112)], g)))
+    return codes
+
+
+def test_list_decode_digest():
+    digest = hashlib.sha256()
+    for name, code in decode_grid_codes():
+        r = code.r
+        stream = SeededStream(b"golden-ld/words/" + name.encode())
+        weights = {0, 1, r - 1, r, r + 1, r + 2, radii(code.n, r).ld_errors}
+        for w in sorted(weights):
+            for _ in range(4):
+                y = encode(code, stream.randbelow(1 << code.k))
+                for p in stream.sample_distinct(code.n, w):
+                    y ^= 1 << p
+                for tau in (0, r // 2, r, r + 1, r + 2):
+                    try:
+                        out = repr(list_decode(code, y, tau).candidates)
+                    except (ValueError, RuntimeError) as exc:
+                        out = "%s: %s" % (type(exc).__name__, exc)
+                    digest.update(b"%s %d %d %s\n" % (
+                        name.encode(), w, tau, out.encode()))
+    assert digest.hexdigest() == LIST_DECODE

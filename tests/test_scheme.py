@@ -367,6 +367,22 @@ def test_public_part_is_read_once_and_never_by_decrypt(args, monkeypatch):
     assert calls == {once: len(loaded)}
 
 
+@pytest.mark.parametrize("args", [("dyadic", 10, 256, 16, "ud"),
+                                  ("generic", 8, 144, 8, "ld")])
+def test_key_without_public_part_refuses_its_public_uses(args):
+    # a KeyPair built with public=None holds neither A nor a stored
+    # encoding of it: reading public, saving and encrypting raise
+    # ValueError, and decrypt, which never reads A, still works
+    kp = keygen(*args, seed=b"bare")
+    bare = KeyPair(kp.variant, kp.decoder, kp.field, kp.support, kp.gpoly,
+                   None)
+    for use in (lambda: bare.public, bare.to_bytes,
+                lambda: encrypt(bare, b"x", b"bare/x")):
+        with pytest.raises(ValueError, match="no public part"):
+            use()
+    assert decrypt(bare, encrypt(kp, b"bare", b"bare/ct")) == b"bare"
+
+
 def test_signature_bits_beyond_r_fail_at_load(monkeypatch):
     # the m = 16, r = 4 golden key packs each 4-bit signature in a byte:
     # a bit beyond r fails at from_bytes, with expand_pubkey's message,

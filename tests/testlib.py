@@ -39,7 +39,10 @@ import math
 
 from goppacrypt import cli
 from goppacrypt.binmat import BinMatrix, rref, transpose
-from goppacrypt.decode import DecodeResult, _apply_locator, _sorted_result
+from goppacrypt.decode import (
+    DecodeResult, _apply_locator, _locator_roots, _sorted_result,
+    _table_planes,
+)
 from goppacrypt.dyadic import DyadicSignature, SignatureExhaustionError
 from goppacrypt.goppa import (
     CapacityError, CodeConstructionError, GoppaCode, build_code,
@@ -508,8 +511,9 @@ def g2_from_syndrome(code, y, s2, g2):
     if sigma.degree > code.r:
         return DecodeResult(())
     # sigma*s2 = omega (mod G^2) proves no codeword: check the parity
+    roots = _locator_roots(code.n, *_table_planes(code, sigma))
     return DecodeResult(tuple(
-        (c, w) for c, w in _apply_locator(code, y, sigma).candidates
+        (c, w) for c, w in _apply_locator(y, sigma, roots)
         if not mul_vec_bitloop(code.parity_bin, c)))
 
 
