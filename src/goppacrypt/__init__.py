@@ -1,8 +1,8 @@
 """Binary Goppa code toolkit.
 
 Field and polynomial arithmetic over GF(2^m), Goppa code construction,
-Patterson and list decoding, quasi-dyadic compact keys, McEliece style
-encryption, and keysize/security estimation utilities.
+one decoding entry for unique and list decoding, quasi-dyadic compact
+keys, McEliece style encryption, and keysize/security estimation utilities.
 
 Submodules load on first use: goppacrypt.X looks X up in the module
 that defines it on each access, so a command that needs only the
@@ -18,8 +18,7 @@ _EXPORTS = {
     "binmat": ("BinMatrix",),
     "goppa": ("GoppaCode", "build_code", "syndrome_poly",
               "CodeConstructionError", "CapacityError"),
-    "decode": ("DecodeResult", "RadiusError", "patterson_decode",
-               "list_decode"),
+    "decode": ("DecodeResult", "RadiusError", "list_decode"),
     "dyadic": ("DyadicSignature", "SignatureExhaustionError",
                "gen_signature", "signature_to_code",
                "compact_pubkey", "expand_pubkey"),

@@ -108,20 +108,14 @@ def _apply_locator(y, sigma, roots):
     return ((y ^ roots, d),) if roots.bit_count() == d else ()
 
 
-def patterson_decode(code, y):
-    """Unique decoding up to r errors: the key equation's kernel at r,
-    whose lowest-degree member is the locator of any codeword within r.
-    An empty result means that no codeword is within r."""
-    return _linear_engine(code, y, code.r)
-
-
 def list_decode(code, y, tau):
     """All codewords within distance tau of y: the one decoding entry.
 
-    Every radius is one _linear_engine call; up to r, Patterson's at r,
-    cut to weight <= tau (d >= 2r + 1), with only tau >= 0 checked.
-    Beyond r, tau may reach the binary Johnson limit ceil(tau2) - 1, and
-    the same key equation lists r+1 and r+2.
+    Every radius is one _linear_engine call at max(tau, r), cut to weight
+    <= tau; unique decoding is list_decode(code, y, code.r), and below r
+    only tau >= 0 is checked (d >= 2r + 1).  Beyond r, tau may reach the
+    binary Johnson limit ceil(tau2) - 1, and the same key equation lists
+    r+1 and r+2.
 
     Past r + 2 there is no engine, and CapacityError comes before any
     work.  Bivariate interpolation does not fill the gap on any code with
@@ -130,19 +124,18 @@ def list_decode(code, y, tau):
     """
     if tau < 0:
         raise RadiusError("radius %d is negative" % tau)
-    if tau <= code.r:
-        res = patterson_decode(code, y)
-        return DecodeResult(tuple(p for p in res.candidates if p[1] <= tau))
-    try:
-        limit = radii(code.n, code.r).ld_errors
-    except ValueError:
-        raise RadiusError("code too short for a real-valued list radius")
-    if tau > limit:
-        raise RadiusError("radius %d outside [0, %d]" % (tau, limit))
-    if tau > code.r + LD_REACH:
-        raise CapacityError("no decoder reaches radius tau = r + %d"
-                            % (tau - code.r))
-    return _linear_engine(code, y, tau)
+    if tau > code.r:
+        try:
+            limit = radii(code.n, code.r).ld_errors
+        except ValueError:
+            raise RadiusError("code too short for a real-valued list radius")
+        if tau > limit:
+            raise RadiusError("radius %d outside [0, %d]" % (tau, limit))
+        if tau > code.r + LD_REACH:
+            raise CapacityError("no decoder reaches radius tau = r + %d"
+                                % (tau - code.r))
+    res = _linear_engine(code, y, max(tau, code.r))
+    return DecodeResult(tuple(p for p in res.candidates if p[1] <= tau))
 
 
 def _linear_engine(code, y, tau):

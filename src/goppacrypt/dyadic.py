@@ -18,6 +18,7 @@ doubles a code's Cauchy parity check from its support and G alone, the
 one table that keygen eliminates and decrypt reads.
 """
 
+import struct
 from collections import namedtuple
 from functools import reduce
 from operator import xor
@@ -26,6 +27,8 @@ from .gf2m import Poly
 from .binmat import BinMatrix, transpose
 from .goppa import GoppaCode, CodeConstructionError
 from .prng import SeededStream
+
+_COMPACT_HEADER = struct.Struct(">4s3BH")  # magic, version, m, log2 r, k/r
 
 
 class SignatureExhaustionError(RuntimeError):
@@ -177,11 +180,8 @@ def compact_pubkey(m, r, A):
     """
     if r < 1 or r & (r - 1) or A.cols != m * r or A.rows % r:
         raise ValueError("matrix shape does not admit a compact key")
-    out = bytearray(b"QDGK")
-    out.append(1)
-    out.append(m)
-    out.append(r.bit_length() - 1)
-    out += (A.rows // r).to_bytes(2, "big")
+    out = bytearray(_COMPACT_HEADER.pack(b"QDGK", 1, m, r.bit_length() - 1,
+                                         A.rows // r))
     span = (r + 7) // 8
     mask = (1 << r) - 1
     for base in A.bits[::r]:
@@ -212,15 +212,17 @@ def _compact_rows(blob):
     before any allocation: no support of at most 2^16 points leaves room
     for that parity part.
     """
-    if len(blob) < 9 or blob[:5] != b"QDGK\x01":
+    if len(blob) < _COMPACT_HEADER.size:
         raise ValueError("not a compact dyadic key")
-    m = blob[5]
-    if not 2 <= m <= 16 or m << blob[6] >= 1 << 16:
+    magic, version, m, log_r, blocks = _COMPACT_HEADER.unpack_from(blob)
+    if (magic, version) != (b"QDGK", 1):
+        raise ValueError("not a compact dyadic key")
+    if not 2 <= m <= 16 or m << log_r >= 1 << 16:
         raise ValueError("compact key dimensions out of range")
-    r = 1 << blob[6]
+    r = 1 << log_r
     span = (r + 7) // 8
-    body = blob[9:]
-    if len(body) != int.from_bytes(blob[7:9], "big") * m * span:
+    body = blob[_COMPACT_HEADER.size:]
+    if len(body) != blocks * m * span:
         raise ValueError("truncated compact key")
     if r >= 8:  # the signatures fill their bytes: a block is one int
         return m, r, [int.from_bytes(body[p:p + m * span], "little")

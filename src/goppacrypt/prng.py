@@ -37,8 +37,6 @@ class SeededStream:
         """Uniform integer in [0, bound) by masked rejection sampling."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        if bound == 1:
-            return 0
         nbits = (bound - 1).bit_length()
         nbytes = (nbits + 7) // 8
         mask = (1 << nbits) - 1

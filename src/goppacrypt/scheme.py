@@ -26,8 +26,8 @@ from .binmat import BinMatrix
 from .goppa import CodeConstructionError, build_code, systematic_encode
 from .decode import LD_REACH, list_decode
 from .dyadic import (
-    gen_signature, signature_to_code,
-    compact_pubkey, expand_pubkey, _compact_rows, cauchy_code,
+    gen_signature, signature_to_code, cauchy_code,
+    compact_pubkey, expand_pubkey, _compact_rows, _COMPACT_HEADER,
 )
 from .security import check_countermeasures, encryption_weight
 from .prng import SeededStream
@@ -204,8 +204,8 @@ class KeyPair(_File):
         if (k, w_enc) != validate_params(variant, m, n, r, decoder):
             raise ValueError("k or encryption weight in the key header "
                              "differs from what its parameters give")
-        span = (9 + k // r * m * ((r + 7) // 8) if variant == "dyadic"
-                else (k * (n - k) + 7) // 8)
+        span = (_COMPACT_HEADER.size + k // r * m * ((r + 7) // 8)
+                if variant == "dyadic" else (k * (n - k) + 7) // 8)
         mid = _HEADER.size + (n * m + 7) // 8
         pos = mid + ((r + 1) * m + 7) // 8
         if len(blob) != pos + span:
@@ -217,8 +217,8 @@ class KeyPair(_File):
             raise ValueError("Goppa polynomial degree differs from r")
         body = blob[pos:]
         if variant == "dyadic":
-            head = body[5], 1 << body[6], body[7] << 8 | body[8]
-            if head != (m, r, k // r):  # before anything is expanded
+            _, _, *head = _COMPACT_HEADER.unpack_from(body)  # m, log2 r, k/r
+            if head != [m, r.bit_length() - 1, k // r]:  # before expanding
                 raise ValueError("compact key does not match the key header")
             _compact_rows(body)  # every check expand_pubkey makes
         elif k * (n - k) % 8:  # a re-save writes A's padding bits as 0

@@ -11,7 +11,7 @@ import random
 from collections import Counter
 
 from goppacrypt.cli import main, search_params
-from goppacrypt.decode import list_decode, patterson_decode
+from goppacrypt.decode import list_decode
 from goppacrypt.dyadic import (
     compact_pubkey, expand_pubkey, gen_signature, signature_to_code,
 )
@@ -144,7 +144,7 @@ def test_criterion_07_patterson_roundtrip():
             noisy = word
             for j in rng.sample(range(n), r):
                 noisy ^= 1 << j
-            assert patterson_decode(code, noisy).candidates == ((word, r),)
+            assert list_decode(code, noisy, code.r).candidates == ((word, r),)
             done += 1
     assert done == 1000
     report(7, "Patterson roundtrip",
@@ -179,7 +179,7 @@ def test_criterion_09_beyond_unique_witness():
     for i in range(5):
         ct = encrypt(kp, b"Z", b"accept/w%d" % i)
         assert ct.weight == 7
-        if not patterson_decode(kp.code(), ct.vector).candidates:
+        if not list_decode(kp.code(), ct.vector, kp.r).candidates:
             unique_failures += 1
         assert decrypt(kp, ct) == b"Z"
     assert unique_failures >= 1

@@ -12,7 +12,7 @@ from goppacrypt.gf2m import (
 )
 from goppacrypt.goppa import CapacityError, build_code, syndrome_poly
 from goppacrypt.decode import (
-    RadiusError, patterson_decode, list_decode, _linear_engine,
+    RadiusError, list_decode, _linear_engine,
     _locator_roots, _table_planes,
 )
 from goppacrypt.prng import SeededStream
@@ -23,7 +23,7 @@ from testlib import (
     random_goppa_code, sphere_oracle,
 )
 from test_dyadic import make_dyadic
-from test_golden import GOLDEN
+from test_golden import GOLDEN, decode_grid_codes
 from test_scheme import count_calls
 
 
@@ -54,7 +54,7 @@ def test_patterson_roundtrip_weight_r():
     for _ in range(100):
         c = encode(code, rng.randrange(1 << code.k))
         y = corrupt(rng, c, code.n, code.r)
-        res = patterson_decode(code, y)
+        res = list_decode(code, y, code.r)
         assert res.candidates == ((c, code.r),)
 
 
@@ -65,7 +65,7 @@ def test_patterson_all_weights_and_no_errors():
         for _ in range(10):
             c = encode(code, rng.randrange(1 << code.k))
             y = corrupt(rng, c, code.n, w)
-            res = patterson_decode(code, y)
+            res = list_decode(code, y, code.r)
             assert res.candidates == ((c, w),)  # locator degree equals wt(e)
 
 
@@ -80,7 +80,7 @@ def test_patterson_failure_beyond_radius():
         if sphere_oracle(code, y, code.r).candidates:
             continue
         checked += 1
-        assert patterson_decode(code, y).candidates == ()
+        assert list_decode(code, y, code.r).candidates == ()
 
 
 def test_patterson_single_error_at_support_point_zero():
@@ -97,7 +97,7 @@ def test_patterson_single_error_at_support_point_zero():
             y = c ^ 1 << support.index(0)
             s = syndrome_poly(code, y)
             assert poly_invmod(s, code.gpoly) == Poly.x(code.field)
-            assert patterson_decode(code, y).candidates == ((c, 1),)
+            assert list_decode(code, y, code.r).candidates == ((c, 1),)
 
 
 def test_key_equation_kernel_mod_g_spans_the_kernel_mod_g2():
@@ -136,7 +136,7 @@ def test_g2_matches_patterson_on_irreducible():
     for _ in range(60):
         c = encode(code, rng.randrange(1 << code.k))
         y = corrupt(rng, c, code.n, rng.randrange(code.r + 1))
-        want = patterson_decode(code, y)
+        want = list_decode(code, y, code.r)
         assert g2_decode(code, y) == want == _linear_engine(code, y, code.r)
 
 
@@ -169,12 +169,12 @@ def test_non_invertible_syndromes_match_the_g2_oracle():
              if poly_invmod(syndrome_poly(code, e), code.gpoly) is None), 6))
         assert len(hits) == 6
         for e in hits:
-            assert patterson_decode(code, e) == list_decode(code, e, r) \
-                == _linear_engine(code, e, r) == g2_decode(code, e)
+            assert list_decode(code, e, r) == _linear_engine(code, e, r) \
+                == g2_decode(code, e)
             assert g2_decode(code, e).candidates == ((0, e.bit_count()),)
         for _ in range(6):
             y = rng.randrange(1 << n)
-            assert patterson_decode(code, y) == _linear_engine(code, y, r) \
+            assert list_decode(code, y, r) == _linear_engine(code, y, r) \
                 == g2_decode(code, y)
 
 
@@ -189,7 +189,7 @@ def test_patterson_decodes_every_error_within_r():
         for w in range(code.r + 1):
             for ps in itertools.combinations(range(code.n), w):
                 e = sum(1 << p for p in ps)
-                assert patterson_decode(code, e).candidates == ((0, w),)
+                assert list_decode(code, e, code.r).candidates == ((0, w),)
                 shared += poly_invmod(syndrome_poly(code, e),
                                       code.gpoly) is None
     assert shared > 100
@@ -201,7 +201,7 @@ def test_patterson_decodes_every_error_within_r():
                                            rng.randrange(1, code.r + 1)))
         if 0 in goppa._syndromes(code, e):
             hits += 1
-            assert patterson_decode(code, e).candidates == \
+            assert list_decode(code, e, code.r).candidates == \
                 ((0, e.bit_count()),)
 
 
@@ -261,15 +261,36 @@ def test_list_decode_matches_oracle_and_is_monotone():
         assert set(inner.candidates) <= set(got.candidates)
 
 
-def test_list_decode_contains_patterson_answer():
+def test_list_decode_contains_patterson_answer(monkeypatch):
+    # unique decoding is list_decode at r, one _linear_engine call as at
+    # every radius: below r the result is the weight <= tau part of the
+    # one at r, and past r it holds that one
     code = make_code(5, 32, 4, b"ldp")
     rng = random.Random(17)
     for _ in range(20):
         c = encode(code, rng.randrange(1 << code.k))
         y = corrupt(rng, c, code.n, code.r)
-        pat = patterson_decode(code, y)
-        lst = list_decode(code, y, code.r)
+        pat = list_decode(code, y, code.r)
+        lst = list_decode(code, y, code.r + 1)
         assert set(pat.candidates) <= set(lst.candidates)
+    code = dict(decode_grid_codes())["generic"]  # (7, 128, 14)
+    r, tau, stream = code.r, code.r // 2, SeededStream(b"one-engine")
+    calls = count_calls(monkeypatch, ((decode, "_linear_engine"),))
+    sides = set()
+    for w in range(r + 3):
+        y = encode(code, stream.randbelow(1 << code.k))
+        for p in stream.sample_distinct(code.n, w):
+            y ^= 1 << p
+        got = {}
+        for t in (0, tau, r, r + 1, r + 2):
+            calls.clear()
+            got[t] = list_decode(code, y, t).candidates
+            assert calls == {"_linear_engine": 1}
+        for t in (0, tau):
+            assert got[t] == tuple(p for p in got[r] if p[1] <= t)
+        assert set(got[r]) <= set(got[r + 1]) <= set(got[r + 2])
+        sides.update(p[1] <= tau for p in got[r])
+    assert sides == {True, False}  # candidates on both sides of tau
 
 
 def test_list_decode_tiny_code_past_r():
@@ -523,7 +544,7 @@ def test_unique_decoding_builds_no_syndrome_inverses(monkeypatch):
             c = encode(code, rng.randrange(1 << code.k))
             y = corrupt(rng, c, code.n, w)
             assert _linear_engine(code, y, code.r).candidates == ((c, w),)
-            assert patterson_decode(code, y).candidates == ((c, w),)
+            assert list_decode(code, y, code.r).candidates == ((c, w),)
 
 
 def shared_factor_words(code, rng, count):
@@ -608,7 +629,7 @@ def test_square_roots_are_taken_mod_g_alone():
                  for y in words)
     _sqrt_x_mod.cache_clear()
     for y in words:
-        patterson_decode(code, y)
+        list_decode(code, y, code.r)
     assert shared >= 10 and _sqrt_x_mod.cache_info().currsize == 1
     _, dyadic = make_dyadic(6, 32, 4, 32, b"memo/cauchy")
     words = shared_factor_words(dyadic, rng, 40)

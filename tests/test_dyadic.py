@@ -9,7 +9,7 @@ from goppacrypt.binmat import BinMatrix, rref
 from goppacrypt.goppa import (
     CodeConstructionError, build_code, syndrome_poly, systematic_encode,
 )
-from goppacrypt.decode import patterson_decode, list_decode, _linear_engine
+from goppacrypt.decode import list_decode, _linear_engine
 from goppacrypt.dyadic import (
     SignatureExhaustionError, gen_signature,
     signature_to_code, compact_pubkey, expand_pubkey, cauchy_code,
@@ -348,7 +348,7 @@ def test_dyadic_decode_roundtrip():
             y ^= 1 << p
         assert _linear_engine(code, y, code.r).candidates == ((c, code.r),)
         assert list_decode(code, y, code.r).candidates == ((c, code.r),)
-        assert patterson_decode(code, y).candidates == ((c, code.r),)
+        assert list_decode(code, y, code.r).candidates == ((c, code.r),)
 
 
 def test_compact_roundtrip():
@@ -440,7 +440,7 @@ def test_large_field_small_blocks():
     y = c
     for p in rng.sample(range(code.n), code.r):
         y ^= 1 << p
-    assert patterson_decode(code, y).candidates == ((c, code.r),)
+    assert list_decode(code, y, code.r).candidates == ((c, code.r),)
 
 
 def _random_blob(rng, m, r, kblocks):
@@ -533,11 +533,10 @@ def test_patterson_at_roots_matches_alternant_table(name):
         par = code.parity_bin.mul_vec(y)
         assert [par >> i * m & mask for i in range(r)] == \
             syndrome_poly(plain, y).eval_all(code.roots)
-        got = patterson_decode(code, y)
+        got = list_decode(code, y, code.r)
         assert got == patterson_alternant(plain, y)
-        assert got == patterson_decode(plain, y)
+        assert got == list_decode(plain, y, plain.r)
         misses += not got.candidates
-        assert list_decode(code, y, r) == list_decode(plain, y, r)
     assert misses >= 40  # every random word is beyond r of the code
     # errors whose syndrome vanishes at some root but not at all: s is
     # not invertible mod G, R stays pointwise with g the product of those
@@ -552,8 +551,6 @@ def test_patterson_at_roots_matches_alternant_table(name):
             hits += 1
             want = g2_decode(plain, e)
             assert want.candidates == ((0, e.bit_count()),)
-            assert patterson_decode(code, e) == want == \
-                patterson_decode(plain, e)
             assert list_decode(code, e, r) == want == list_decode(plain, e, r)
     if kp.decoder == "ld":
         for y in words[::7]:

@@ -22,6 +22,10 @@ def test_randbelow_range_and_determinism():
     s2 = SeededStream(b"rb")
     assert vals == [s2.randbelow(100) for _ in range(2000)]
     assert SeededStream(b"one").randbelow(1) == 0
+    # bound 1 reads no bytes: the next read is a fresh stream's first
+    one = SeededStream(b"one")
+    assert one.randbelow(1) == 0
+    assert one.read(16) == SeededStream(b"one").read(16)
     # power-of-two bounds never reject, so they consume a fixed byte count
     s3 = SeededStream(b"pow2")
     for _ in range(100):

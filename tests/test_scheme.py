@@ -9,7 +9,7 @@ from goppacrypt import decode, dyadic, gf2m, goppa, scheme
 from goppacrypt.binmat import BinMatrix, rref
 from goppacrypt.gf2m import Poly, make_field, random_monic_irreducible
 from goppacrypt.goppa import CodeConstructionError, build_code
-from goppacrypt.decode import list_decode, patterson_decode
+from goppacrypt.decode import list_decode
 from goppacrypt.prng import SeededStream
 from goppacrypt.security import encryption_weight
 from goppacrypt.scheme import (
@@ -457,7 +457,7 @@ def test_beyond_unique_witness():
         msg = b"%d" % t
         ct = encrypt(kp, msg, b"wit%d" % t)
         assert decrypt(kp, ct) == msg
-        hits += not patterson_decode(kp.code(), ct.vector).candidates
+        hits += not list_decode(kp.code(), ct.vector, kp.r).candidates
     assert hits == 5
 
 
