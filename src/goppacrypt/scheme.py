@@ -12,9 +12,9 @@ keygen derives child streams "goppa" then "support" (generic) or
 "sig/<t>" then "blocks/<t>" per attempt t (dyadic); encrypt derives
 "err" for the error positions.  A generic key keeps its support in the
 column order of the parity check's elimination, so that [I_k | A] is a
-generator on the support's own order, as it is for dyadic codes.  Every
-save writes a key's one stored encoding of its public part; a loaded key
-expands it on first read, and decrypt never does.
+generator on the support's own order, as it is for dyadic codes.  A key
+holds its public part as stored (dyadic: compact), checked when the key
+is built; a loaded key parses it on first read, and decrypt never does.
 """
 
 import binascii
@@ -124,30 +124,38 @@ class KeyPair(_File):
     """Key material for one code; immutable after generation.
 
     public is the k x (n-k) redundancy matrix A of the systematic
-    generator [I_k | A] on the support's own order.  to_bytes writes one
-    stored encoding of A (dyadic: compact), set at load or by keygen's
-    key's first to_bytes; a loaded key parses it on the first read of
-    public, which encrypt makes and decrypt never does.  Private
-    decoding state is the support and the Goppa polynomial.
+    generator [I_k | A] on the support's own order.  The constructor
+    takes A as stored (A.to_bytes(), or compact_pubkey's bytes) and
+    refuses with ValueError what from_bytes would and a support or G
+    outside GF(2^m), so to_bytes writes a file that loads as this key.
+    A loaded key parses A on the first read of public (encrypt's, never
+    decrypt's).  Private decoding state is the support and G.
     """
 
     def __init__(self, variant, decoder, field, support, gpoly, public):
-        self.variant = variant
-        self.decoder = decoder
-        self.field = field
-        self.m = field.m
+        self.variant, self.decoder, self.field = variant, decoder, field
+        self.m = m = field.m
         self.support = tuple(support)
         self.gpoly = gpoly
         self.n = len(self.support)
-        self.r = gpoly.degree
-        self.k, self.w_enc = validate_params(variant, self.m, self.n,
-                                             self.r, decoder)
-        if public is not None and (public.rows, public.cols) != (
-                self.k, self.n - self.k):
+        self.r = r = gpoly.degree
+        self.k, self.w_enc = validate_params(variant, m, self.n, r, decoder)
+        values = self.support + gpoly.c
+        if min(values) < 0 or max(values) >> m or gpoly.field != field:
+            raise ValueError("support or G outside GF(2^%d)" % m)
+        public, bits = bytes(public), self.k * (self.n - self.k)
+        if variant == "dyadic":  # m, log2 r, k/r, before expanding
+            if _COMPACT_HEADER.unpack_from(public.ljust(
+                    _COMPACT_HEADER.size, b"\0"))[2:] != (
+                    m, r.bit_length() - 1, self.k // r):
+                raise ValueError("compact key does not match the key header")
+            _compact_rows(public)  # every check expand_pubkey makes
+        elif len(public) != (bits + 7) // 8:
             raise ValueError("public part is not k x (n - k)")
-        self._public = public
-        self._encoded = None  # the one stored encoding of A
-        self._code = None
+        elif bits % 8:  # a re-save writes A's padding bits as 0
+            public = public[:-1] + bytes([public[-1] & (1 << bits % 8) - 1])
+        self._encoded = public
+        self._public = self._code = None
 
     def code(self):
         """The decoding view: keygen's code if it holds the key's support,
@@ -160,8 +168,6 @@ class KeyPair(_File):
     @property
     def public(self):
         if self._public is None:  # a loaded key's, on first read
-            if self._encoded is None:
-                raise ValueError("key holds no public part")
             self._public = (
                 expand_pubkey(self._encoded)[2] if self.variant == "dyadic"
                 else BinMatrix.from_bytes(self.k, self.n - self.k,
@@ -173,10 +179,6 @@ class KeyPair(_File):
         return (self.k - TAG_BITS - 1) // 8
 
     def to_bytes(self):
-        if self._encoded is None:  # keygen's key, on its first save
-            self._encoded = (
-                compact_pubkey(self.m, self.r, self.public)
-                if self.variant == "dyadic" else self.public.to_bytes())
         return b"".join((
             _HEADER.pack(b"GPPA", FORMAT_VERSION, self.variant == "dyadic",
                          self.decoder == "ld", self.m, self.n, self.k,
@@ -215,21 +217,18 @@ class KeyPair(_File):
         gpoly = Poly(field, BinMatrix.from_bytes(r + 1, m, blob[mid:pos]).bits)
         if gpoly.degree != r:
             raise ValueError("Goppa polynomial degree differs from r")
-        body = blob[pos:]
-        if variant == "dyadic":
-            _, _, *head = _COMPACT_HEADER.unpack_from(body)  # m, log2 r, k/r
-            if head != [m, r.bit_length() - 1, k // r]:  # before expanding
-                raise ValueError("compact key does not match the key header")
-            _compact_rows(body)  # every check expand_pubkey makes
-        elif k * (n - k) % 8:  # a re-save writes A's padding bits as 0
-            body = body[:-1] + bytes([body[-1] & (1 << k * (n - k) % 8) - 1])
-        kp = cls(variant, decoder, field, support, gpoly, None)
-        kp._encoded = body
-        return kp
+        return cls(variant, decoder, field, support, gpoly, blob[pos:])
 
 
 class Cryptogram(namedtuple("Cryptogram", "n weight vector"), _File):
     __slots__ = ()
+
+    def __new__(cls, n, weight, vector):
+        if n >> 32 or weight >> 32:  # each saves in 4 bytes; -1 >> 32 is -1
+            raise ValueError("ciphertext length or weight outside 4 bytes")
+        if vector >> n:
+            raise ValueError("vector bits beyond n")
+        return super().__new__(cls, n, weight, vector)
 
     def to_bytes(self):
         return (b"GCTX" + self.n.to_bytes(4, "big") +
@@ -244,10 +243,7 @@ class Cryptogram(namedtuple("Cryptogram", "n weight vector"), _File):
         weight = int.from_bytes(blob[8:12], "big")
         if len(blob) != 12 + (n + 7) // 8:
             raise ValueError("truncated ciphertext")
-        vector = int.from_bytes(blob[12:], "little")
-        if vector >> n:
-            raise ValueError("vector bits beyond n")
-        return cls(n, weight, vector)
+        return cls(n, weight, int.from_bytes(blob[12:], "little"))
 
 
 def keygen(variant, m, n, r, decoder, seed):
@@ -271,10 +267,11 @@ def keygen(variant, m, n, r, decoder, seed):
     # the support in the elimination's column order makes [I_k | A] a
     # generator on the identity order, which a dyadic code's order is
     colperm, A = code.systematic
-    kp = KeyPair(variant, decoder, field,
-                 [code.support[c] for c in colperm], code.gpoly, A)
-    if kp.support == code.support:  # decrypt reads the code keygen built
-        kp._code = code
+    kp = KeyPair(variant, decoder, field, [code.support[c] for c in colperm],
+                 code.gpoly, compact_pubkey(m, r, A) if variant == "dyadic"
+                 else A.to_bytes())
+    # warm caches: A, and the code when it holds the key's support order
+    kp._public, kp._code = A, code if kp.support == code.support else None
     return kp
 
 

@@ -11,7 +11,7 @@ from goppacrypt import cli
 from goppacrypt.cli import main, search_params
 from goppacrypt.scheme import KeyPair
 from goppacrypt.security import check_countermeasures
-from testlib import search_params_unpruned
+from testlib import search_params_unpruned, stored_public
 
 TABLE_HEADER = "method,m,n,k,r,tau2,wf,keysize,gain,status"
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -380,7 +380,7 @@ def test_hostile_key_files_exit_cleanly(tmp_path, capsys):
     root = kp.gpoly.eval_all(range(kp.field.order)).index(0)
     rooted = tmp_path / "rooted.key"
     KeyPair(kp.variant, kp.decoder, kp.field, (root,) + kp.support[1:],
-            kp.gpoly, kp.public).save(str(rooted))
+            kp.gpoly, stored_public(kp)).save(str(rooted))
     code, _, err = run(capsys, ["decrypt", "--key", str(rooted), "--in",
                                 str(ct), "--out", str(tmp_path / "out")])
     assert code == 1

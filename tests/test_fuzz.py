@@ -27,6 +27,7 @@ from goppacrypt.scheme import (
     Cryptogram, DecryptionError, KeyPair, decrypt, encrypt, keygen,
 )
 from goppacrypt.security import encryption_weight
+from testlib import stored_public
 
 DOCUMENTED = (ValueError, DecryptionError, CapacityError)
 CASE_SECONDS = 1.0
@@ -214,7 +215,7 @@ def test_hostile_dyadic_keys_are_refused_at_decrypt(keys, tmp_path, capsys):
     paths = {name: tmp_path / name for name in ("k", "ct", "out")}
     for reason, support, gpoly in hostile_dyadic(kp):
         blob = KeyPair(kp.variant, kp.decoder, kp.field, support, gpoly,
-                       kp.public).to_bytes()
+                       stored_public(kp)).to_bytes()
         loaded = KeyPair.from_bytes(blob)
         ct = encrypt(loaded, b"h", b"hostile")
         t0 = time.perf_counter()

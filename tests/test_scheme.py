@@ -16,7 +16,7 @@ from goppacrypt.scheme import (
     AmbiguityError, Cryptogram, KeyPair, NoCandidateError,
     _unwrap, _wrap, decrypt, encrypt, keygen, validate_params,
 )
-from testlib import null_space
+from testlib import null_space, public_offset, stored_public
 from test_golden import GOLDEN
 
 
@@ -335,15 +335,22 @@ def test_generic_ld_decrypt_builds_one_table(monkeypatch):
                                   ("generic", 9, 256, 12, "ud"),
                                   ("generic", 8, 144, 8, "ld")])
 def test_public_part_is_read_once_and_never_by_decrypt(args, monkeypatch):
-    # a loaded key keeps its checked bytes of A: decrypt and to_bytes
-    # never expand a compact key, compact one or parse a generic A, and
-    # encrypt does it once per key object; to_bytes gives back the file,
-    # before and after
+    # keygen's key holds the stored bytes of A it encoded once, so its
+    # to_bytes neither compacts A nor packs it.  A loaded key keeps its
+    # checked bytes of A: decrypt and to_bytes never expand a compact key,
+    # compact one or parse a generic A, and encrypt does it once per key
+    # object; to_bytes gives back the file, before and after
     kp = keygen(*args, seed=b"lazy")
-    blob = kp.to_bytes()
-    cts = [encrypt(kp, b"%d" % i, b"lazy/%d" % i) for i in range(3)]
     calls = count_calls(monkeypatch, ((scheme, "expand_pubkey"),
                                       (scheme, "compact_pubkey")))
+
+    def to_bytes(M, real=BinMatrix.to_bytes):
+        calls["A to_bytes"] += (M.rows, M.cols) == (kp.k, kp.n - kp.k)
+        return real(M)
+    monkeypatch.setattr(BinMatrix, "to_bytes", to_bytes)
+    blob = kp.to_bytes()
+    assert kp.to_bytes() == blob and not +calls
+    cts = [encrypt(kp, b"%d" % i, b"lazy/%d" % i) for i in range(3)]
 
     def from_bytes(cls, rows, cols, data, real=BinMatrix.from_bytes):
         calls["A parse" if (rows, cols) == (kp.k, kp.n - kp.k)
@@ -351,36 +358,38 @@ def test_public_part_is_read_once_and_never_by_decrypt(args, monkeypatch):
         return real(rows, cols, data)
     monkeypatch.setattr(BinMatrix, "from_bytes", classmethod(from_bytes))
     loaded = [KeyPair.from_bytes(blob) for _ in range(2)]
-    assert calls == {"from_bytes": 4}  # the support and G of each
+    assert +calls == {"from_bytes": 4}  # the support and G of each
     calls.clear()
     for key in loaded:
         for i, ct in enumerate(cts):
             assert decrypt(key, ct) == b"%d" % i
         assert key.to_bytes() == blob
-    assert not calls
+    assert not +calls
     for key in loaded:
         for i in range(3):
             seed = b"x%d" % i
             assert encrypt(key, b"x", seed) == encrypt(kp, b"x", seed)
         assert key.public == kp.public and key.to_bytes() == blob
     once = "expand_pubkey" if kp.variant == "dyadic" else "A parse"
-    assert calls == {once: len(loaded)}
+    assert +calls == {once: len(loaded)}
 
 
 @pytest.mark.parametrize("args", [("dyadic", 10, 256, 16, "ud"),
                                   ("generic", 8, 144, 8, "ld")])
 def test_key_without_public_part_refuses_its_public_uses(args):
-    # a KeyPair built with public=None holds neither A nor a stored
-    # encoding of it: reading public, saving and encrypting raise
-    # ValueError, and decrypt, which never reads A, still works
+    # every key object holds its public part: None or A itself, in place
+    # of A's stored bytes, raises TypeError at construction and empty
+    # bytes ValueError; the stored bytes build the key that keygen issued
     kp = keygen(*args, seed=b"bare")
-    bare = KeyPair(kp.variant, kp.decoder, kp.field, kp.support, kp.gpoly,
-                   None)
-    for use in (lambda: bare.public, bare.to_bytes,
-                lambda: encrypt(bare, b"x", b"bare/x")):
-        with pytest.raises(ValueError, match="no public part"):
-            use()
-    assert decrypt(bare, encrypt(kp, b"bare", b"bare/ct")) == b"bare"
+    for public, error in ((None, TypeError), (kp.public, TypeError),
+                          (b"", ValueError)):
+        with pytest.raises(error):
+            KeyPair(kp.variant, kp.decoder, kp.field, kp.support, kp.gpoly,
+                    public)
+    again = KeyPair(kp.variant, kp.decoder, kp.field, kp.support, kp.gpoly,
+                    stored_public(kp))
+    assert again.to_bytes() == kp.to_bytes() and again.public == kp.public
+    assert decrypt(again, encrypt(kp, b"bare", b"bare/ct")) == b"bare"
 
 
 def test_signature_bits_beyond_r_fail_at_load(monkeypatch):
@@ -391,7 +400,7 @@ def test_signature_bits_beyond_r_fail_at_load(monkeypatch):
     blob = kp.to_bytes()
     monkeypatch.setattr(scheme, "expand_pubkey", lambda blob: pytest.fail(
         "compact key expanded"))
-    start = _public_offset(kp) + 9
+    start = public_offset(kp) + 9
     for pos, bit in ((start, 4), (start + 37, 5), (len(blob) - 1, 7)):
         bad = bytearray(blob)
         bad[pos] |= 1 << bit
@@ -566,17 +575,41 @@ def test_serialize_roundtrip():
 @pytest.mark.parametrize("args", [("generic", 8, 144, 8, "ld"),
                                   ("dyadic", 10, 256, 16, "ud")])
 def test_key_objects_refuse_a_public_part_of_the_wrong_shape(args):
-    # an A of k - 1 or k - r rows, or one column short, would save a file
-    # whose length from_bytes refuses; the key object refuses it first
+    # the stored bytes of an A of k - 1 or k - r rows or one column short,
+    # or cut or grown by a byte, would save a file whose length from_bytes
+    # refuses; a support point or G coefficient outside GF(2^m), or a G
+    # over another field, one that loads as another key (a point 408 at
+    # m = 8 as 152).  The key object refuses each first, with ValueError
     kp = keygen(*args, seed=b"shape")
-    A = kp.public
-    for bad in (BinMatrix(A.rows - 1, A.cols, A.bits[1:]),
-                BinMatrix(A.rows - kp.r, A.cols, A.bits[kp.r:]),
-                BinMatrix(A.rows, A.cols - 1, A.bits)):
-        with pytest.raises(ValueError, match="^public part is not k x"):
-            KeyPair(kp.variant, kp.decoder, kp.field, kp.support, kp.gpoly,
-                    bad)
-    again = KeyPair(kp.variant, kp.decoder, kp.field, kp.support, kp.gpoly, A)
+    A, stored, field = kp.public, stored_public(kp), kp.field
+    fewer = BinMatrix(A.rows - kp.r, A.cols, A.bits[kp.r:])
+    if kp.variant == "dyadic":
+        bad = ((dyadic.compact_pubkey(kp.m, kp.r, fewer), stored[:5]),
+               (stored[:-1], stored + b"\0"))
+        wants = ("^compact key does not match the key header$",
+                 "^truncated compact key$")
+    else:
+        bad = ((BinMatrix(A.rows - 1, A.cols, A.bits[1:]).to_bytes(),
+                fewer.to_bytes(), stored[:-1], stored + b"\0",
+                BinMatrix(A.rows, A.cols - 1, A.bits).to_bytes()),)
+        wants = (r"^public part is not k x \(n - k\)$",)
+    for publics, want in zip(bad, wants):
+        for public in publics:
+            with pytest.raises(ValueError, match=want):
+                KeyPair(kp.variant, kp.decoder, field, kp.support, kp.gpoly,
+                        public)
+    other = next(gf2m.Field(kp.m, p)
+                 for p in range(field.modulus + 2, 2 << kp.m, 2)
+                 if gf2m._gf2_irreducible(p))
+    support, c, top = kp.support, kp.gpoly.c, 1 << kp.m
+    for points, gpoly in (((support[0] | top,) + support[1:], kp.gpoly),
+                          (support[:-1] + (-1,), kp.gpoly),
+                          (support, Poly(field, (c[0] | top,) + c[1:])),
+                          (support, Poly(field, (-1,) + c[1:])),
+                          (support, Poly(other, c))):
+        with pytest.raises(ValueError, match=r"^support or G outside GF\(2"):
+            KeyPair(kp.variant, kp.decoder, field, points, gpoly, stored)
+    again = KeyPair(kp.variant, kp.decoder, field, support, kp.gpoly, stored)
     assert KeyPair.from_bytes(again.to_bytes()).to_bytes() == kp.to_bytes()
 
 
@@ -606,6 +639,18 @@ def test_cryptogram_is_a_value():
     assert ct != Cryptogram(20, 2, 0b0110)
     with pytest.raises(AttributeError):
         ct.vector = 0
+    # every value saves a file that loads as itself: a vector outside
+    # [0, 2^n), which would write bits past n or not fit its bytes, and
+    # an n or weight outside 4 bytes are refused at construction
+    for n, vector in ((100, 1 << 100), (144, 1 << 144), (20, -1)):
+        with pytest.raises(ValueError, match="^vector bits beyond n$"):
+            Cryptogram(n, 2, vector)
+    for n, weight in ((1 << 32, 2), (-1, 2), (20, 1 << 32), (20, -1)):
+        with pytest.raises(ValueError, match="outside 4 bytes$"):
+            Cryptogram(n, weight, 0)
+    for edge in (Cryptogram(100, 2, (1 << 100) - 1),
+                 Cryptogram(20, (1 << 32) - 1, 0)):
+        assert Cryptogram.from_bytes(edge.to_bytes()) == edge
 
 
 def test_repr_of_a_key_code_runs_no_elimination(monkeypatch):
@@ -660,10 +705,6 @@ def test_from_bytes_bounds_m_before_field_work(small_key_blob):
     assert time.perf_counter() - t0 < 0.1
 
 
-def _public_offset(kp):
-    return 28 + (kp.n * kp.m + 7) // 8 + ((kp.r + 1) * kp.m + 7) // 8
-
-
 def test_from_bytes_checks_header_before_work(small_key_blob):
     # n = 3,000,000 in a 285-byte file: refused from the header alone,
     # before anything is sized from it
@@ -698,7 +739,7 @@ def test_from_bytes_checks_compact_header_before_expanding(
         raise AssertionError("compact key expanded")
     kp = KeyPair.from_bytes(dyadic_key_blob)
     blob = bytearray(dyadic_key_blob)
-    pos = _public_offset(kp) + offset
+    pos = public_offset(kp) + offset
     assert blob[pos] != value
     blob[pos] = value
     monkeypatch.setattr(scheme, "expand_pubkey", refuse)
@@ -754,7 +795,7 @@ def test_key_objects_refuse_an_insecure_dyadic_shape():
     colperm, A = code.systematic
     with pytest.raises(ValueError, match="insecure dyadic parameters"):
         KeyPair("dyadic", "ud", field, [code.support[c] for c in colperm],
-                code.gpoly, A)
+                code.gpoly, dyadic.compact_pubkey(8, 8, A))
 
 
 def test_keys_need_room_past_the_tag():
@@ -770,7 +811,7 @@ def test_keys_need_room_past_the_tag():
 
 def _with_support(kp, support):
     return KeyPair(kp.variant, kp.decoder, kp.field, support, kp.gpoly,
-                   kp.public).to_bytes()
+                   stored_public(kp)).to_bytes()
 
 
 def test_decrypt_refuses_invalid_support():

@@ -18,7 +18,8 @@ oracle of the key equation mod G that backs Patterson up.  Also here: the
 codeword encoder by message int, Proposition 1's check on G^2's bit-loop
 parity check, a Horner evaluator at one point, and the brute-force
 sphere oracle, the ground truth for the list decoders, with the
-bit-tuple order of their results.
+bit-tuple order of their results, and a key's public part as its key
+file stores it, which is what KeyPair takes.
 The dyadic generator is checked against elimination over the ring of
 dyadic blocks and against its first construction, one elimination of
 the alternant parity check of G on the rotated support, the linear
@@ -879,3 +880,14 @@ def sphere_oracle(code, y, tau):
                 if code.parity_bin.mul_vec(word) == 0:
                     out.append((word, w))
     return DecodeResult(tuple(sorted(out, key=bit_tuple_key(n))))
+
+
+def public_offset(kp):
+    """Where kp's key file holds its public part: past the 28-byte
+    header, the support and G."""
+    return 28 + (kp.n * kp.m + 7) // 8 + ((kp.r + 1) * kp.m + 7) // 8
+
+
+def stored_public(kp):
+    """kp's public part as its key file stores it (dyadic: compact)."""
+    return kp.to_bytes()[public_offset(kp):]
