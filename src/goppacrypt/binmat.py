@@ -3,8 +3,8 @@
 Rows are Python ints, bit j of row i = entry (i, j), so row operations are
 single XORs even at n around 2*10^4.  Matrices are values: operations return
 new matrices and never mutate inputs.  transpose is the one bit transpose,
-both ways (values to bit planes and back), and the width of rref's
-column strips follows the row count.
+both ways (values to bit planes and back), plane_mul multiplies values on
+their planes, and the width of rref's column strips follows the row count.
 """
 
 import struct
@@ -159,3 +159,17 @@ def transpose(rows, cols):
            else b"".join(v.to_bytes(size, "little") for v in reversed(rows)))
     return [int(raw[j >> 3::size].translate(_DIGITS[j & 7]), 2)
             for j in range(cols)]
+
+
+def plane_mul(a, b, modulus):
+    """Pointwise product of GF(2^m) values on m bit planes each: m^2 ANDs
+    into 2m - 1 planes, the high ones folded down by the modulus taps."""
+    m, out = len(a), [0] * (2 * len(a) - 1)
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            out[i + j] ^= p & q
+    taps = [t for t in range(m) if modulus >> t & 1]
+    for k in range(2 * m - 2, m - 1, -1):
+        for t in taps:
+            out[k - m + t] ^= out[k]
+    return out[:m]

@@ -18,7 +18,7 @@ as bit planes of row XORs, one set per kernel member for both its roots
 from collections import Counter, namedtuple
 
 from .binmat import transpose
-from .gf2m import Poly, _reduce, eea_stop, poly_sqrt_mod
+from .gf2m import _BIT_POSITIONS, Poly, _reduce, eea_stop, poly_sqrt_mod
 from .goppa import CapacityError, _interpolate, _syndromes, syndrome_poly
 from .security import radii
 
@@ -41,11 +41,6 @@ def _sorted_result(n, pairs):
     spec = "0%db" % n
     return DecodeResult(tuple(sorted(
         pairs, key=lambda p: (p[1], int(format(p[0], spec)[::-1], 2)))))
-
-
-# the set bits of each byte value, lowest first
-_BIT_POSITIONS = tuple(tuple(b for b in range(8) if v >> b & 1)
-                       for v in range(256))
 
 
 def _divmod(p, G):
@@ -80,9 +75,8 @@ def _table_planes(code, p):
                 v = exp[lc + lu]  # c * alpha^beta
                 for g in _BIT_POSITIONS[v & 255]:
                     planes[g] ^= row
-                if v > 255:
-                    for g in _BIT_POSITIONS[v >> 8]:
-                        planes[g + 8] ^= row
+                for g in _BIT_POSITIONS[v >> 8]:
+                    planes[g + 8] ^= row
     return Q, planes
 
 

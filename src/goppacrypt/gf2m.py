@@ -22,9 +22,9 @@ update its multiplier.  No step builds a Poly.  eval_all is the one
 evaluator: it evaluates at many points in one pass, one Horner step per
 coefficient across all of them.  Modular square roots, for the key
 equation, use no linear algebra: the square root of x mod G is G0/G1,
-where G = G0^2 + x*G1^2.  Irreducibility is Ben-Or's test, squaring on
-a per-G table of x^(2i) mod G; exact like Rabin's test, it decides every
-G alike, so seeded draws are unchanged.
+where G = G0^2 + x*G1^2.  Irreducibility is Ben-Or's test, squaring
+packed residues by XORs of rows alpha^beta x^(2i) mod G; exact like
+Rabin's test, it decides every G alike, so seeded draws are unchanged.
 """
 
 import functools
@@ -266,6 +266,11 @@ class Poly:
         return Poly(self.field, out)
 
 
+# the set bits of each byte value, lowest first
+_BIT_POSITIONS = tuple(tuple(b for b in range(8) if v >> b & 1)
+                       for v in range(256))
+
+
 def _reduce(rem, div, exp, log, quotient=None):
     """rem mod div on coefficient lists, in the log domain: the one
     division routine.  rem is reduced in place and returned trimmed; div
@@ -379,34 +384,48 @@ def poly_sqrt_mod(t, G):
 
 
 def _squarer(G):
-    """t -> t^2 mod G on lists of r coefficients, for monic G of degree r.
-
-    t_j^2 goes to x^(2j): reduced already for 2j < r, else a row of a table
-    of x^(2j) mod G built once per G.  No Poly object, no division.
-    """
+    """t -> t^2 mod G, G monic of degree r, on residues packed r lanes of m
+    bits to an int: t_i^2 goes to lane 2i for 2i < r, else to the rows
+    alpha^beta x^(2i) mod G that its set bits beta pick, made by passes of
+    "times alpha": a shift, a mask and the modulus taps on every lane."""
     field, r = G.field, G.degree
-    exp, log = field.exp, field.log
-    half = (r + 1) // 2
-    low = [(i, log[c]) for i, c in enumerate(G.c[:-1]) if c]
-    rows, v = [], list(G.c[:-1])  # v = x^e mod G, from x^r = G - x^r
+    m, exp, log, lane = field.m, field.exp, field.log, field.order - 1
+    width, taps = r * m, field.modulus ^ field.order
+    top = ((1 << width) - 1) // lane << m - 1  # bit m - 1 of every lane
+
+    def multiples(v):  # alpha^beta * v for beta < m, split at beta = 8
+        out = [v]
+        for _ in range(m - 1):  # times the taps lane by lane: no carry
+            hi = out[-1] & top
+            out.append((out[-1] ^ hi) << 1 ^ (hi >> m - 1) * taps)
+        return out[:8], out[8:]
+    # v = x^e mod G for e = r .. 2r - 2, from x^r = G - x^r
+    low, high = multiples(sum(c << i * m for i, c in enumerate(G.c[:-1])))
+    v, rows = low[0], []
     for e in range(r, 2 * r - 1):
         if not e & 1:
-            rows.append([(i, log[c]) for i, c in enumerate(v) if c])
-        top, v = v[-1], [0] + v[:-1]
-        if top:
-            lt = log[top]
-            for i, lc in low:
-                v[i] ^= exp[lt + lc]
-    shift = field.order - 1  # 2 log a - shift indexes exp from either end
+            rows.append((e // 2 * m,) + multiples(v))
+        c, v = v >> width - m, v << m & (1 << width) - 1
+        for b in _BIT_POSITIONS[c & 255]:
+            v ^= low[b]
+        for b in _BIT_POSITIONS[c >> 8]:
+            v ^= high[b]
+    spread = [(i * m, 2 * i * m) for i in range((r + 1) // 2)]
 
     def square(t):
-        out = [0] * r
-        out[:2 * half:2] = [exp[2 * log[a]] if a else 0 for a in t[:half]]
-        for a, row in zip(t[half:], rows):
+        out = 0
+        for s, d in spread:
+            a = t >> s & lane
             if a:
-                la = 2 * log[a] - shift
-                for i, lb in row:
-                    out[i] ^= exp[la + lb]
+                out |= exp[2 * log[a]] << d
+        for s, lo, hi in rows:
+            a = t >> s & lane
+            if a:
+                a = exp[2 * log[a]]
+                for b in _BIT_POSITIONS[a & 255]:
+                    out ^= lo[b]
+                for b in _BIT_POSITIONS[a >> 8]:
+                    out ^= hi[b]
         return out
     return square
 
@@ -415,18 +434,18 @@ def is_irreducible(G):
     """Ben-Or test for G over GF(2^m), q = 2^m: G of degree r is reducible
     iff it has an irreducible factor of degree i <= r/2, which divides
     x^(q^i) - x.  Exact like Rabin's test, it decides every G alike.  Each
-    step i = 1..r/2 is m squarings on _squarer's table and one gcd.
-    """
+    step i = 1..r/2 is m squarings by _squarer and one gcd, from x^(2^k) of
+    degree below r, or x^q if less."""
     field, r = G.field, G.degree
-    if r < 1:  # also the zero polynomial, of degree minus infinity
-        return False
-    exp, log = field.exp, field.log
-    square = _squarer(G.monic())
-    t = [0, 1] + [0] * (r - 2)
-    for _ in range(r // 2):
-        for _ in range(field.m):
+    if r < 2:  # also the zero polynomial, of degree minus infinity
+        return r == 1
+    m, exp, log, lane = field.m, field.exp, field.log, field.order - 1
+    square, j = _squarer(G.monic()), min(m, (r - 1).bit_length() - 1)
+    t, lanes = 1 << (m << j), range(0, r * m, m)  # t = x^(2^j), packed
+    for i in range(m, m * (r // 2) + 1, m):
+        for _ in range(j, i):
             t = square(t)
-        u = t[:]  # t - x, shorter than G
+        j, u = i, [t >> s & lane for s in lanes]  # t - x, shorter than G
         u[1] ^= 1
         if len(_gcd(u, list(G.c), exp, log)) != 1:
             return False

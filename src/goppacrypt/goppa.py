@@ -3,22 +3,22 @@
 A code Gamma(L, G) over GF(2^m) is the set of binary words c with
 sum_j c_j/(x - L_j) = 0 mod G.  A code object holds the support, G and
 one table of bit planes, one n-bit int per row, that every decode reads:
-build_code validates (L, G) and transposes the alternant table
-L_j^t / G(L_j), t < r, and dyadic.cauchy_code the Cauchy table
-1/(z_i + L_j) of G's roots z_i, into bit planes.  Syndromes are parities
-of its rows against y, and syndrome_poly gives s mod G from either, which
-is all that decoding reads.  A code's systematic form (colperm, A) makes
-[I_k | A] a generator on the column order colperm, transposed off one
-elimination of the table (for a dyadic key, signature_to_code's, on a
-rotated support).  Keys store the support in that order: their [I_k | A]
-has no column order.
+build_code validates (L, G) and builds the alternant table
+L_j^t / G(L_j), t < r, by plane products with L's bit planes, and
+dyadic.cauchy_code transposes the Cauchy table 1/(z_i + L_j) of G's roots
+z_i into bit planes.  Syndromes are parities of its rows against y, and
+syndrome_poly gives s mod G from either, which is all that decoding
+reads.  A code's systematic form (colperm, A) makes [I_k | A] a generator
+on the column order colperm, transposed off one elimination of the table
+(for a dyadic key, signature_to_code's, on a rotated support).  Keys
+store the support in that order: their [I_k | A] has no column order.
 """
 
 from functools import reduce
 from operator import xor
 
 from .gf2m import Poly, is_squarefree
-from .binmat import BinMatrix, rref, transpose
+from .binmat import BinMatrix, plane_mul, rref, transpose
 
 
 class CodeConstructionError(ValueError):
@@ -79,7 +79,8 @@ class GoppaCode:
 
 
 def build_code(field, support, gpoly):
-    """Construct Gamma(L, G); raises CodeConstructionError on bad inputs."""
+    """Construct Gamma(L, G); raises CodeConstructionError on bad inputs.
+    G(L) and each next row of the table are plane products with L's."""
     support = tuple(support)
     n = len(support)
     r = gpoly.degree
@@ -94,17 +95,17 @@ def build_code(field, support, gpoly):
         raise CodeConstructionError("repeated support element")
     if not is_squarefree(gpoly):
         raise CodeConstructionError("Goppa polynomial is not square-free")
-    values = gpoly.eval_all(support)
+    m, full = field.m, (1 << n) - 1
+    planes, row = transpose(support, m), [0] * m
+    for c in reversed(gpoly.c):  # Horner
+        row = [p ^ full if c >> b & 1 else p for b, p in
+               enumerate(plane_mul(row, planes, field.modulus))]
+    values = transpose(row, n)
     if 0 in values:
         raise CodeConstructionError("support element is a root of G")
-    # the alternant table: row t holds L_j^t / G(L_j)
-    exp, log = field.exp, field.log
-    logs = [log[a] for a in support]  # None at a = 0
-    row, bits = [field.inv(v) for v in values], []
-    for _ in range(r):
-        bits += transpose(row, field.m)
-        row = [0 if la is None else exp[log[v] + la]
-               for v, la in zip(row, logs)]
+    bits = transpose([field.inv(v) for v in values], m)
+    for _ in range(r - 1):
+        bits += plane_mul(bits[-m:], planes, field.modulus)
     return GoppaCode(field, support, gpoly, BinMatrix(len(bits), n, bits))
 
 

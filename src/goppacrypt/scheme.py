@@ -230,6 +230,8 @@ class Cryptogram(namedtuple("Cryptogram", "n weight vector"), _File):
             raise ValueError("vector bits beyond n")
         return super().__new__(cls, n, weight, vector)
 
+    _make = classmethod(lambda cls, it: cls(*it))  # so _replace checks too
+
     def to_bytes(self):
         return (b"GCTX" + self.n.to_bytes(4, "big") +
                 self.weight.to_bytes(4, "big") +

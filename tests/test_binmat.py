@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from goppacrypt.binmat import BinMatrix, rref, transpose
+from goppacrypt.binmat import BinMatrix, plane_mul, rref, transpose
 from goppacrypt.dyadic import gen_signature
-from goppacrypt.gf2m import make_field
+from goppacrypt.gf2m import Field, make_field
 from goppacrypt.goppa import build_code
 from goppacrypt.scheme import keygen
 from testlib import (
@@ -126,6 +126,22 @@ def test_transpose_planes_back_to_values():
     for rows in (1, 8, 9, 16):  # the top bit of each lane, alone
         bits = [0] * (rows - 1) + [(1 << 40) - 1]
         assert transpose(bits, 40) == [1 << rows - 1] * 40
+
+
+@pytest.mark.parametrize("field", [make_field(m) for m in (2, 3, 8, 9, 13, 16)]
+                         + [Field(8, 0x11d), Field(11, 0x805)])
+def test_plane_mul_matches_field_mul(field):
+    # point by point against Field.mul, zeros and the largest element
+    # included, on other moduli than make_field's too
+    m, rng = field.m, random.Random(field.modulus)
+    for n in (1, 5, 17, 64, 300):
+        a = [rng.choice((0, 1, field.order - 1, rng.randrange(field.order)))
+             for _ in range(n)]
+        b = [rng.randrange(field.order) for _ in range(n)]
+        planes = plane_mul(transpose(a, m), transpose(b, m), field.modulus)
+        assert len(planes) == m and all(p >> n == 0 for p in planes)
+        assert transpose(planes, n) == [field.mul(x, y)
+                                        for x, y in zip(a, b)]
 
 
 def test_vstack_and_permute_cols():

@@ -573,6 +573,18 @@ def test_ben_or_equals_rabin_on_seeded_candidates():
                                      SeededStream(b"bo%d" % m))
         assert is_irreducible(G) and rabin_irreducible(G)
     assert seen == {False, True}
+    # r = 50 at m = 11: a seeded draw, a product split at the last step,
+    # and random candidates
+    field = make_field(11)
+    halves = [random_monic_irreducible(field, 25, SeededStream(b"bo25" + s))
+              for s in (b"a", b"b")]
+    cands = [random_monic_irreducible(field, 50, SeededStream(b"bo50")),
+             halves[0] * halves[1]]
+    cands += [Poly(field, [rng.randrange(field.order) for _ in range(50)]
+                   + [rng.randrange(1, field.order)]) for _ in range(4)]
+    assert [is_irreducible(G) for G in cands] == \
+        [rabin_irreducible(G) for G in cands]
+    assert is_irreducible(cands[0]) and not is_irreducible(cands[1])
 
 
 def test_ben_or_on_crafted_reducibles(monkeypatch):
@@ -612,17 +624,24 @@ def test_ben_or_on_crafted_reducibles(monkeypatch):
 
 @pytest.mark.parametrize("m", (2, 5, 9, 11, 16))
 def test_squaring_table_matches_square_mod(m):
+    # the packed squarer against Poly.square() % G, on residues packed
+    # r lanes of m bits, lane i holding t_i
     field = make_field(m)
     rng = random.Random(m)
-    for r in (2, 3, 4, 7, 12, 25):
+    for r in (1, 2, 3, 4, 7, 12, 25, 64):
         G = Poly(field, [rng.randrange(field.order) for _ in range(r)] + [1])
         square = _squarer(G)
-        for _ in range(10):
+        for trial in range(10):
             t = [rng.randrange(field.order) for _ in range(r)]
-            if rng.randrange(3) == 0:  # sparse residues, zeros on top too
+            if trial % 3 == 0:  # sparse residues, zeros on top too
                 t = [v if rng.randrange(3) == 0 else 0 for v in t]
+            if trial == 1:  # the top half of the lanes zero
+                t[(r + 1) // 2:] = [0] * (r // 2)
             want = (Poly(field, t).square() % G).c
-            assert square(t) == list(want) + [0] * (r - len(want))
+            got = square(sum(v << i * m for i, v in enumerate(t)))
+            assert got >> r * m == 0
+            assert [got >> i * m & field.order - 1 for i in range(r)] == \
+                list(want) + [0] * (r - len(want)), (m, r)
 
 
 def test_irreducible_draw_equals_rabin_draw(monkeypatch):

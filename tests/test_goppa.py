@@ -12,9 +12,9 @@ from goppacrypt.goppa import (
 from goppacrypt.prng import SeededStream
 from goppacrypt.scheme import keygen
 from testlib import (
-    encode, field_div, field_pow, gen, min_distance_exhaustive,
-    parity_bin_loop, poly_eval, random_goppa_code, syndrome_poly_bitloop,
-    verify_prop1,
+    alternant_table, encode, field_div, field_pow, gen,
+    min_distance_exhaustive, parity_bin_loop, poly_eval, random_goppa_code,
+    syndrome_poly_bitloop, verify_prop1,
 )
 
 # (m, n, r): one byte lane (m <= 8), two lanes (m > 8) and m = 16
@@ -96,17 +96,20 @@ def test_k_and_colperm_read_the_systematic_form(monkeypatch):
 
 def test_g_evaluated_once_per_support_point(monkeypatch):
     # the root-of-G check in build_code and row 0 of the alternant table
-    # of G share one evaluation of G per support point
+    # of G share one evaluation of G at the whole support: one Horner pass
+    # of plane products, deg G + 1 of them, then one per further row
     field = make_field(8)
     g = random_monic_irreducible(field, 12, SeededStream(b"evals"))
-    # (one evaluation pass, counted per point)
-    calls = []
-    real_eval_all = Poly.eval_all
-    monkeypatch.setattr(Poly, "eval_all", lambda self, points: calls.extend(
-        points) or real_eval_all(self, points))
+    products = []
+    real_plane_mul = goppa.plane_mul
+    monkeypatch.setattr(goppa, "plane_mul", lambda a, b, modulus:
+                        products.append(b) or real_plane_mul(a, b, modulus))
+    monkeypatch.setattr(Poly, "eval_all", lambda self, points: pytest.fail(
+        "build_code evaluated G point by point"))
     code = build_code(field, full_support(field), g)
     assert code.parity_bin.rows == 8 * 12
-    assert sorted(calls) == list(range(256))
+    support_planes = binmat.transpose(full_support(field), 8)
+    assert products == [support_planes] * (13 + 11)
     # a root of G, last in the support, is still refused by build_code
     split = Poly.from_roots(field, [7, 200])
     support = [a for a in range(256) if a not in (7, 200)] + [200]
@@ -233,6 +236,29 @@ def test_parity_bin_matches_loop(m, n, r):
         code = random_goppa_code(m, n, r, rng, monic)
         assert 0 in code.support
         assert code.parity_bin == parity_bin_loop(code)
+
+
+@pytest.mark.parametrize("m,n,r", ((3, 8, 2), (5, 32, 4), (8, 256, 12),
+                                   (9, 200, 12), (11, 2048, 6),
+                                   (13, 700, 20), (16, 500, 8)))
+def test_plane_table_matches_alternant_oracle(m, n, r):
+    # build_code's plane products against the row loop, bit for bit:
+    # square-free G, monic or not, on supports that hold 0, and an
+    # irreducible G on a full support n = 2^m where the shape has one
+    rng = random.Random(m * 1000 + n)
+    field = make_field(m)
+    codes = [random_goppa_code(m, min(n // 2, 300), r, rng, monic)
+             for monic in (True, False)]
+    g = random_monic_irreducible(field, r, SeededStream(b"alt%d" % m))
+    support = [0] + rng.sample(range(1, field.order), n - 1)
+    rng.shuffle(support)
+    for lead in (1, rng.randrange(2, field.order)):
+        codes.append(build_code(field, support, g.scale(lead)))
+    for code in codes:
+        assert 0 in code.support
+        assert code.parity_bin == alternant_table(field, code.support,
+                                                  code.gpoly)
+    assert codes[-1].n == n
 
 
 @pytest.mark.parametrize("m,n,r", KERNEL_SHAPES)

@@ -317,17 +317,19 @@ def test_ld_decrypt_evaluates_only_quotients_on_the_support(args,
 
 def test_generic_ld_decrypt_builds_one_table(monkeypatch):
     # the list decoders read G's alternant table, which build_code makes
-    # once per key object, one transpose per row; no table of G^2
+    # once per key object, r rows of plane products after deg G + 1 for
+    # G(L), and three transposes: L to planes, G(L) to values and 1/G(L)
+    # to planes; no table of G^2
     kp = keygen("generic", 8, 144, 8, "ld", b"one-table")
     assert kp.w_enc > kp.r
     cts = [encrypt(kp, b"%d" % i, b"one-table/%d" % i) for i in range(4)]
     loaded = KeyPair.from_bytes(kp.to_bytes())
     calls = count_calls(monkeypatch, (
         (scheme, "build_code"), (scheme, "cauchy_code"),
-        (goppa, "transpose")))
+        (goppa, "transpose"), (goppa, "plane_mul")))
     for i, ct in enumerate(cts):
         assert decrypt(loaded, ct) == b"%d" % i
-    assert calls == {"build_code": 1, "transpose": kp.r}
+    assert calls == {"build_code": 1, "transpose": 3, "plane_mul": 2 * kp.r}
 
 
 @pytest.mark.parametrize("args", [("dyadic", 10, 256, 16, "ud"),
@@ -651,6 +653,20 @@ def test_cryptogram_is_a_value():
     for edge in (Cryptogram(100, 2, (1 << 100) - 1),
                  Cryptogram(20, (1 << 32) - 1, 0)):
         assert Cryptogram.from_bytes(edge.to_bytes()) == edge
+    # _make and _replace pass the same gate
+    edge = Cryptogram(100, 2, 1)
+    with pytest.raises(ValueError, match="^vector bits beyond n$"):
+        edge._replace(vector=1 << 100)
+    with pytest.raises(ValueError, match="^vector bits beyond n$"):
+        edge._replace(n=64, vector=1 << 64)
+    with pytest.raises(ValueError, match="^vector bits beyond n$"):
+        Cryptogram._make((100, 2, 1 << 100))
+    with pytest.raises(ValueError, match="outside 4 bytes$"):
+        edge._replace(weight=1 << 32)
+    with pytest.raises(TypeError):
+        Cryptogram._make((100, 2))
+    assert edge._replace(vector=3) == Cryptogram._make((100, 2, 3))
+    assert type(edge._replace(weight=5)) is Cryptogram
 
 
 def test_repr_of_a_key_code_runs_no_elimination(monkeypatch):

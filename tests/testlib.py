@@ -10,14 +10,15 @@ the xor reindexing of a dyadic signature with its bit-loop version, the
 row-by-row compact key expansion, the bit-matrix transpose and
 matrix-vector product, the GF(2) parity check of any modulus, the
 syndrome mod any modulus from its own memo of 1/(x - L_j) (the oracle of
-the package's s mod G), the locator root search and the square root of
-x mod G, Patterson on the alternant table of G, the oracle of Patterson
-at G's roots on the Cauchy table of a dyadic key's code, and the
-degree-2r decoder (the early stopped EEA on the syndrome mod G^2), the
-oracle of the key equation mod G that backs Patterson up.  Also here: the
-codeword encoder by message int, Proposition 1's check on G^2's bit-loop
-parity check, a Horner evaluator at one point, and the brute-force
-sphere oracle, the ground truth for the list decoders, with the
+the package's s mod G), the alternant table by the row loop that
+build_code's plane products replaced, the locator root search and the
+square root of x mod G, Patterson on the alternant table of G, the
+oracle of Patterson at G's roots on the Cauchy table of a dyadic key's
+code, and the degree-2r decoder (the early stopped EEA on the syndrome
+mod G^2), the oracle of the key equation mod G that backs Patterson up.
+Also here: the codeword encoder by message int, Proposition 1's check on
+G^2's bit-loop parity check, a Horner evaluator at one point, and the
+brute-force sphere oracle, the ground truth for the list decoders, with the
 bit-tuple order of their results, and a key's public part as its key
 file stores it, which is what KeyPair takes.
 The dyadic generator is checked against elimination over the ring of
@@ -456,6 +457,21 @@ def parity_bin_loop(code, modulus=None):
             bits.append(sum((v >> beta & 1) << j for j, v in enumerate(row)))
         row = [field.mul(v, a) for v, a in zip(row, support)]
     return BinMatrix(len(bits), code.n, bits)
+
+
+def alternant_table(field, support, gpoly):
+    """The alternant table L_j^t / G(L_j), t < deg G, as build_code made
+    it before plane products: G at every point by Horner, each next row
+    by log-domain products with L, each row transposed into its bit
+    planes; the oracle of build_code's table."""
+    exp, log = field.exp, field.log
+    logs = [log[a] for a in support]  # None at a = 0
+    row, bits = [field.inv(v) for v in gpoly.eval_all(support)], []
+    for _ in range(gpoly.degree):
+        bits += transpose(row, field.m)
+        row = [0 if la is None else exp[log[v] + la]
+               for v, la in zip(row, logs)]
+    return BinMatrix(len(bits), len(support), bits)
 
 
 def syndrome_poly_bitloop(code, y, modulus):
