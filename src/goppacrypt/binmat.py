@@ -2,9 +2,14 @@
 
 Rows are Python ints, bit j of row i = entry (i, j), so row operations are
 single XORs even at n around 2*10^4.  Matrices are values: operations return
-new matrices and never mutate inputs.  transpose is the one bit transpose,
-both ways (values to bit planes and back), plane_mul multiplies values on
-their planes, and the width of rref's column strips follows the row count.
+new matrices and never mutate inputs; a matrix masks its rows to its width
+only when one min/max pass finds a row outside it.  transpose is the one
+bit transpose, both ways (values to bit planes and back), plane_mul
+multiplies values on their planes, and the width of rref's column strips
+follows the row count.  Values of at most 16 bits come back from byte
+lanes, one per 8 planes, by one step (_values) that transpose and the
+column route of from_bytes share: from_bytes turns each column's strided
+digits straight into its bit of a byte per row, with no int per column.
 """
 
 import struct
@@ -18,10 +23,12 @@ class BinMatrix:
             bits = [0] * rows
         if len(bits) != rows:
             raise ValueError("row count mismatch")
-        mask = (1 << cols) - 1
+        mask, bits = (1 << cols) - 1, tuple(bits)
+        if bits and (min(bits) < 0 or max(bits) > mask):  # else a no-op
+            bits = tuple([b & mask for b in bits])
         self.rows = rows
         self.cols = cols
-        self.bits = tuple([b & mask for b in bits])
+        self.bits = bits
 
     def __eq__(self, other):
         return (isinstance(other, BinMatrix) and self.rows == other.rows
@@ -56,17 +63,21 @@ class BinMatrix:
     @classmethod
     def from_bytes(cls, rows, cols, data):
         """Inverse of to_bytes, on the same two routes; bits past
-        rows*cols are ignored."""
+        rows*cols are ignored.  On the column route, column j's strided
+        digits, last row first, become bit j of a byte per row, as in
+        transpose's route for at most 16 rows."""
         total = rows * cols
         if not total:
             return cls(rows, cols)
         # exactly total base-2 digits, last row first
         digits = format(int.from_bytes(data, "little") & ((1 << total) - 1),
-                        "0%db" % total)
+                        "0%db" % total).encode()
         if 0 < 6 * cols < rows and cols <= 16:
-            return cls(rows, cols, transpose(
-                [int(digits[cols - 1 - j::cols], 2) for j in range(cols)],
-                rows))
+            lanes = [0, 0]
+            for j in range(cols):
+                lanes[j >> 3] |= int.from_bytes(
+                    digits[cols - 1 - j::cols].translate(_BITS[j & 7]), "big")
+            return cls(rows, cols, _values(lanes, cols, rows))
         return cls(rows, cols, [int(digits[p:p + cols], 2)
                                 for p in range(total - cols, -1, -cols)])
 
@@ -147,11 +158,7 @@ def transpose(rows, cols):
         for i, v in enumerate(rows):
             lanes[i >> 3] |= int.from_bytes(
                 format(v, spec).encode().translate(_BITS[i & 7]), "big")
-        if len(rows) <= 8:
-            return list(lanes[0].to_bytes(cols, "little"))
-        pairs = bytearray(2 * cols)
-        pairs[::2], pairs[1::2] = (v.to_bytes(cols, "little") for v in lanes)
-        return list(struct.unpack("<%dH" % cols, pairs))
+        return _values(lanes, len(rows), cols)
     # the rows little-endian, last row first, as int(..., 2) reads
     # digits; byte b of a row holds columns 8b to 8b + 7
     size = max(2, cols + 7 >> 3)
@@ -159,6 +166,16 @@ def transpose(rows, cols):
            else b"".join(v.to_bytes(size, "little") for v in reversed(rows)))
     return [int(raw[j >> 3::size].translate(_DIGITS[j & 7]), 2)
             for j in range(cols)]
+
+
+def _values(lanes, planes, count):
+    """The count values of at most 16 planes held as byte lanes: bit i of
+    value t is bit i & 7 of byte t of lanes[i >> 3]."""
+    if planes <= 8:
+        return list(lanes[0].to_bytes(count, "little"))
+    pairs = bytearray(2 * count)
+    pairs[::2], pairs[1::2] = (v.to_bytes(count, "little") for v in lanes)
+    return list(struct.unpack("<%dH" % count, pairs))
 
 
 def plane_mul(a, b, modulus):

@@ -255,27 +255,34 @@ def cauchy_code(field, support, gpoly):
     point that is a root of G, raise CodeConstructionError.
     """
     n, r, m, q = len(support), gpoly.degree, field.m, field.order
+    support = tuple(support)
     if len(set(support)) != n or not 0 <= min(support) <= max(support) < q:
         raise CodeConstructionError("support points are not distinct")
-    # G(0) << m reduces by rows (G(alpha^k) + G(0)) << m | 2^k to a root
-    g = gpoly.eval_all([0] + [1 << k for k in range(m)])
-    basis, z0, V = [], g[0] << m, [0]
+    terms = [(e, v) for e, v in enumerate(gpoly.c) if v]
+    if any(e & e - 1 for e, _ in terms):
+        raise CodeConstructionError("G is not L_V(x) + c on r roots")
+    # G(0) << m reduces by rows (G(alpha^k) + G(0)) << m | 2^k to a root;
+    # G(alpha^k) + G(0) sums c_e alpha^(k e) over G's terms at e = 2^j
+    exp, log, lane = field.exp, field.log, q - 1
+    lin = [(e, log[v]) for e, v in terms if e]
+    basis, z0, V = [], gpoly[0] << m, [0]
     for k in range(m):  # every row is kept, and those with no G part span V
-        _independent(basis, (g[k + 1] ^ g[0]) << m | 1 << k)
+        lk, h = log[1 << k], 0
+        for e, lv in lin:
+            h ^= exp[lv + e * lk % lane]
+        _independent(basis, h << m | 1 << k)
         z0 = min(z0, z0 ^ basis[-1])
         V += [] if basis[-1] >> m else [v ^ basis[-1] for v in V]
-    if z0 >> m or len(V) != r or any(
-            c for k, c in enumerate(gpoly.c) if k & (k - 1)):
+    if z0 >> m or len(V) != r:
         raise CodeConstructionError("G is not L_V(x) + c on r roots")
     if not {z0 ^ v for v in V}.isdisjoint(support):
         raise CodeConstructionError("support element is a root of G")
     d = [0]
     for b in range(r.bit_length() - 1):
         d += [v ^ support[1 << b] ^ support[0] for v in d]
-    if set(d) != set(V) or any([v ^ support[c] for v in support[c:c + r]]
-                               != d for c in range(0, n, r)):
+    if set(d) != set(V) or tuple(
+            [s ^ v for s in support[::r] for v in d]) != support:
         raise CodeConstructionError("support blocks are not cosets of V")
-    exp, log = field.exp, field.log
     table = _double(transpose([exp[-log[z0 ^ v]] for v in support], m),
                     n, r)
     return GoppaCode(field, support, gpoly, BinMatrix(len(table), n, table),

@@ -300,7 +300,7 @@ def _gcd(a, b, exp, log):
     """A greatest common divisor of coefficient lists a and b, not monic.
 
     Euclid on remainders alone: no quotient and no Poly per step.  Both
-    lists are reduced in place; b must be trimmed unless a is shorter.
+    lists are reduced in place; b must be trimmed.
     """
     while b:
         a, b = b, _reduce(a, b, exp, log)
@@ -447,7 +447,9 @@ def is_irreducible(G):
             t = square(t)
         j, u = i, [t >> s & lane for s in lanes]  # t - x, shorter than G
         u[1] ^= 1
-        if len(_gcd(u, list(G.c), exp, log)) != 1:
+        while u and not u[-1]:
+            u.pop()
+        if len(_gcd(list(G.c), u, exp, log)) != 1:
             return False
     return True
 

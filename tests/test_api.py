@@ -197,3 +197,14 @@ def test_cli_module_runs_without_warnings():
     out = _run_fresh(["-m", "goppacrypt.cli", "table", "4"])
     assert out.returncode == 0 and out.stderr == ""
     assert out.stdout.startswith("level,dlp,mceliece,ratio\n")
+
+
+def test_each_test_runs_under_a_time_limit():
+    # tests/conftest.py arms SIGALRM's timer around every test, so a
+    # runaway loop fails its own test instead of the whole run
+    import signal
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("no SIGALRM timer on this platform")
+    from conftest import TIME_LIMIT_S
+    remaining, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert 0 < remaining <= TIME_LIMIT_S

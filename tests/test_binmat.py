@@ -8,7 +8,8 @@ from goppacrypt.gf2m import Field, make_field
 from goppacrypt.goppa import build_code
 from goppacrypt.scheme import keygen
 from testlib import (
-    RankDeficiencyError, dyadic_support, from_bytes_shiftloop, from_entries,
+    RankDeficiencyError, dyadic_support, from_bytes_columns,
+    from_bytes_shiftloop, from_entries,
     identity, mul_vec_bitloop, null_space, permute_cols, rref_gauss_jordan,
     systematic_form, to_bytes_shiftloop, transpose_bitloop, vstack,
 )
@@ -197,6 +198,35 @@ def test_bytes_match_shift_loop():
             got = BinMatrix.from_bytes(rows, cols, data)
             assert got == from_bytes_shiftloop(rows, cols, data)
         assert BinMatrix.from_bytes(rows, cols, blob) == M
+
+
+def test_column_route_matches_int_per_column_oracle():
+    # from_bytes reads each column's digits straight into byte lanes; the
+    # route it replaced parsed an int per column and transposed it back.
+    # Both sides of the route's edge (6 * cols rows go row by row), all
+    # ones, random bits, and junk bits past rows * cols
+    rng = random.Random(36)
+    for cols in range(1, 17):
+        for rows in (6 * cols, 6 * cols + 1, 6 * cols + 9):
+            size = (rows * cols + 7) // 8
+            for data in (b"\xff" * size, b"\xff" * (size + 2),
+                         rng.randbytes(size), rng.randbytes(size + 3)):
+                got = BinMatrix.from_bytes(rows, cols, data)
+                assert got == from_bytes_columns(rows, cols, data)
+                assert got == from_bytes_shiftloop(rows, cols, data)
+            assert BinMatrix.from_bytes(rows, cols, b"\xff" * size).bits == (
+                (1 << cols) - 1,) * rows
+
+
+def test_rows_are_masked_only_when_out_of_range():
+    # one min/max pass decides; the rows are those of masking every row
+    M = BinMatrix(3, 4, [1, 15, 0])
+    assert type(M.bits) is tuple and M.bits == (1, 15, 0)
+    assert BinMatrix(3, 4, [16, 31, -1]).bits == (0, 15, 15)
+    assert BinMatrix(2, 0, [5, 0]).bits == (0, 0)
+    assert BinMatrix(0, 3, []).bits == ()
+    with pytest.raises(ValueError):
+        BinMatrix(0, -1)
 
 
 def test_rref_properties():

@@ -19,8 +19,9 @@ from goppacrypt.scheme import KEYGEN_ATTEMPTS, KeyPair, _dyadic_code, keygen
 from testlib import (
     block_invertible, block_mul, block_systemized_generator, dyadic_check,
     dyadic_support, encode, expand_pubkey_rowloop, g2_decode, gen,
-    gen_signature_filled, patterson_alternant, poly_eval, random_goppa_code,
-    signature_to_code_alternant, xor_permute, xor_permute_bitloop,
+    gen_signature_filled, linearized_roots_eval_all, patterson_alternant,
+    poly_eval, random_goppa_code, signature_to_code_alternant, xor_permute,
+    xor_permute_bitloop,
 )
 from test_golden import GOLDEN
 
@@ -603,3 +604,39 @@ def test_cauchy_code_takes_any_coset_and_refuses_the_rest():
     c[1] = 0
     with pytest.raises(CodeConstructionError, match="L_V"):
         cauchy_code(field, support, Poly(field, c))
+
+
+def test_cauchy_root_solve_matches_eval_all():
+    # cauchy_code sums G + G(0) at alpha^k from G's terms at x^(2^j); the
+    # oracle evaluates G at the m + 1 points by eval_all.  On G = L_V(x + z)
+    # for random V and z, on those G plus a constant, and on G with one
+    # more term, both agree on the roots or on the refusal
+    rng = random.Random(36)
+    for m in (2, 3, 5, 8, 10, 13, 16):
+        field = make_field(m)
+        for s in range(min(m - 1, 4) + 1):
+            basis, V = [], [0]
+            while len(V) < 1 << s:
+                v = rng.randrange(1, field.order)
+                if dyadic._independent(basis, v):
+                    V += [u ^ v for u in V]
+            z = rng.randrange(field.order)
+            lin = Poly.from_roots(field, [z ^ v for v in V])
+            for g in (lin, lin + Poly(field, [rng.randrange(field.order)]),
+                      lin + Poly(field, [0] * 3 + [rng.randrange(1, 4)])):
+                want = linearized_roots_eval_all(field, g)
+                # a support of up to two whole cosets of V with no root of g
+                cosets = {min(a ^ v for v in V) for a in (
+                    rng.randrange(field.order) for _ in range(40))
+                    if all(poly_eval(g, a ^ v) for v in V)}
+                support = [c ^ v for c in sorted(cosets)[:2] for v in V]
+                if want is None:
+                    with pytest.raises(CodeConstructionError, match="L_V"):
+                        cauchy_code(field, support or [0], g)
+                    continue
+                z0, kernel = want
+                if not support:
+                    continue
+                code = cauchy_code(field, support, g)
+                assert sorted(code.roots) == sorted(z0 ^ v for v in kernel)
+                assert all(poly_eval(g, r) == 0 for r in code.roots)

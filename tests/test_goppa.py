@@ -238,6 +238,23 @@ def test_parity_bin_matches_loop(m, n, r):
         assert code.parity_bin == parity_bin_loop(code)
 
 
+def test_random_goppa_code_ends_when_g_has_roots():
+    # at (3, 8, 2) the support needs all 8 points: a G with a root there
+    # raises at once, one with none gives the full field
+    outcomes = set()
+    for seed in range(20):
+        try:
+            code = random_goppa_code(3, 8, 2, random.Random(seed))
+        except ValueError as exc:
+            assert "fewer than n = 8 points" in str(exc)
+            outcomes.add("refused")
+            continue
+        assert sorted(code.support) == list(range(8))
+        assert all(poly_eval(code.gpoly, a) for a in code.support)
+        outcomes.add("code")
+    assert outcomes == {"refused", "code"}
+
+
 @pytest.mark.parametrize("m,n,r", ((3, 8, 2), (5, 32, 4), (8, 256, 12),
                                    (9, 200, 12), (11, 2048, 6),
                                    (13, 700, 20), (16, 500, 8)))

@@ -1,4 +1,5 @@
 from goppacrypt.prng import SeededStream
+from testlib import sample_distinct_loop
 
 
 def test_same_seed_same_stream():
@@ -59,3 +60,18 @@ def test_child_streams_are_domain_separated():
     b = root.child(b"blocks").read(32)
     assert a != b
     assert a == SeededStream(b"root").child(b"sig").read(32)
+
+
+def test_sample_distinct_matches_per_draw_loop():
+    # draws read straight off the buffer: the same indices and the same
+    # stream position as one randbelow call per draw, also where nearly
+    # half the draws are rejected (n = 2^k + 1), across buffer regrowths
+    # and with w = n
+    for n in [0, 1, 2, 3] + [(1 << k) + 1 for k in range(2, 13)] + [1000]:
+        for w in sorted({0, n // 3, n}):
+            for skip in (0, 5):
+                got, want = SeededStream(b"sd%d" % n), SeededStream(b"sd%d" % n)
+                got.read(skip), want.read(skip)
+                assert got.sample_distinct(n, w) == \
+                    sample_distinct_loop(want, n, w)
+                assert got.read(40) == want.read(40)

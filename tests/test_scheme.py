@@ -276,17 +276,17 @@ def test_cold_dyadic_decrypt_reads_only_the_cauchy_table(args, monkeypatch):
     assert not calls
     for key, ct, msg in zip(loaded, cts, msgs):
         assert decrypt(key, ct) == msg
-    # one root solve per key; one key equation and one locator evaluation
-    # at the roots per word
+    # one root solve per key, from G's terms with no evaluation of G; one
+    # key equation and one locator evaluation at the roots per word
     assert calls == {"cauchy_code": len(cts), "_key_equation_kernel":
-                     len(cts), "eea_stop": len(cts), "eval_all": 2 * len(cts)}
+                     len(cts), "eea_stop": len(cts), "eval_all": len(cts)}
     # the shared-factor ciphertext takes R pointwise from the same Cauchy
     # table, g and M = G/g from the roots of G: no s mod G, no square
     # root mod G or M, and no inverse; one EEA, on (M, R)
     calls.clear()
     assert decrypt(KeyPair.from_bytes(blob), shared) == b"fall"
     assert calls == {"cauchy_code": 1, "_key_equation_kernel": 1,
-                     "eea_stop": 1, "eval_all": 2}
+                     "eea_stop": 1, "eval_all": 1}
 
 
 @pytest.mark.parametrize("args", [("dyadic", 10, 256, 16, "ld"),

@@ -20,7 +20,11 @@ Also here: the codeword encoder by message int, Proposition 1's check on
 G^2's bit-loop parity check, a Horner evaluator at one point, and the
 brute-force sphere oracle, the ground truth for the list decoders, with the
 bit-tuple order of their results, and a key's public part as its key
-file stores it, which is what KeyPair takes.
+file stores it, which is what KeyPair takes.  The kernels that the key
+file path replaced stay here as oracles: the column route of
+BinMatrix.from_bytes with an int per column, sample_distinct as one
+randbelow call per draw, and cauchy_code's root solve on G's values at
+the m + 1 points by eval_all.
 The dyadic generator is checked against elimination over the ring of
 dyadic blocks and against its first construction, one elimination of
 the alternant parity check of G on the rotated support, the linear
@@ -45,7 +49,9 @@ from goppacrypt.decode import (
     DecodeResult, _apply_locator, _locator_roots, _sorted_result,
     _table_planes,
 )
-from goppacrypt.dyadic import DyadicSignature, SignatureExhaustionError
+from goppacrypt.dyadic import (
+    DyadicSignature, SignatureExhaustionError, _independent,
+)
 from goppacrypt.goppa import (
     CapacityError, CodeConstructionError, GoppaCode, build_code,
     syndrome_poly, systematic_encode,
@@ -246,6 +252,29 @@ def from_bytes_shiftloop(rows, cols, data):
                      [(acc >> (i * cols)) & mask for i in range(rows)])
 
 
+def from_bytes_columns(rows, cols, data):
+    """BinMatrix.from_bytes with the column route it replaced: each
+    column's strided digits parsed to an int, then transposed back."""
+    total = rows * cols
+    if not 0 < 6 * cols < rows or cols > 16:
+        return BinMatrix.from_bytes(rows, cols, data)
+    digits = format(int.from_bytes(data, "little") & ((1 << total) - 1),
+                    "0%db" % total)
+    return BinMatrix(rows, cols, transpose(
+        [int(digits[cols - 1 - j::cols], 2) for j in range(cols)], rows))
+
+
+def sample_distinct_loop(stream, n, w):
+    """SeededStream.sample_distinct as one randbelow call per draw."""
+    if not 0 <= w <= n:
+        raise ValueError("need 0 <= w <= n")
+    idx = list(range(n))
+    for i in range(w):
+        j = i + stream.randbelow(n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:w]
+
+
 def mul_vec_bitloop(M, x):
     """M * x^T, one entry at a time."""
     out = 0
@@ -400,6 +429,23 @@ def gen_signature_filled(field, N, seed, refusals):
         omega = stream.randbelow(field.order)
         return DyadicSignature(field, tuple(e), omega)
     raise SignatureExhaustionError("no admissible signature after 4096 draws")
+
+
+def linearized_roots_eval_all(field, gpoly):
+    """cauchy_code's root solve as it was, on G's values at 0 and at
+    alpha^k for k < m by eval_all: (z_0, V), or None where cauchy_code
+    refuses G as not L_V(x) + c on r roots."""
+    m = field.m
+    g = gpoly.eval_all([0] + [1 << k for k in range(m)])
+    basis, z0, V = [], g[0] << m, [0]
+    for k in range(m):
+        _independent(basis, (g[k + 1] ^ g[0]) << m | 1 << k)
+        z0 = min(z0, z0 ^ basis[-1])
+        V += [] if basis[-1] >> m else [v ^ basis[-1] for v in V]
+    if z0 >> m or len(V) != gpoly.degree or any(
+            c for k, c in enumerate(gpoly.c) if k & (k - 1)):
+        return None
+    return z0, V
 
 
 def block_systemized_generator(code, sig):
@@ -624,7 +670,9 @@ def sqrt_x_mod_solve(G):
 
 def random_goppa_code(m, n, r, rng, monic=True):
     """Gamma(L, G) with a random square-free G of degree r, not always
-    irreducible, and a random support of n points that includes 0."""
+    irreducible, and a random support of n points that includes 0.  A G
+    with fewer than n non-roots raises ValueError before the support
+    draw, which would otherwise never end."""
     from goppacrypt.gf2m import is_squarefree, make_field
     field = make_field(m)
     while True:
@@ -633,6 +681,8 @@ def random_goppa_code(m, n, r, rng, monic=True):
                  + [1 if monic else rng.randrange(2, field.order)])
         if is_squarefree(g):
             break
+    if 1 + sum(1 for a in range(1, field.order) if poly_eval(g, a)) < n:
+        raise ValueError("G leaves fewer than n = %d points" % n)
     support = [0]
     while len(support) < n:
         a = rng.randrange(1, field.order)
