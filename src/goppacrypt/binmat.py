@@ -3,7 +3,8 @@
 Rows are Python ints, bit j of row i = entry (i, j), so row operations are
 single XORs even at n around 2*10^4.  Matrices are values: operations return
 new matrices and never mutate inputs; a matrix masks its rows to its width
-only when one min/max pass finds a row outside it.  transpose is the one
+only when one min/max pass finds a row outside it, which from_bytes, whose
+rows fit by construction, skips.  transpose is the one
 bit transpose, both ways (values to bit planes and back), plane_mul
 multiplies values on their planes, and the width of rref's column strips
 follows the row count.  Values of at most 16 bits come back from byte
@@ -77,9 +78,13 @@ class BinMatrix:
             for j in range(cols):
                 lanes[j >> 3] |= int.from_bytes(
                     digits[cols - 1 - j::cols].translate(_BITS[j & 7]), "big")
-            return cls(rows, cols, _values(lanes, cols, rows))
-        return cls(rows, cols, [int(digits[p:p + cols], 2)
-                                for p in range(total - cols, -1, -cols)])
+            bits = _values(lanes, cols, rows)
+        else:
+            bits = [int(digits[p:p + cols], 2)
+                    for p in range(total - cols, -1, -cols)]
+        M = cls.__new__(cls)  # every row fits cols bits: no min/max pass
+        M.rows, M.cols, M.bits = rows, cols, tuple(bits)
+        return M
 
 
 def rref(M):

@@ -12,8 +12,10 @@ signature first: binary r x r dyadic matrices form a local ring whose
 residue map is the parity, so the signature sums of the last m support
 blocks decide it, and a singular draw is refused before any matrix is
 built.  A is the public key, and compact_pubkey packs it into m*k bits:
-the first row of each r x r block.  expand_pubkey rebuilds each block
-from that row by doubling, swapping halves of bit groups; cauchy_code
+the first row of each r x r block, which encrypt multiplies by
+(compact_encode).  Only KeyPair.public and compact_pubkey's check expand
+A: expand_pubkey doubles each block from its row by half-swaps of bit
+groups (_swap), the swaps that fold compact_encode's sums; cauchy_code
 doubles a code's Cauchy parity check from its support and G alone, the
 one table that keygen eliminates and decrypt reads.
 """
@@ -21,10 +23,11 @@ one table that keygen eliminates and decrypt reads.
 import struct
 from collections import namedtuple
 from functools import reduce
+from itertools import compress
 from operator import xor
 
 from .gf2m import Poly
-from .binmat import BinMatrix, transpose
+from .binmat import BinMatrix, transpose, _BITS
 from .goppa import GoppaCode, CodeConstructionError
 from .prng import SeededStream
 
@@ -45,9 +48,22 @@ class DyadicSignature(namedtuple("DyadicSignature", "field e omega")):
 
     __slots__ = ()
 
-    def roots(self, r):
-        # z_i = 1/h_i + omega, the Goppa polynomial roots, in e_0 + V + omega
-        return [v ^ self.omega for v in self.e[:r]]
+    def goppa_poly(self, r):
+        """G = prod (x + z_i), i < r, z_i = 1/h_i + omega.  The z_i are
+        z_0 + V, V spanned by the offsets e_b + e_0, b < r, so G = L_V(x)
+        + L_V(z_0), where L_V = prod (x + v) over V has terms lin[j] at
+        x^(2^j) only and doubles by L_{V+<d>} = L_V^2 + L_V(d) L_V."""
+        mul, lin, g0 = self.field.mul, [1], self.e[0] ^ self.omega
+        for b in (1 << j for j in range(r.bit_length() - 1)):
+            a, x = 0, self.e[b] ^ self.e[0]
+            for c in lin:  # a = L_V(x)
+                a, x = a ^ mul(c, x), mul(x, x)
+            lin = [mul(a, c) ^ mul(p, p) for c, p in zip(lin + [0], [0] + lin)]
+            g0 = mul(g0, g0) ^ mul(a, g0)  # L_V(z_0)
+        c = [g0] + [0] * r
+        for j, v in enumerate(lin):
+            c[1 << j] = v
+        return Poly(self.field, c)
 
     def points(self):
         # u_j = 1/h_j + 1/h_0 + omega, the support pool, in V + omega
@@ -158,7 +174,7 @@ def signature_to_code(sig, n, r, seed):
     points = sig.points()
     support = [points[b * r + (s ^ p)]
                for b, p in zip(blocks, offsets) for s in range(r)]
-    gpoly = Poly.from_roots(field, sig.roots(r))
+    gpoly = sig.goppa_poly(r)
 
     # on the rotated support, column j < k sits at mr + j; if the
     # elimination pivots on columns 0..mr-1, its A is that of the
@@ -233,12 +249,30 @@ def _compact_rows(blob):
                   for p in range(0, len(body), m)]
 
 
+def compact_encode(m, r, rows, msg):
+    """systematic_encode, for msg below 2^k, on the A that _compact_rows'
+    rows 0 expand to: row i of block b is rows[b] read at bit j xor i in
+    each r-bit lane, so the rows msg picks at each i are summed, then
+    folded."""
+    k, sums, s = len(rows) * r, [0] * r, r.bit_length() - 1
+    picks = format(msg, "0%db" % k).encode()[::-1].translate(_BITS[0])
+    for p in compress(range(k), picks):  # the set bits p of msg
+        sums[p & r - 1] ^= rows[p >> s]
+    for h in (r >> j for j in range(1, s + 1)):  # r/2, ..., 1
+        sums = list(map(xor, sums, _swap(sums[h:], h, m * r)))
+    return msg | sums[0] << k
+
+
+def _swap(rows, b, width):
+    """rows read at bit j xor b, b a power of two: b-bit halves trade."""
+    mask = ((1 << width) - 1) // ((1 << 2 * b) - 1) * ((1 << b) - 1)
+    return [(v & mask) << b | v >> b & mask for v in rows]
+
+
 def _double(rows, width, r):
     """rows, then each read at bit j xor i for 0 < i < r, by half-swaps."""
-    full = (1 << width) - 1
     for b in (1 << j for j in range(r.bit_length() - 1)):
-        mask = full // ((1 << 2 * b) - 1) * ((1 << b) - 1)  # low b of each 2b
-        rows += [(v & mask) << b | v >> b & mask for v in rows]
+        rows += _swap(rows, b, width)
     return rows
 
 
@@ -252,11 +286,12 @@ def cauchy_code(field, support, gpoly):
     L_{cr} = d_t of block 0, linear in t and spanning V, so with
     z_i = z_0 + d_i entry (i, t) of block c is entry (0, t xor i), and
     row 0, n inversions, doubles into all r.  Other keys, and a support
-    point that is a root of G, raise CodeConstructionError.
+    point that is a root of G, raise CodeConstructionError; L lies in
+    GF(2^m), as KeyPair and signature_to_code check or build it.
     """
     n, r, m, q = len(support), gpoly.degree, field.m, field.order
     support = tuple(support)
-    if len(set(support)) != n or not 0 <= min(support) <= max(support) < q:
+    if len(set(support)) != n:
         raise CodeConstructionError("support points are not distinct")
     terms = [(e, v) for e, v in enumerate(gpoly.c) if v]
     if any(e & e - 1 for e, _ in terms):

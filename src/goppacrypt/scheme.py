@@ -14,7 +14,8 @@ keygen derives child streams "goppa" then "support" (generic) or
 column order of the parity check's elimination, so that [I_k | A] is a
 generator on the support's own order, as it is for dyadic codes.  A key
 holds its public part as stored (dyadic: compact), checked when the key
-is built; a loaded key parses it on first read, and decrypt never does.
+is built.  encrypt multiplies by a dyadic key's stored signatures and
+reads a generic A, parsed on first read; decrypt reads neither.
 """
 
 import binascii
@@ -26,7 +27,7 @@ from .binmat import BinMatrix
 from .goppa import CodeConstructionError, build_code, systematic_encode
 from .decode import LD_REACH, list_decode
 from .dyadic import (
-    gen_signature, signature_to_code, cauchy_code,
+    gen_signature, signature_to_code, cauchy_code, compact_encode,
     compact_pubkey, expand_pubkey, _compact_rows, _COMPACT_HEADER,
 )
 from .security import check_countermeasures, encryption_weight
@@ -128,8 +129,9 @@ class KeyPair(_File):
     takes A as stored (A.to_bytes(), or compact_pubkey's bytes) and
     refuses with ValueError what from_bytes would and a support or G
     outside GF(2^m), so to_bytes writes a file that loads as this key.
-    A loaded key parses A on the first read of public (encrypt's, never
-    decrypt's).  Private decoding state is the support and G.
+    A loaded key parses (dyadic: expands) A on the first read of public,
+    which only a generic encrypt makes: a dyadic key keeps the signatures
+    it checks for encrypt.  Private decoding state is the support and G.
     """
 
     def __init__(self, variant, decoder, field, support, gpoly, public):
@@ -144,12 +146,13 @@ class KeyPair(_File):
         if min(values) < 0 or max(values) >> m or gpoly.field != field:
             raise ValueError("support or G outside GF(2^%d)" % m)
         public, bits = bytes(public), self.k * (self.n - self.k)
+        self._rows = None  # a dyadic key's blocks' rows 0, which encrypt reads
         if variant == "dyadic":  # m, log2 r, k/r, before expanding
             if _COMPACT_HEADER.unpack_from(public.ljust(
                     _COMPACT_HEADER.size, b"\0"))[2:] != (
                     m, r.bit_length() - 1, self.k // r):
                 raise ValueError("compact key does not match the key header")
-            _compact_rows(public)  # every check expand_pubkey makes
+            self._rows = _compact_rows(public)[2]  # expand_pubkey's checks
         elif len(public) != (bits + 7) // 8:
             raise ValueError("public part is not k x (n - k)")
         elif bits % 8:  # a re-save writes A's padding bits as 0
@@ -324,7 +327,9 @@ def encrypt(pk, msg, seed):
     if len(msg) > pk.capacity():
         raise ValueError("payload of %d bytes exceeds capacity %d"
                          % (len(msg), pk.capacity()))
-    c = systematic_encode(pk.public, _wrap(bytes(msg), pk.k))
+    w = _wrap(bytes(msg), pk.k)
+    c = (systematic_encode(pk.public, w) if pk._rows is None
+         else compact_encode(pk.m, pk.r, pk._rows, w))
     stream = SeededStream(bytes(seed)).child(b"err")
     for p in stream.sample_distinct(pk.n, pk.w_enc):
         c ^= 1 << p

@@ -11,17 +11,19 @@ from goppacrypt.goppa import (
 )
 from goppacrypt.decode import list_decode, _linear_engine
 from goppacrypt.dyadic import (
-    SignatureExhaustionError, gen_signature,
-    signature_to_code, compact_pubkey, expand_pubkey, cauchy_code,
+    SignatureExhaustionError, gen_signature, signature_to_code,
+    compact_encode, compact_pubkey, expand_pubkey, cauchy_code, _compact_rows,
 )
 from goppacrypt.prng import SeededStream
-from goppacrypt.scheme import KEYGEN_ATTEMPTS, KeyPair, _dyadic_code, keygen
+from goppacrypt.scheme import (
+    KEYGEN_ATTEMPTS, TAG_BITS, KeyPair, _dyadic_code, _wrap, keygen,
+)
 from testlib import (
     block_invertible, block_mul, block_systemized_generator, dyadic_check,
     dyadic_support, encode, expand_pubkey_rowloop, g2_decode, gen,
     gen_signature_filled, linearized_roots_eval_all, patterson_alternant,
-    poly_eval, random_goppa_code, signature_to_code_alternant, xor_permute,
-    xor_permute_bitloop,
+    poly_eval, random_goppa_code, signature_roots, signature_to_code_alternant,
+    xor_permute, xor_permute_bitloop,
 )
 from test_golden import GOLDEN
 
@@ -59,7 +61,7 @@ def test_signature_identity_and_distinctness():
             for i in range(N):
                 for j in range(N):
                     assert e[i ^ j] == e[i] ^ e[j] ^ e[0]
-            assert not set(sig.roots(N)) & set(sig.points())
+            assert not set(signature_roots(sig, N)) & set(sig.points())
 
 
 def test_gen_signature_matches_entry_fill():
@@ -83,7 +85,7 @@ def test_signature_is_cauchy():
     field = make_field(7)
     sig = gen_signature(field, 64, b"cauchy")
     r = 8
-    z = sig.roots(r)
+    z = signature_roots(sig, r)
     u = sig.points()
     assert not set(z) & set(u)
     h = [field.inv(v) for v in sig.e]
@@ -99,6 +101,18 @@ def test_signature_determinism():
     c = gen_signature(field, 128, b"det2")
     assert a == b
     assert a.e != c.e
+
+
+def test_goppa_poly_matches_the_product_over_its_roots():
+    # G = L_V(x) + L_V(z_0), by the subspace recursion over the offsets,
+    # is prod (x + z_i) over the r roots, at every r up to N, m = 4..16
+    for m in range(4, 17):
+        field = make_field(m)
+        N = min(1 << (m - 1), 256)
+        sig = gen_signature(field, N, b"lin/%d" % m)
+        for r in (1 << j for j in range(N.bit_length())):
+            assert sig.goppa_poly(r) == Poly.from_roots(
+                field, signature_roots(sig, r)), (m, r)
 
 
 def test_gen_signature_domain():
@@ -465,6 +479,24 @@ def test_expand_matches_row_loop():
                 assert got == expand_pubkey_rowloop(blob)
                 assert got[2].rows == kblocks * r
                 assert compact_pubkey(*got) == blob
+
+
+@pytest.mark.parametrize("m, n, r", [
+    (16, 96, 2), (16, 128, 4), (16, 256, 1), (16, 256, 8), (10, 256, 16),
+    (11, 1024, 32), (12, 1024, 64)])
+def test_compact_encode_matches_the_expanded_key(m, n, r):
+    # encrypt's product with the stored signatures gives the codeword of
+    # the expanded A: on seeded words, 0, all ones and wrapped messages of
+    # the capacity's length; r < 8 stores one byte per signature
+    rng = random.Random(n * r + m)
+    k = n - m * r
+    blob = _random_blob(rng, m, r, k // r)
+    A, rows = expand_pubkey(blob)[2], _compact_rows(blob)[2]
+    capacity = (k - TAG_BITS - 1) // 8
+    words = [0, (1 << k) - 1] + [rng.getrandbits(k) for _ in range(20)] + [
+        _wrap(rng.randbytes(capacity), k) for _ in range(5)]
+    for w in words:
+        assert compact_encode(m, r, rows, w) == systematic_encode(A, w)
 
 
 def test_expand_refuses_padding_bits():

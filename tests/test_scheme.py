@@ -340,8 +340,10 @@ def test_public_part_is_read_once_and_never_by_decrypt(args, monkeypatch):
     # keygen's key holds the stored bytes of A it encoded once, so its
     # to_bytes neither compacts A nor packs it.  A loaded key keeps its
     # checked bytes of A: decrypt and to_bytes never expand a compact key,
-    # compact one or parse a generic A, and encrypt does it once per key
-    # object; to_bytes gives back the file, before and after
+    # compact one or parse a generic A.  encrypt parses a generic A once
+    # per key object and never expands a compact key, which it multiplies
+    # by its stored signatures; only a read of public expands it, once.
+    # to_bytes gives back the file, before and after
     kp = keygen(*args, seed=b"lazy")
     calls = count_calls(monkeypatch, ((scheme, "expand_pubkey"),
                                       (scheme, "compact_pubkey")))
@@ -371,8 +373,11 @@ def test_public_part_is_read_once_and_never_by_decrypt(args, monkeypatch):
         for i in range(3):
             seed = b"x%d" % i
             assert encrypt(key, b"x", seed) == encrypt(kp, b"x", seed)
+    compact = kp.variant == "dyadic"
+    assert +calls == ({} if compact else {"A parse": len(loaded)})
+    for key in loaded:
         assert key.public == kp.public and key.to_bytes() == blob
-    once = "expand_pubkey" if kp.variant == "dyadic" else "A parse"
+    once = "expand_pubkey" if compact else "A parse"
     assert +calls == {once: len(loaded)}
 
 

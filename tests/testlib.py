@@ -24,7 +24,8 @@ file stores it, which is what KeyPair takes.  The kernels that the key
 file path replaced stay here as oracles: the column route of
 BinMatrix.from_bytes with an int per column, sample_distinct as one
 randbelow call per draw, and cauchy_code's root solve on G's values at
-the m + 1 points by eval_all.
+the m + 1 points by eval_all.  A signature's roots, multiplied out
+by Poly.from_roots, are the oracle of its G by the subspace recursion.
 The dyadic generator is checked against elimination over the ring of
 dyadic blocks and against its first construction, one elimination of
 the alternant parity check of G on the rotated support, the linear
@@ -357,6 +358,12 @@ def block_invertible(a):
     return a.bit_count() & 1 == 1
 
 
+def signature_roots(sig, r):
+    """The roots z_i = 1/h_i + omega, i < r, of a signature's Goppa
+    polynomial, from which Poly.from_roots is the oracle of its G."""
+    return [v ^ sig.omega for v in sig.e[:r]]
+
+
 def dyadic_support(sig, n, r, seed):
     """(G, support) of dyadic.signature_to_code's draw, rebuilt here so
     that attempts the package refuses from the signature sums can be
@@ -365,7 +372,7 @@ def dyadic_support(sig, n, r, seed):
     stream = SeededStream(seed)
     blocks = stream.sample_distinct(len(sig.e) // r, n // r)
     offsets = [stream.randbelow(r) for _ in blocks]
-    return (Poly.from_roots(sig.field, sig.roots(r)),
+    return (Poly.from_roots(sig.field, signature_roots(sig, r)),
             [points[b * r + (s ^ p)] for b, p in zip(blocks, offsets)
              for s in range(r)])
 
@@ -462,7 +469,7 @@ def block_systemized_generator(code, sig):
     field, n, r = code.field, code.n, code.r
     m = field.m
     k, cols = n - m * r, n // r
-    z0 = sig.roots(1)[0]
+    z0 = signature_roots(sig, 1)[0]
     h = [field.inv(z0 ^ a) for a in code.support]
     grid = [[sum((h[c * r + s] >> beta & 1) << s for s in range(r))
              for c in range(cols)] for beta in range(m)]
